@@ -19,6 +19,7 @@ CHECK_ANCHORS = frozenset(
         "degree bound",
         "RH roots",
         "conjugation",
+        "explicit formula",
         "Prop 3.1",
         "simplified log-L bound",
         "Prop 3.2",

@@ -510,6 +510,13 @@ def is_primitive(chi: DirichletChar) -> bool:
     return True
 
 
+def is_even(chi: DirichletChar) -> bool:
+    """True iff chi is 1 on the nonzero constants F_q^*."""
+    group = chi.group
+    rows = [group._row_of[c] for c in range(1, group.modulus.field.q)]
+    return _trivial_on_rows(group, chi.exponents, rows)
+
+
 def character(group: UnitGroup, exponents: tuple[int, ...]) -> DirichletChar:
     """The character with the given exponent vector."""
     exps = tuple(k % m for k, m in zip(exponents, group.orders))

@@ -26,6 +26,7 @@ from ffmoments.chargroup import (
     all_characters,
     character_values,
     factor_modulus,
+    is_even,
     primitive_count_inclusion_exclusion,
     unit_group,
 )
@@ -33,20 +34,21 @@ from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
+    _prime_factors_int,
     irreducible_count_enumerated,
     parse_poly,
     poly_divmod,
+    pow_mod,
     prime_count_exact,
 )
 from ffmoments.lfunc import (
     LPolynomial,
-    crude_single_bound_ratio,
+    PrimePowerTable,
     l_coefficient_probe,
-    log_abs_l,
-    log_l_bound_pointwise,
-    log_l_bound_simplified,
+    log_abs_l_grid,
+    loglog_norm,
     primitive_family,
-    shifted_log_bound,
+    rh_root_deviation,
     t_period,
     u_on_circle,
 )
@@ -143,6 +145,7 @@ def _enumerate_task(payload) -> dict:
     )
 
     n_primitive = sum(c.primitive for c in chars)
+    unit_group_ok = _unit_group_ok(group)
     sieve_count = primitive_count_inclusion_exclusion(modulus)
 
     K = np.array([c.exponents for c in chars], dtype=np.int64).reshape(
@@ -171,12 +174,27 @@ def _enumerate_task(payload) -> dict:
         "phi": modulus.phi,
         "orders": ",".join(str(m) for m in group.orders),
         "factorization_ok": bool(factorization_ok),
+        "unit_group_ok": unit_group_ok,
         "n_primitive": int(n_primitive),
         "sieve_count": int(sieve_count),
         "ortho_max": ortho_max,
         "mult_err": float(mult_err),
         "cache_hit": bool(group.from_cache),
     }
+
+
+def _unit_group_ok(group) -> bool:
+    """The orders multiply to phi(Q) and each generator has exactly its
+    stated order m: g^m = 1 and g^(m/l) != 1 for every prime l | m."""
+    Q = group.modulus.poly
+    one = FqPoly.one(Q.field)
+    if math.prod(group.orders) != group.modulus.phi:
+        return False
+    return all(
+        pow_mod(g, m, Q) == one
+        and all(pow_mod(g, m // ell, Q) != one for ell in _prime_factors_int(m))
+        for g, m in zip(group.generators, group.orders)
+    )
 
 
 def _digits_of(idx: int, q: int, width: int) -> list[int]:
@@ -247,7 +265,7 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
                 params=f"orders={res['orders']}",
                 value=res["phi"],
                 constant="",
-                passed=True,
+                passed=res["unit_group_ok"],
             )
         )
         rows.append(
@@ -316,19 +334,12 @@ def _lfun_task(payload) -> dict:
             probe_max = max(probe_max, float(np.max(np.abs(vals))))
     out["probe_max"] = probe_max
 
-    # RH root magnitudes per primitive character
-    sqrt_q = math.sqrt(cfg.q)
-    root_rows = []
-    for chi, row in zip(fam.primitive_chars, coeffs):
-        L = LPolynomial(chi, row)
-        roots = L.inverse_roots()
-        if len(roots):
-            mags = np.abs(roots)
-            dev = float(np.max(np.minimum(np.abs(mags - 1), np.abs(mags - sqrt_q))))
-        else:
-            dev = 0.0
-        root_rows.append((chi.index, dev))
-    out["root_rows"] = root_rows
+    # RH root shape per primitive character, fixed by its parity
+    lpolys = [LPolynomial(c, row) for c, row in zip(fam.primitive_chars, coeffs)]
+    out["root_rows"] = [
+        (L.character.index, rh_root_deviation(L, is_even(L.character)))
+        for L in lpolys
+    ]
 
     # conjugation symmetry of the coefficient rows
     conj_max = 0.0
@@ -342,45 +353,34 @@ def _lfun_task(payload) -> dict:
             )
     out["conj_max"] = conj_max
 
+    top = max(modulus.degree - 1, *cfg.x_exponents)
+    out["explicit_top"] = top
+    out["explicit_max"] = 0.0
+    out["prop31_min_slack"] = {h: math.inf for h in range(1, modulus.degree)}
+    out["eq33_max"] = out["eq34_max"] = out["prop32_max"] = -math.inf
+    if not fam.n_primitive:
+        return out
+
+    table = PrimePowerTable.build(fam.group, fam.primitive_chars, top)
+    out["explicit_max"] = float(np.max(table.explicit_formula_defect(coeffs)))
+
     ts = _t_grid(cfg.q, cfg.t_grid_points)
-    lpolys = [LPolynomial(c, row) for c, row in zip(fam.primitive_chars, coeffs)]
-
+    log_abs = log_abs_l_grid(coeffs, cfg.q, ts)
     # pointwise bound: minimum slack over characters, smoothing lengths, grid
-    slacks = {}
-    for h in range(1, modulus.degree):
-        worst = math.inf
-        for chi, L in zip(fam.primitive_chars, lpolys):
-            for t in ts:
-                slack = log_l_bound_pointwise(chi, t, h) - log_abs_l(L, t)
-                worst = min(worst, slack)
-        slacks[h] = worst if fam.n_primitive else math.inf
-    out["prop31_min_slack"] = slacks
+    for h in out["prop31_min_slack"]:
+        out["prop31_min_slack"][h] = float(np.min(table.pointwise(ts, h) - log_abs))
 
-    eq33_max = -math.inf
-    eq34_max = -math.inf
-    for chi, L in zip(fam.primitive_chars, lpolys):
-        for t in ts:
-            la = log_abs_l(L, t)
-            eq34_max = max(eq34_max, crude_single_bound_ratio(L, t))
-            for h in cfg.x_exponents:
-                eq33_max = max(
-                    eq33_max, la - log_l_bound_simplified(chi, t, cfg.q**h)
-                )
-    out["eq33_max"] = eq33_max
-    out["eq34_max"] = eq34_max
+    out["eq33_max"] = max(
+        float(np.max(log_abs - table.simplified(ts, h))) for h in cfg.x_exponents
+    )
+    ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
+    out["eq34_max"] = float(np.max(ratios))
 
-    specs = cfg.resolved_shift_specs()
-    prop32_max = -math.inf
-    for chi, L in zip(fam.primitive_chars, lpolys):
-        for spec in specs:
-            lhs = sum(
-                a * log_abs_l(L, t) for a, t in zip(spec.a, spec.t)
-            )
-            for h in cfg.x_exponents:
-                prop32_max = max(
-                    prop32_max, lhs - shifted_log_bound(chi, spec, cfg.q**h)
-                )
-    out["prop32_max"] = prop32_max
+    for spec in cfg.resolved_shift_specs():
+        lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
+        for h in cfg.x_exponents:
+            defect = float(np.max(lhs - table.shifted(spec, h)))
+            out["prop32_max"] = max(out["prop32_max"], defect)
     return out
 
 
@@ -398,6 +398,7 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
     coeff_tol = cfg.tolerance("coeff_zero")
     root_tol = cfg.tolerance("root_mag")
+    identity_tol = cfg.tolerance("identity")
     slack_tol = cfg.tolerance("slack")
 
     per_degree: dict[int, dict[str, float]] = {}
@@ -444,6 +445,16 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
                 value=res["conj_max"],
                 constant=1e-10,
                 passed=res["conj_max"] < 1e-10,
+            )
+        )
+        rows.append(
+            CheckRow(
+                anchor="explicit formula",
+                subject=subject,
+                params=f"n=1..{res['explicit_top']}, prime powers vs Newton power sums",
+                value=res["explicit_max"],
+                constant=identity_tol,
+                passed=res["explicit_max"] < identity_tol,
             )
         )
         for h, slack in sorted(res["prop31_min_slack"].items()):

@@ -180,6 +180,10 @@ class ExperimentConfig:
         _require_keys(self.perron, set(DEFAULT_PERRON), "config.perron")
         if self.t_grid_points < 1:
             raise ConfigError("t_grid_points must be positive")
+        if not self.x_exponents or not all(
+            isinstance(h, int) and h >= 1 for h in self.x_exponents
+        ):
+            raise ConfigError("x_exponents must be a nonempty list of positive integers")
         if self.quad_points < 256:
             raise ConfigError("quad_points must be at least 256")
 

@@ -10,6 +10,16 @@ results are reproducible bit-for-bit on a given platform.
 Values on the critical line live on the circle |u| = q^(-1/2); the shift t
 in L(1/2 + it, chi) corresponds to the angle theta = -t log q, and all
 values are periodic in t with period 2*pi/log q.
+
+The log|L| bounds are sums over prime powers P^j whose t-dependence is
+e^(-i t n log q) with n = j deg P alone.  So one prime-power table
+S[chi, d, j] = sum over monic irreducible P of degree d of chi(P)^j
+(d*j <= top) is built per family: the irreducible indices are reduced mod
+Q by one digit-matrix product against the rows T^k mod Q, located among
+the unit residues by binary search, and gathered from the character value
+matrix.  Each bound is then a weight vector over n, and its values on a
+whole t-grid are one (characters x n) @ (n x t) product with the phases
+e^(-i t n log q); log|L| on the grid is likewise coeffs @ u(t)^n.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from ffmoments.chargroup import (
     modulus_slug,
     unit_group,
 )
-from ffmoments.ffpoly import FqPoly, enumerate_irreducible, monic_from_index, residue_index
+from ffmoments.ffpoly import FqPoly, _irreducible_index_table
 
 L_CACHE_SCHEMA = 1
 COEFF_TRIM_TOL = 1e-9
@@ -142,6 +152,25 @@ def l_inverse_roots(L: LPolynomial) -> np.ndarray:
     return L.inverse_roots()
 
 
+def rh_root_deviation(L: LPolynomial, even: bool) -> float:
+    """Largest deviation of the inverse roots of a primitive character's
+    L-polynomial from the shape the Riemann hypothesis forces: deg(Q) - 1
+    roots, all with |alpha| = sqrt(q), except that an even character has
+    exactly one root alpha = 1 in their place.  inf when the root count is
+    wrong."""
+    roots = L.inverse_roots()
+    if len(roots) != L.character.group.modulus.degree - 1:
+        return math.inf
+    dev = 0.0
+    if even:
+        one = int(np.argmin(np.abs(roots - 1)))
+        dev = float(abs(roots[one] - 1))
+        roots = np.delete(roots, one)
+    if len(roots):
+        dev = max(dev, float(np.max(np.abs(np.abs(roots) - math.sqrt(L.q)))))
+    return dev
+
+
 def log_abs_l(L: LPolynomial, t: float) -> float:
     """log |L(1/2 + i t, chi)|; -inf at an on-circle zero."""
     value = abs(L.eval_u(u_at_shift(L.q, t)))
@@ -166,10 +195,7 @@ def l_coefficients(group: UnitGroup, chars: list[DirichletChar]) -> np.ndarray:
     chunk = max(1, (1 << 18) // max(1, len(group.residues)))
     for start in range(0, len(chars), chunk):
         batch = chars[start : start + chunk]
-        K = np.array([c.exponents for c in batch], dtype=np.int64).reshape(
-            len(batch), group.rank
-        )
-        V = character_values(group, K)
+        V = _values(group, batch)
         for n, rows in enumerate(rows_by_degree):
             out[start : start + len(batch), n] = np.sum(V[rows, :], axis=0)
     return out
@@ -185,19 +211,48 @@ def l_polynomial(chi: DirichletChar) -> LPolynomial:
     return LPolynomial(chi, coeffs)
 
 
+def _reduction_matrix(modulus: Modulus, top: int) -> np.ndarray:
+    """Digit rows of T^k mod Q for k = 0..top, shape (top + 1, deg Q)."""
+    q, dQ = modulus.field.q, modulus.degree
+    low = np.array([modulus.poly.coeff(k) for k in range(dQ)], dtype=np.int64)
+    rows = np.zeros((top + 1, dQ), dtype=np.int64)
+    cur = np.zeros(dQ, dtype=np.int64)
+    cur[0] = 1
+    for k in range(top + 1):
+        rows[k] = cur
+        lead = cur[-1]
+        cur = np.concatenate(([0], cur[:-1]))
+        cur = (cur - lead * low) % q  # T^dQ = -(low part of Q) mod Q
+    return rows
+
+
+def _unit_rows_of_monics(
+    group: UnitGroup, reduction: np.ndarray, n: int, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (into group.residues) of the monic degree-n polynomials with the
+    given indices, reduced mod Q, and a mask of those that are units.
+
+    Reduction is linear in the coefficients, so the residue digits are the
+    coefficient digits (leading 1 included) times the rows T^k mod Q."""
+    q = group.modulus.field.q
+    digits = (indices[:, None] // q ** np.arange(n, dtype=np.int64)) % q
+    digits = np.hstack([digits, np.ones((len(indices), 1), dtype=np.int64)])
+    residue_digits = (digits @ reduction[: n + 1]) % q
+    residues = residue_digits @ q ** np.arange(group.modulus.degree, dtype=np.int64)
+    rows = np.searchsorted(group.residues, residues)
+    rows = np.minimum(rows, len(group.residues) - 1)
+    return rows, group.residues[rows] == residues
+
+
 def monic_residue_counts(group: UnitGroup, n: int) -> np.ndarray:
     """How many monic polynomials of degree n land on each unit residue
-    (reduction mod Q done by explicit division; non-units are dropped)."""
-    field = group.modulus.field
-    Q = group.modulus.poly
-    counts = np.zeros(len(group.residues), dtype=np.int64)
-    for i in range(field.q**n):
-        f = monic_from_index(field, n, i)
-        ridx = residue_index(f % Q, group.modulus.degree)
-        row = group._row_of.get(ridx)
-        if row is not None:
-            counts[row] += 1
-    return counts
+    (non-units are dropped)."""
+    q = group.modulus.field.q
+    reduction = _reduction_matrix(group.modulus, n)
+    rows, unit = _unit_rows_of_monics(
+        group, reduction, n, np.arange(q**n, dtype=np.int64)
+    )
+    return np.bincount(rows[unit], minlength=len(group.residues))
 
 
 def l_coefficient_probe(
@@ -207,11 +262,17 @@ def l_coefficient_probe(
     reduction of every monic polynomial of degree n; used to check that the
     coefficients beyond deg(Q)-1 really vanish."""
     counts = monic_residue_counts(group, n)
+    # einsum, not @: numpy sends a vector-matrix product to a threaded BLAS
+    # gemv, whose spinning threads doubled this probe's CPU time
+    return np.einsum("u,uc->c", counts.astype(np.complex128), _values(group, chars))
+
+
+def _values(group: UnitGroup, chars) -> np.ndarray:
+    """Character value matrix (units x chars) for the given characters."""
     K = np.array([c.exponents for c in chars], dtype=np.int64).reshape(
         len(chars), group.rank
     )
-    V = character_values(group, K)
-    return counts.astype(np.complex128) @ V
+    return character_values(group, K)
 
 
 # ---------------------------------------------------------------------------
@@ -328,125 +389,167 @@ def _h_from_x(q: int, x) -> int:
     return h
 
 
-def log_l_bound_pointwise(chi: DirichletChar, t: float, h: int) -> float:
-    """Upper bound for log |L(1/2 + it, chi)| with smoothing length h:
+@dataclass(frozen=True)
+class PrimePowerTable:
+    """Prime-power character sums of one modulus,
 
-        m/h + (1/h) * Re sum over prime powers P^j with j*deg(P) <= h of
-        chi(P)^j (h - j*deg P) / (j |P|^(j(1/2 + it + 1/(h log q)))),
+        sums[c, d, j] = sum over monic irreducible P of degree d of chi_c(P)^j
 
-    where m = deg(Q) - 1.  The sum is complete (no truncation); terms with
-    j*deg(P) = h carry weight zero.
+    for d*j <= top (zero elsewhere), and the log|L| bounds built from them.
+    Every bound depends on the shift t only through e^(-i t n log q) with
+    n = j*d, so each is a weight vector over n, evaluated on a whole t-grid
+    by one product with the phase matrix.
     """
+
+    modulus: Modulus
+    sums: np.ndarray  # (chars, top + 1, top + 1), complex
+
+    @classmethod
+    def build(cls, group: UnitGroup, chars, top: int) -> "PrimePowerTable":
+        q = group.modulus.field.q
+        values = _values(group, chars)
+        reduction = _reduction_matrix(group.modulus, top)
+        irreducibles = _irreducible_index_table(q, top)
+        sums = np.zeros((len(chars), top + 1, top + 1), dtype=np.complex128)
+        for d in range(1, top + 1):
+            rows, unit = _unit_rows_of_monics(group, reduction, d, irreducibles[d])
+            chi_p = np.where(unit[:, None], values[rows], 0)
+            for j in range(1, top // d + 1):
+                sums[:, d, j] = np.sum(chi_p**j, axis=0)
+        return cls(group.modulus, sums)
+
+    @property
+    def top(self) -> int:
+        return self.sums.shape[1] - 1
+
+    def _phases(self, ts) -> np.ndarray:
+        """(top + 1, len(ts)) matrix e^(-i t n log q)."""
+        n = np.arange(self.top + 1, dtype=np.float64)
+        return np.exp(-1j * np.outer(n, ts) * math.log(self.modulus.field.q))
+
+    def pointwise(self, ts, h: int) -> np.ndarray:
+        """Prop 3.1 bound with smoothing length h (1 <= h <= top), per
+        character and shift:
+
+            m/h + (1/h) * Re sum over prime powers P^j with j*deg(P) <= h of
+            chi(P)^j (h - j*deg P) / (j |P|^(j(1/2 + it + 1/(h log q)))),
+
+        where m = deg(Q) - 1; terms with j*deg(P) = h carry weight zero."""
+        lnq = math.log(self.modulus.field.q)
+        sexp = 0.5 + 1.0 / (h * lnq)
+        w = np.zeros((len(self.sums), self.top + 1), dtype=np.complex128)
+        for d in range(1, h + 1):
+            for j in range(1, (h - 1) // d + 1):
+                n = j * d
+                w[:, n] += self.sums[:, d, j] * ((h - n) / (j * math.exp(n * lnq * sexp)))
+        m = self.modulus.degree - 1
+        return m / h + (w @ self._phases(ts)).real / h
+
+    def _simplified_weights(self, h: int) -> np.ndarray:
+        lnq = math.log(self.modulus.field.q)
+        sexp = 0.5 + 1.0 / (h * lnq)
+        w = np.zeros((len(self.sums), self.top + 1), dtype=np.complex128)
+        for d in range(1, h):
+            w[:, d] += self.sums[:, d, 1] * ((h - d) / h / math.exp(d * lnq * sexp))
+        for d in range(1, h // 2 + 1):
+            w[:, 2 * d] += 0.5 * self.sums[:, d, 2] / math.exp(d * lnq)
+        return w
+
+    def simplified(self, ts, h: int) -> np.ndarray:
+        """The smoothed two-sum bound value at cutoff x = q^h (h <= top),
+        without its bounded remainder, per character and shift:
+
+            Re[ sum_{|P|<=x} chi(P)/|P|^(1/2+it+1/log x) * log(x/|P|)/log x
+              + (1/2) sum_{|P|<=sqrt(x)} chi(P^2)/|P|^(1+2it) ] + log|Q|/log x.
+        """
+        w = self._simplified_weights(h)
+        return (w @ self._phases(ts)).real + self.modulus.degree / h
+
+    def shifted(self, spec, h: int) -> np.ndarray:
+        """Prop 3.2 bound value (without its bounded remainder) for
+        sum_j a_j log |L(1/2 + i t_j, chi)| at x = q^h, per character:
+
+            2 Re sum_{|P|<=x} h(P) chi(P)/|P|^(1/2+1/log x) * log(x/|P|)/log x
+            + Re sum_{|P|<=sqrt(x)} h(P^2) chi(P^2)/|P| + a log|Q|/log x,
+
+        with a = a_1 + ... + a_2k + 10 and h(f) = (1/2) sum_j a_j |f|^(-i t_j);
+        the prime sums are sum_j a_j times those of the simplified bound."""
+        w = self._simplified_weights(h)
+        a = np.asarray(spec.a, dtype=np.float64)
+        a_total = sum(spec.a) + 10.0
+        return (w @ self._phases(spec.t)).real @ a + a_total * self.modulus.degree / h
+
+    def explicit_formula_defect(self, coeffs: np.ndarray) -> np.ndarray:
+        """Per character, max over 1 <= n <= top of
+        |sum_{d*j=n} d * sums[d, j] + p_n|, where p_n = sum_i alpha_i^n is
+        the inverse-root power sum, taken from the L-coefficients c by
+        Newton's identities p_n = -n c_n - sum_{k<n} c_k p_(n-k).  Zero for
+        exact data: u L'/L = -sum_n p_n u^n is the log-derivative of the
+        Euler product."""
+        top = self.top
+        c = np.zeros((len(coeffs), top + 1), dtype=np.complex128)
+        width = min(coeffs.shape[1], top + 1)
+        c[:, :width] = coeffs[:, :width]
+        p = np.zeros_like(c)
+        prime_side = np.zeros_like(c)
+        for n in range(1, top + 1):
+            p[:, n] = -n * c[:, n] - np.sum(c[:, 1:n] * p[:, n - 1 : 0 : -1], axis=1)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prime_side[:, n] += d * self.sums[:, d, n // d]
+        return np.max(np.abs(prime_side + p)[:, 1:], axis=1)
+
+
+def log_abs_l_grid(coeffs: np.ndarray, q: int, ts) -> np.ndarray:
+    """log |L(1/2 + i t, chi)| for each coefficient row and shift, with t
+    reduced mod the period first; -inf at an on-circle zero."""
+    t_red = np.asarray(ts, dtype=np.float64) % t_period(q)
+    u = q**-0.5 * np.exp(-1j * t_red * math.log(q))
+    powers = u[None, :] ** np.arange(coeffs.shape[1])[:, None]
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(coeffs @ powers))
+
+
+def log_l_bound_pointwise(chi: DirichletChar, t: float, h: int) -> float:
+    """Prop 3.1 upper bound for log |L(1/2 + it, chi)| with smoothing length
+    h, 1 <= h <= deg(Q) - 1 (see PrimePowerTable.pointwise)."""
     _require_primitive(chi)
-    field = chi.group.modulus.field
-    q = field.q
     m = chi.group.modulus.degree - 1
     if not (1 <= h <= m):
         raise ValueError(f"h must satisfy 1 <= h <= {m}, got {h}")
-    lnq = math.log(q)
-    sexp = 0.5 + 1.0 / (h * lnq)
-    terms = []
-    for d in range(1, h + 1):
-        for P in enumerate_irreducible(field, d):
-            val = chi(P)
-            if val == 0:
-                continue
-            j = 1
-            while j * d <= h:
-                weight = h - j * d
-                if weight:
-                    denom = math.exp(j * d * lnq * sexp)
-                    phase = cmath.exp(-1j * t * j * d * lnq)
-                    terms.append(val**j * phase * weight / (j * denom))
-                j += 1
-    total = complex(np.sum(np.array(terms, dtype=np.complex128))) if terms else 0j
-    return m / h + total.real / h
+    table = PrimePowerTable.build(chi.group, [chi], h)
+    return float(table.pointwise([t], h)[0, 0])
 
 
 def log_l_bound_simplified(chi: DirichletChar, t: float, x) -> float:
-    """The smoothed two-sum upper-bound value for log |L(1/2 + it, chi)|
-    at cutoff x = q^h, without its bounded remainder:
-
-        Re[ sum_{|P|<=x} chi(P)/|P|^(1/2+it+1/log x) * log(x/|P|)/log x
-          + (1/2) sum_{|P|<=sqrt(x)} chi(P^2)/|P|^(1+2it) ] + log|Q|/log x.
-
-    The caller records the defect log|L| - value as the empirical constant.
-    """
+    """The smoothed two-sum upper-bound value for log |L(1/2 + it, chi)| at
+    cutoff x = q^h, without its bounded remainder (see
+    PrimePowerTable.simplified).  The caller records the defect
+    log|L| - value as the empirical constant."""
     _require_primitive(chi)
-    field = chi.group.modulus.field
-    q = field.q
-    h = _h_from_x(q, x)
-    lnq = math.log(q)
-    terms = []
-    for d in range(1, h + 1):
-        for P in enumerate_irreducible(field, d):
-            val = chi(P)
-            if val == 0:
-                continue
-            weight = (h - d) / h
-            if weight:
-                denom = math.exp(d * lnq * (0.5 + 1.0 / (h * lnq)))
-                terms.append(
-                    val * cmath.exp(-1j * t * d * lnq) * weight / denom
-                )
-            if 2 * d <= h:
-                terms.append(
-                    0.5
-                    * val**2
-                    * cmath.exp(-2j * t * d * lnq)
-                    / math.exp(d * lnq)
-                )
-    total = complex(np.sum(np.array(terms, dtype=np.complex128))) if terms else 0j
-    return total.real + chi.group.modulus.degree / h
+    h = _h_from_x(chi.group.modulus.field.q, x)
+    table = PrimePowerTable.build(chi.group, [chi], h)
+    return float(table.simplified([t], h)[0, 0])
 
 
 def h_weight(f: FqPoly, spec) -> complex:
     """The shift-averaging weight (1/2) sum_j a_j |f|^(-i t_j)."""
     if f.is_zero:
         raise ValueError("h-weight of the zero polynomial is undefined")
-    return _h_weight_deg(f.degree, f.field.q, spec)
-
-
-def _h_weight_deg(degree: int, q: int, spec) -> complex:
-    lnq = math.log(q)
+    lnq = math.log(f.field.q)
     return 0.5 * sum(
-        a * cmath.exp(-1j * t * degree * lnq) for a, t in zip(spec.a, spec.t)
+        a * cmath.exp(-1j * t * f.degree * lnq) for a, t in zip(spec.a, spec.t)
     )
 
 
 def shifted_log_bound(chi: DirichletChar, spec, x) -> float:
     """Upper-bound value (without its bounded remainder) for the weighted sum
-    sum_j a_j log |L(1/2 + i t_j, chi)|:
-
-        2 Re sum_{|P|<=x} h(P) chi(P)/|P|^(1/2+1/log x) * log(x/|P|)/log x
-        + Re sum_{|P|<=sqrt(x)} h(P^2) chi(P^2)/|P| + a log|Q|/log x,
-
-    with a = a_1 + ... + a_2k + 10 and h the shift-averaging weight.
-    """
+    sum_j a_j log |L(1/2 + i t_j, chi)| at x = q^h (see
+    PrimePowerTable.shifted)."""
     _require_primitive(chi)
-    field = chi.group.modulus.field
-    q = field.q
-    h = _h_from_x(q, x)
-    lnq = math.log(q)
-    a_total = sum(spec.a) + 10.0
-    terms = []
-    for d in range(1, h + 1):
-        for P in enumerate_irreducible(field, d):
-            val = chi(P)
-            if val == 0:
-                continue
-            weight = (h - d) / h
-            if weight:
-                denom = math.exp(d * lnq * (0.5 + 1.0 / (h * lnq)))
-                terms.append(
-                    2 * _h_weight_deg(d, q, spec) * val * weight / denom
-                )
-            if 2 * d <= h:
-                terms.append(
-                    _h_weight_deg(2 * d, q, spec) * val**2 / math.exp(d * lnq)
-                )
-    total = complex(np.sum(np.array(terms, dtype=np.complex128))) if terms else 0j
-    return total.real + a_total * chi.group.modulus.degree / h
+    h = _h_from_x(chi.group.modulus.field.q, x)
+    table = PrimePowerTable.build(chi.group, [chi], h)
+    return float(table.shifted(spec, h)[0])
 
 
 def loglog_norm(modulus: Modulus) -> float:

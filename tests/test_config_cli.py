@@ -4,12 +4,15 @@ determinism, caching, self-test)."""
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from ffmoments.anchors import CHECK_ANCHORS
-from ffmoments.cli import main
+from ffmoments.chargroup import factor_modulus, unit_group
+from ffmoments.cli import _unit_group_ok, main
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
+from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,6 +83,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="strictly positive"):
             ExperimentConfig.from_dict(d)
 
+    def test_x_exponents_positive_integers(self):
+        for bad in ([], [0], [1, -2], [1.5]):
+            d = full_config_dict()
+            d["x_exponents"] = bad
+            with pytest.raises(ConfigError, match="x_exponents"):
+                ExperimentConfig.from_dict(d)
+
     def test_family_or_moduli_required(self):
         d = full_config_dict()
         d["family"] = None
@@ -121,6 +131,10 @@ class TestConfig:
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def replace_attrs(ns: SimpleNamespace, **changes) -> SimpleNamespace:
+    return SimpleNamespace(**{**vars(ns), **changes})
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -223,6 +237,37 @@ class TestCli:
             if int(row["n_primitive"]) > 0:
                 assert float(row["ratio_zeta"]) > 0
                 assert float(row["ratio_min"]) > 0
+
+    def test_lfun_jobs_byte_identical(self, tmp_path):
+        cfg = str(CONFIGS / "lfun_q2_d3.json")
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert run_cli("lfun", "--config", cfg, "--out", str(serial)) == 0
+        assert (
+            run_cli("lfun", "--config", cfg, "--out", str(parallel), "--jobs", "2")
+            == 0
+        )
+        blob = (serial / "lfun.csv").read_bytes()
+        assert blob == (parallel / "lfun.csv").read_bytes()
+        rows = read_rows(serial / "lfun.csv")
+        explicit = [r for r in rows if r["anchor"] == "explicit formula"]
+        meta = json.loads((serial / "run_metadata.json").read_text())
+        assert len(explicit) == meta["lfun"]["moduli"] == 12
+
+    def test_unit_group_check_can_fail(self):
+        F3 = FieldSpec(3)
+        group = unit_group(factor_modulus(parse_poly(F3, "T^2 + 1")))
+        assert group.orders == (8,)
+        assert _unit_group_ok(group)
+        fake = SimpleNamespace(
+            modulus=group.modulus, generators=group.generators, orders=group.orders
+        )
+        assert _unit_group_ok(fake)
+        # a generator of too small an order
+        g = group.generators[0]
+        square = pow_mod(g, 2, group.modulus.poly)
+        assert not _unit_group_ok(replace_attrs(fake, generators=(square,)))
+        # orders that do not multiply to phi(Q)
+        assert not _unit_group_ok(replace_attrs(fake, orders=(4,)))
 
     def test_timing_isolated_from_csv(self, smoke):
         cfg, tmp = smoke

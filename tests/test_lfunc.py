@@ -6,10 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from ffmoments.chargroup import all_characters, factor_modulus, unit_group
-from ffmoments.ffpoly import FieldSpec, FqPoly, enumerate_monic, monic_from_index, parse_poly
+from ffmoments.chargroup import all_characters, factor_modulus, is_even, unit_group
+from ffmoments.ffpoly import (
+    FieldSpec,
+    FqPoly,
+    enumerate_irreducible,
+    enumerate_monic,
+    monic_from_index,
+    parse_poly,
+    residue_index,
+)
 from ffmoments.lfunc import (
     LPolynomial,
+    PrimePowerTable,
     ShiftPoint,
     ZetaPoleError,
     crude_single_bound_ratio,
@@ -22,7 +31,10 @@ from ffmoments.lfunc import (
     log_abs_l,
     log_l_bound_pointwise,
     log_l_bound_simplified,
+    log_abs_l_grid,
+    monic_residue_counts,
     primitive_family,
+    rh_root_deviation,
     shifted_log_bound,
     t_period,
     u_at_shift,
@@ -38,6 +50,102 @@ F3 = FieldSpec(3)
 @pytest.fixture(scope="module")
 def fam_t2():
     return primitive_family(factor_modulus(parse_poly(F3, "T^2")))
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: one prime (power) at a time, chi(P) by polynomial division
+# ---------------------------------------------------------------------------
+
+
+def oracle_pointwise(chi, t, h):
+    field = chi.group.modulus.field
+    lnq = math.log(field.q)
+    m = chi.group.modulus.degree - 1
+    sexp = 0.5 + 1.0 / (h * lnq)
+    terms = []
+    for d in range(1, h + 1):
+        for P in enumerate_irreducible(field, d):
+            val = chi(P)
+            if val == 0:
+                continue
+            j = 1
+            while j * d <= h:
+                weight = h - j * d
+                if weight:
+                    denom = math.exp(j * d * lnq * sexp)
+                    phase = cmath.exp(-1j * t * j * d * lnq)
+                    terms.append(val**j * phase * weight / (j * denom))
+                j += 1
+    total = complex(np.sum(np.array(terms, dtype=np.complex128))) if terms else 0j
+    return m / h + total.real / h
+
+
+def _oracle_two_sums(chi, x, weight_of_degree):
+    """sum_{|P|<=x} w(d) chi(P) (h-d)/h / |P|^(1/2+1/log x)
+    + (1/2) sum_{|P|<=sqrt x} w(2d) chi(P)^2 / |P|, with w the per-degree
+    phase weight."""
+    field = chi.group.modulus.field
+    lnq = math.log(field.q)
+    h = round(math.log(x) / lnq)
+    terms = []
+    for d in range(1, h + 1):
+        for P in enumerate_irreducible(field, d):
+            val = chi(P)
+            if val == 0:
+                continue
+            weight = (h - d) / h
+            if weight:
+                denom = math.exp(d * lnq * (0.5 + 1.0 / (h * lnq)))
+                terms.append(weight_of_degree(d) * val * weight / denom)
+            if 2 * d <= h:
+                terms.append(0.5 * weight_of_degree(2 * d) * val**2 / math.exp(d * lnq))
+    total = complex(np.sum(np.array(terms, dtype=np.complex128))) if terms else 0j
+    return total.real, chi.group.modulus.degree / h
+
+
+def oracle_simplified(chi, t, x):
+    lnq = math.log(chi.group.modulus.field.q)
+    primes, norm_term = _oracle_two_sums(
+        chi, x, lambda n: cmath.exp(-1j * t * n * lnq)
+    )
+    return primes + norm_term
+
+
+def oracle_shifted(chi, spec, x):
+    lnq = math.log(chi.group.modulus.field.q)
+    primes, norm_term = _oracle_two_sums(
+        chi,
+        x,
+        lambda n: sum(a * cmath.exp(-1j * t * n * lnq) for a, t in zip(spec.a, spec.t)),
+    )
+    return primes + (sum(spec.a) + 10.0) * norm_term
+
+
+def oracle_monic_residue_counts(group, n):
+    field = group.modulus.field
+    Q = group.modulus.poly
+    row_of = {int(r): i for i, r in enumerate(group.residues)}
+    counts = np.zeros(len(group.residues), dtype=np.int64)
+    for i in range(field.q**n):
+        row = row_of.get(residue_index(monic_from_index(field, n, i) % Q, Q.degree))
+        if row is not None:
+            counts[row] += 1
+    return counts
+
+
+def parity_families():
+    """All moduli with primitive characters at q=2, deg Q <= 3, and q=3,
+    deg Q = 3; moduli of degree 2 come with x up to q^3, so primes of degree
+    >= deg Q go through the reduction mod Q."""
+    for q, degrees in ((2, (2, 3)), (3, (3,))):
+        field = FieldSpec(q)
+        for d in degrees:
+            for idx in range(q**d):
+                fam = primitive_family(factor_modulus(monic_from_index(field, d, idx)))
+                if fam.n_primitive:
+                    yield fam
+    for text in ("T^2", "T^2 + 1", "T^2 + T + 2"):
+        yield primitive_family(factor_modulus(parse_poly(F3, text)))
 
 
 def l_by_c1(fam, value):
@@ -163,6 +271,18 @@ class TestInverseRoots:
                     mag = abs(alpha)
                     assert min(abs(mag - 1), abs(mag - sq)) < 1e-6
 
+    def test_root_shape_by_parity(self):
+        n_even = n_odd = 0
+        for fam in parity_families():
+            for L in fam.l_polynomials():
+                even = is_even(L.character)
+                n_even += even
+                n_odd += not even
+                assert rh_root_deviation(L, even) < 1e-9
+                # the wrong parity misplaces the root 1 or demands one
+                assert rh_root_deviation(L, not even) > 0.4
+        assert n_even and n_odd
+
     def test_degree_zero_gives_empty_multiset(self):
         # the imprimitive non-principal character mod T^2 has L = 1
         g = unit_group(factor_modulus(parse_poly(F3, "T^2")))
@@ -200,6 +320,74 @@ class TestDegreeBound:
             a = abs(fam_t2.l_polynomials()[i].eval_u(u_on_circle(3, theta)))
             b = abs(fam_t2.l_polynomials()[j].eval_u(u_on_circle(3, -theta)))
             assert abs(a - b) < 1e-10
+
+
+class TestPrimePowerTable:
+    TS = (0.0, 0.37, 1.9, 4.4)
+    SPEC = ShiftSpec(a=(2.0, 1.0, 1.0, 0.5), t=(0.0, 0.3, 1.1, 2.0))
+
+    def test_bounds_match_scalar_oracles(self):
+        worst = 0.0
+        for fam in parity_families():
+            q, dQ = fam.modulus.field.q, fam.modulus.degree
+            top = max(dQ - 1, 3)
+            table = PrimePowerTable.build(fam.group, fam.primitive_chars, top)
+            for h in range(1, dQ):
+                grid = table.pointwise(self.TS, h)
+                for c, chi in enumerate(fam.primitive_chars):
+                    for k, t in enumerate(self.TS):
+                        worst = max(worst, abs(grid[c, k] - oracle_pointwise(chi, t, h)))
+            for h in (1, 2, 3):
+                grid = table.simplified(self.TS, h)
+                shifted = table.shifted(self.SPEC, h)
+                for c, chi in enumerate(fam.primitive_chars):
+                    for k, t in enumerate(self.TS):
+                        expected = oracle_simplified(chi, t, q**h)
+                        worst = max(worst, abs(grid[c, k] - expected))
+                    expected = oracle_shifted(chi, self.SPEC, q**h)
+                    worst = max(worst, abs(shifted[c] - expected))
+        assert worst <= 1e-12
+
+    def test_single_character_wrappers_match_oracles(self):
+        fam = primitive_family(factor_modulus(parse_poly(F3, "T^2 + 1")))
+        for chi in fam.primitive_chars:
+            assert abs(
+                log_l_bound_pointwise(chi, 0.9, 1) - oracle_pointwise(chi, 0.9, 1)
+            ) <= 1e-12
+            for x in (3, 9, 27):
+                assert abs(
+                    log_l_bound_simplified(chi, 0.9, x) - oracle_simplified(chi, 0.9, x)
+                ) <= 1e-12
+                assert abs(
+                    shifted_log_bound(chi, self.SPEC, x)
+                    - oracle_shifted(chi, self.SPEC, x)
+                ) <= 1e-12
+
+    def test_residue_counts_match_brute_division(self):
+        for fam in parity_families():
+            dQ = fam.modulus.degree
+            for n in range(0, dQ + 3):
+                assert np.array_equal(
+                    monic_residue_counts(fam.group, n),
+                    oracle_monic_residue_counts(fam.group, n),
+                )
+
+    def test_log_abs_grid_matches_horner(self, fam_t2):
+        ts = (0.0, 0.51, 2.3, 7.0)
+        grid = log_abs_l_grid(fam_t2.coeffs, 3, ts)
+        for c, L in enumerate(fam_t2.l_polynomials()):
+            for k, t in enumerate(ts):
+                assert abs(grid[c, k] - log_abs_l(L, t)) <= 1e-12
+
+    def test_explicit_formula(self):
+        for fam in parity_families():
+            top = max(fam.modulus.degree - 1, 3)
+            table = PrimePowerTable.build(fam.group, fam.primitive_chars, top)
+            assert float(np.max(table.explicit_formula_defect(fam.coeffs))) < 1e-12
+            coeffs = fam.coeffs.copy()
+            coeffs[0, -1] += 0.5
+            defect = table.explicit_formula_defect(coeffs)
+            assert defect[0] >= 0.5 and float(np.max(defect[1:], initial=0.0)) < 1e-12
 
 
 class TestPointwiseBound:
