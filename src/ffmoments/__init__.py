@@ -10,6 +10,7 @@ constants.
 
 __version__ = "0.1.0"
 
-from ffmoments._backend import BACKEND
+# the kernels are numpy throughout; the name stays for tools that record it
+BACKEND = "python"
 
 __all__ = ["BACKEND", "__version__"]

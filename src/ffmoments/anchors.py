@@ -39,7 +39,6 @@ CHECK_ANCHORS = frozenset(
         "plumbing/orthogonality",
         "plumbing/multiplicativity",
         "plumbing/primitive-count",
-        "plumbing/cache",
         "plumbing/selftest",
     }
 )

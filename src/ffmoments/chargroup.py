@@ -6,8 +6,10 @@ encoding) to its exponent vector.  The basis is assembled per prime-power
 factor of Q: the part of order q^d - 1 comes from deterministic order
 testing in residue-enumeration order, the (1+P)-part from a generic abelian
 p-group basis computation over its elements, and the factors are glued by
-CRT.  The bijection (a_1..a_r) -> prod g_j^a_j is verified exhaustively at
-construction, so any defect in the structure computation fails loudly.
+CRT.  The map (a_1..a_r) -> prod g_j^a_j is verified at construction to be
+a bijection onto the units: phi(Q) distinct residues, every one non-zero
+mod each prime factor of Q, so any defect in the structure computation
+fails loudly.
 
 Characters are exponent vectors against that basis; values are unit-circle
 complex numbers computed at call time.
@@ -17,22 +19,18 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
-import random
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ffmoments._backend import scale_mod_many
+from ffmoments._backend import digit_rows, reduction_rows, scale_mod_many
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
     _prime_factors_int,
     enumerate_irreducible,
     ext_gcd,
-    monic_index,
     poly_divmod,
     poly_gcd,
     pow_mod,
@@ -40,8 +38,6 @@ from ffmoments.ffpoly import (
     residue_from_index,
     residue_index,
 )
-
-UNIT_GROUP_CACHE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -240,14 +236,12 @@ class UnitGroup:
         orders: tuple[int, ...],
         residues: np.ndarray,
         dlog_mat: np.ndarray,
-        from_cache: bool = False,
     ):
         self.modulus = modulus
         self.generators = generators
         self.orders = orders
         self.residues = residues  # sorted unit residue indices, int64
         self.dlog_mat = dlog_mat  # (phi, r) exponent rows aligned to residues
-        self.from_cache = from_cache
         self.dlog: dict[int, tuple[int, ...]] = {
             int(ridx): tuple(int(v) for v in vec)
             for ridx, vec in zip(residues, dlog_mat)
@@ -298,35 +292,26 @@ class UnitGroup:
             self._kernel_rows[which] = np.array(sorted(rows), dtype=np.int64)
         return self._kernel_rows[which]
 
-    def verify_bijection(self, exhaustive: bool = True, rng_seed: int = 12345):
+    def verify_bijection(self):
         """Check that the exponent-grid map really is a bijection onto the
-        units.  Exhaustive mode validates coprimality of every residue;
-        otherwise a size check plus 100 random power-product round-trips."""
-        phi = self.modulus.phi
-        if len(self.dlog) != phi or len(set(self.dlog)) != phi:
+        units: phi(Q) distinct residues, dlog(1) = 0, and every residue a
+        unit.  A residue is a unit iff its reduction mod each prime factor P
+        of Q is non-zero: one digit-matrix product per factor."""
+        modulus = self.modulus
+        q, dQ = modulus.field.q, modulus.degree
+        if len(self.dlog) != modulus.phi:
             raise ArithmeticError("unit table size mismatch")
-        if self.dlog.get(residue_index(FqPoly.one(self.modulus.field), self.modulus.degree)) != (0,) * self.rank:
+        if self.dlog.get(1) != (0,) * self.rank:  # the residue 1 has index 1
             raise ArithmeticError("dlog(1) is not the zero vector")
-        if exhaustive:
-            for ridx in self.dlog:
-                u = residue_from_index(
-                    self.modulus.field, self.modulus.degree, int(ridx)
-                )
-                if poly_gcd(u, self.modulus.poly).degree != 0:
-                    raise ArithmeticError("non-unit residue in table")
-        else:
-            rng = random.Random(rng_seed)
-            items = sorted(self.dlog.items())
-            for _ in range(min(100, len(items))):
-                ridx, vec = items[rng.randrange(len(items))]
-                acc = FqPoly.one(self.modulus.field)
-                for g, a in zip(self.generators, vec):
-                    acc = (acc * pow_mod(g, a, self.modulus.poly)) % self.modulus.poly
-                if residue_index(acc, self.modulus.degree) != ridx:
-                    raise ArithmeticError("random dlog round-trip failed")
+        digits = digit_rows(self.residues, q, dQ)
+        for P, _ in modulus.factors:
+            mod_p = (reduction_rows(q, P.coeffs, dQ - 1).T @ digits) % q
+            if not np.all(np.any(mod_p, axis=0)):
+                raise ArithmeticError("non-unit residue in table")
 
 
-def _assemble_unit_group(modulus: Modulus) -> UnitGroup:
+def unit_group(modulus: Modulus) -> UnitGroup:
+    """Construct and verify the unit-group presentation."""
     field = modulus.field
     q = field.q
     Q = modulus.poly
@@ -346,24 +331,21 @@ def _assemble_unit_group(modulus: Modulus) -> UnitGroup:
         gens.extend(lifted)
         orders.extend(lorders)
 
-    mod_digits = np.array(
-        [Q.coeff(k) for k in range(dQ + 1)], dtype=np.int64
-    )
+    mod_digits = np.array(Q.coeffs, dtype=np.int64)
     res = np.array([residue_index(FqPoly.one(field), dQ)], dtype=np.int64)
     vecs = np.zeros((1, 0), dtype=np.int64)
     for g, m in zip(gens, orders):
-        blocks = [res]
-        vblocks = [np.hstack([vecs, np.zeros((len(res), 1), np.int64)])]
-        cur = g
-        for t in range(1, m):
-            cidx = residue_index(cur, dQ)
-            blocks.append(scale_mod_many(q, mod_digits, res, cidx))
-            vblocks.append(
-                np.hstack([vecs, np.full((len(res), 1), t, np.int64)])
-            )
+        powers, cur = [], g
+        for _ in range(1, m):
+            powers.append(residue_index(cur, dQ))
             cur = (cur * g) % Q
-        res = np.concatenate(blocks)
-        vecs = np.vstack(vblocks)
+        # block t of the new table is the old table times g^t
+        scaled = scale_mod_many(
+            q, mod_digits, np.tile(res, m - 1), np.repeat(powers, len(res))
+        )
+        res = np.concatenate([res, scaled])
+        exps = np.repeat(np.arange(m, dtype=np.int64), len(vecs))
+        vecs = np.hstack([np.tile(vecs, (m, 1)), exps[:, None]])
 
     order = np.argsort(res, kind="stable")
     group = UnitGroup(
@@ -373,78 +355,8 @@ def _assemble_unit_group(modulus: Modulus) -> UnitGroup:
         residues=res[order],
         dlog_mat=vecs[order],
     )
-    group.verify_bijection(exhaustive=True)
+    group.verify_bijection()
     return group
-
-
-# ---------------------------------------------------------------------------
-# Unit-group cache (versioned JSON, keyed by q and Q)
-# ---------------------------------------------------------------------------
-
-
-def modulus_slug(modulus: Modulus) -> str:
-    """Filesystem-safe key for a modulus: field, degree, monic index."""
-    return (
-        f"q{modulus.field.q}_d{modulus.degree}_i{monic_index(modulus.poly)}"
-    )
-
-
-def unit_group_cache_name(modulus: Modulus) -> str:
-    return f"unitgroup_{modulus_slug(modulus)}.json"
-
-
-def save_unit_group(group: UnitGroup, path: Path) -> None:
-    payload = {
-        "schema": UNIT_GROUP_CACHE_SCHEMA,
-        "q": group.modulus.field.q,
-        "modulus": render_poly(group.modulus.poly),
-        "generators": [
-            residue_index(g, group.modulus.degree) for g in group.generators
-        ],
-        "orders": list(group.orders),
-        "residues": [int(r) for r in group.residues],
-        "dlog": [[int(v) for v in row] for row in group.dlog_mat],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True))
-
-
-def load_unit_group(modulus: Modulus, path: Path) -> UnitGroup:
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != UNIT_GROUP_CACHE_SCHEMA:
-        raise ValueError("unit group cache schema mismatch")
-    if payload["q"] != modulus.field.q or payload["modulus"] != render_poly(
-        modulus.poly
-    ):
-        raise ValueError("unit group cache key mismatch")
-    gens = tuple(
-        residue_from_index(modulus.field, modulus.degree, g)
-        for g in payload["generators"]
-    )
-    group = UnitGroup(
-        modulus=modulus,
-        generators=gens,
-        orders=tuple(payload["orders"]),
-        residues=np.array(payload["residues"], dtype=np.int64),
-        dlog_mat=np.array(payload["dlog"], dtype=np.int64).reshape(
-            len(payload["residues"]), len(gens)
-        ),
-        from_cache=True,
-    )
-    group.verify_bijection(exhaustive=False)
-    return group
-
-
-def unit_group(modulus: Modulus, cache_dir: Path | None = None) -> UnitGroup:
-    """Construct (or load from cache) the unit-group presentation."""
-    if cache_dir is not None:
-        path = Path(cache_dir) / unit_group_cache_name(modulus)
-        if path.exists():
-            return load_unit_group(modulus, path)
-        group = _assemble_unit_group(modulus)
-        save_unit_group(group, path)
-        return group
-    return _assemble_unit_group(modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -486,81 +398,68 @@ def char_index(group: UnitGroup, exponents: tuple[int, ...]) -> int:
     return idx
 
 
-def _trivial_on_rows(group: UnitGroup, exponents: tuple[int, ...], rows) -> bool:
-    """Exact test that the character is 1 on the units at the given rows."""
+def _trivial_on_rows(group: UnitGroup, K, rows) -> np.ndarray:
+    """Per exponent row of K, whether that character is 1 on the units at
+    the given rows: an exact integer test, phases scaled to the lcm L of
+    the orders and summed mod L."""
+    K = np.asarray(K, dtype=np.int64).reshape(len(K), group.rank)
     if group.rank == 0:
-        return True
+        return np.ones(len(K), dtype=bool)
     L = math.lcm(*group.orders)
-    weights = [k * (L // m) % L for k, m in zip(exponents, group.orders)]
-    for row in rows:
-        vec = group.dlog_mat[int(row)]
-        if sum(int(v) * w for v, w in zip(vec, weights)) % L:
-            return False
-    return True
+    weights = K * (L // np.array(group.orders, dtype=np.int64))
+    return ~np.any((weights @ group.dlog_mat[rows].T) % L, axis=1)
+
+
+def _primitive_mask(group: UnitGroup, K) -> np.ndarray:
+    """Per exponent row of K, whether that character is non-trivial on the
+    kernel of reduction to Q/P for every prime P dividing Q."""
+    mask = np.ones(len(K), dtype=bool)
+    for which in range(len(group.modulus.factors)):
+        mask &= ~_trivial_on_rows(group, K, group.reduction_kernel_rows(which))
+    return mask
 
 
 def is_primitive(chi: DirichletChar) -> bool:
     """True iff chi is non-trivial on the kernel of reduction to Q/P for
     every prime P dividing Q."""
-    group = chi.group
-    for which in range(len(group.modulus.factors)):
-        rows = group.reduction_kernel_rows(which)
-        if _trivial_on_rows(group, chi.exponents, rows):
-            return False
-    return True
+    return bool(_primitive_mask(chi.group, [chi.exponents])[0])
 
 
 def is_even(chi: DirichletChar) -> bool:
     """True iff chi is 1 on the nonzero constants F_q^*."""
     group = chi.group
     rows = [group._row_of[c] for c in range(1, group.modulus.field.q)]
-    return _trivial_on_rows(group, chi.exponents, rows)
+    return bool(_trivial_on_rows(group, [chi.exponents], rows)[0])
 
 
 def character(group: UnitGroup, exponents: tuple[int, ...]) -> DirichletChar:
     """The character with the given exponent vector."""
     exps = tuple(k % m for k, m in zip(exponents, group.orders))
-    principal = all(k == 0 for k in exps)
-    stub = DirichletChar(
-        group=group,
-        exponents=exps,
-        index=char_index(group, exps),
-        primitive=False,
-        principal=principal,
-    )
     return DirichletChar(
         group=group,
         exponents=exps,
-        index=stub.index,
-        primitive=is_primitive(stub),
-        principal=principal,
+        index=char_index(group, exps),
+        primitive=bool(_primitive_mask(group, [exps])[0]),
+        principal=all(k == 0 for k in exps),
     )
 
 
 def all_characters(group: UnitGroup) -> list[DirichletChar]:
     """All phi(Q) characters in lexicographic exponent order, with
-    primitivity flags filled in by the per-prime kernel test."""
-    grids = [range(m) for m in group.orders]
-    kernel_rows = [
-        group.reduction_kernel_rows(i)
-        for i in range(len(group.modulus.factors))
+    primitivity flags from one kernel test per prime factor."""
+    grid = list(itertools.product(*[range(m) for m in group.orders]))
+    K = np.array(grid, dtype=np.int64).reshape(len(grid), group.rank)
+    primitive = _primitive_mask(group, K)
+    return [
+        DirichletChar(
+            group=group,
+            exponents=exps,
+            index=idx,
+            primitive=bool(primitive[idx]),
+            principal=not any(exps),
+        )
+        for idx, exps in enumerate(grid)
     ]
-    chars = []
-    for idx, exps in enumerate(itertools.product(*grids)):
-        exps = tuple(exps)
-        primitive = all(
-            not _trivial_on_rows(group, exps, rows) for rows in kernel_rows
-        )
-        chars.append(
-            DirichletChar(
-                group=group,
-                exponents=exps,
-                index=idx,
-                primitive=primitive,
-                principal=all(k == 0 for k in exps),
-            )
-        )
-    return chars
 
 
 def char_eval(chi: DirichletChar, f: FqPoly) -> complex:

@@ -3,7 +3,7 @@
 Subcommands: enumerate | lfun | moments | primesums | all.  Each consumes a
 versioned JSON config, runs its checks over the configured modulus family,
 and writes deterministic CSV/JSON reports plus a separate metadata file for
-timing and cache telemetry.  Exit codes: 0 all checks passed, 1 at least
+timing and run counts.  Exit codes: 0 all checks passed, 1 at least
 one mathematical check failed, 2 configuration error.
 """
 
@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ffmoments._backend import BACKEND
 from ffmoments.chargroup import (
     all_characters,
+    char_index,
     character_values,
     factor_modulus,
     is_even,
@@ -34,12 +34,14 @@ from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
+    _irreducible_index_table,
     _prime_factors_int,
     irreducible_count_enumerated,
     parse_poly,
     poly_divmod,
     pow_mod,
     prime_count_exact,
+    residue_from_index,
 )
 from ffmoments.lfunc import (
     LPolynomial,
@@ -127,13 +129,11 @@ def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
 
 
 def _enumerate_task(payload) -> dict:
-    cfg_dict, cache_dir, modulus_str = payload
+    cfg_dict, modulus_str = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
     field = FieldSpec(cfg.q)
     modulus = factor_modulus(parse_poly(field, modulus_str))
-    group = unit_group(
-        modulus, cache_dir=Path(cache_dir) if cache_dir else None
-    )
+    group = unit_group(modulus)
     chars = all_characters(group)
 
     product = FqPoly.one(field)
@@ -161,8 +161,8 @@ def _enumerate_task(payload) -> dict:
     units = [int(r) for r in group.residues]
     for _ in range(min(200, 4 * len(units))):
         i, j = rng.randrange(len(units)), rng.randrange(len(units))
-        fi = FqPoly(field, _digits_of(units[i], cfg.q, modulus.degree))
-        fj = FqPoly(field, _digits_of(units[j], cfg.q, modulus.degree))
+        fi = residue_from_index(field, modulus.degree, units[i])
+        fj = residue_from_index(field, modulus.degree, units[j])
         chi = chars[rng.randrange(len(chars))]
         mult_err = max(mult_err, abs(chi(fi * fj) - chi(fi) * chi(fj)))
 
@@ -179,7 +179,6 @@ def _enumerate_task(payload) -> dict:
         "sieve_count": int(sieve_count),
         "ortho_max": ortho_max,
         "mult_err": float(mult_err),
-        "cache_hit": bool(group.from_cache),
     }
 
 
@@ -197,22 +196,15 @@ def _unit_group_ok(group) -> bool:
     )
 
 
-def _digits_of(idx: int, q: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(idx % q)
-        idx //= q
-    return out
-
-
 def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     rows: list[CheckRow] = []
-    meta: dict = {"cache_hits": 0}
+    meta: dict = {}
     field = FieldSpec(cfg.q)
 
     n = 1
     while cfg.q ** (n + 1) <= cfg.budget["max_enum"] and n < 40:
         n += 1
+    _irreducible_index_table(cfg.q, n)  # every degree in one sieve build
     for deg in range(1, n + 1):
         exact = prime_count_exact(field, deg)
         enumerated = irreducible_count_enumerated(field, deg)
@@ -241,13 +233,10 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     )
 
     moduli = cfg.modulus_list()
-    payloads = [
-        (cfg.to_dict(), args.cache, str(m)) for m in moduli
-    ]
+    payloads = [(cfg.to_dict(), str(m)) for m in moduli]
     results = _map_tasks(_enumerate_task, payloads, args.jobs)
     tol = cfg.tolerance("orthogonality")
     for res in results:
-        meta["cache_hits"] += int(res["cache_hit"])
         rows.append(
             CheckRow(
                 anchor="plumbing/factorization",
@@ -308,18 +297,15 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
 
 def _lfun_task(payload) -> dict:
-    cfg_dict, cache_dir, modulus_str, selftest = payload
+    cfg_dict, modulus_str, selftest = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
     field = FieldSpec(cfg.q)
     modulus = factor_modulus(parse_poly(field, modulus_str))
-    fam = primitive_family(
-        modulus, cache_dir=Path(cache_dir) if cache_dir else None
-    )
+    fam = primitive_family(modulus)
     out: dict = {
         "modulus": str(modulus),
         "degree": modulus.degree,
         "n_primitive": fam.n_primitive,
-        "cache_hit": bool(fam.coeffs_from_cache),
         "selftest": bool(selftest),
     }
     coeffs = fam.coeffs.copy()
@@ -341,11 +327,13 @@ def _lfun_task(payload) -> dict:
         for L in lpolys
     ]
 
-    # conjugation symmetry of the coefficient rows
+    # conjugation symmetry of the coefficient rows; conj chi has exponents -k
     conj_max = 0.0
+    orders = fam.group.orders
     index_of = {c.index: i for i, c in enumerate(fam.primitive_chars)}
     for i, chi in enumerate(fam.primitive_chars):
-        j = index_of.get(chi.conjugate().index)
+        conj = [(-k) % m for k, m in zip(chi.exponents, orders)]
+        j = index_of.get(char_index(fam.group, conj))
         if j is not None:
             conj_max = max(
                 conj_max,
@@ -386,12 +374,11 @@ def _lfun_task(payload) -> dict:
 
 def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     rows: list[CheckRow] = []
-    meta: dict = {"cache_hits": 0}
+    meta: dict = {}
     moduli = cfg.modulus_list()
     selftest = bool(getattr(args, "selftest_perturb", False))
     payloads = [
-        (cfg.to_dict(), args.cache, str(m), selftest and i == 0)
-        for i, m in enumerate(moduli)
+        (cfg.to_dict(), str(m), selftest and i == 0) for i, m in enumerate(moduli)
     ]
     results = _map_tasks(_lfun_task, payloads, args.jobs)
 
@@ -403,7 +390,6 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
     per_degree: dict[int, dict[str, float]] = {}
     for res in results:
-        meta["cache_hits"] += int(res["cache_hit"])
         subject = res["modulus"]
         if res["selftest"]:
             rows.append(
@@ -510,20 +496,17 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
 
 def _moments_task(payload) -> dict:
-    cfg_dict, cache_dir, modulus_str = payload
+    cfg_dict, modulus_str = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
     field = FieldSpec(cfg.q)
     modulus = factor_modulus(parse_poly(field, modulus_str))
-    fam = primitive_family(
-        modulus, cache_dir=Path(cache_dir) if cache_dir else None
-    )
+    fam = primitive_family(modulus)
     specs = cfg.resolved_shift_specs()
     out: dict = {
         "modulus": str(modulus),
         "degree": modulus.degree,
         "phi": modulus.phi,
         "n_primitive": fam.n_primitive,
-        "cache_hit": bool(fam.coeffs_from_cache),
         "moment_rows": [],
         "prop33_max": -math.inf,
         "cor12_dev": 0.0,
@@ -601,9 +584,9 @@ def _moments_task(payload) -> dict:
 
 def cmd_moments(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, list]:
     rows: list[CheckRow] = []
-    meta: dict = {"cache_hits": 0}
+    meta: dict = {}
     moduli = cfg.modulus_list()
-    payloads = [(cfg.to_dict(), args.cache, str(m)) for m in moduli]
+    payloads = [(cfg.to_dict(), str(m)) for m in moduli]
     results = _map_tasks(_moments_task, payloads, args.jobs)
 
     fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
@@ -613,7 +596,6 @@ def cmd_moments(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, list
     moment_rows: list[list] = []
     agg: dict[int, dict] = {}
     for res in results:
-        meta["cache_hits"] += int(res["cache_hit"])
         moment_rows.extend(res["moment_rows"])
         bucket = agg.setdefault(
             res["degree"],
@@ -915,7 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON path")
         p.add_argument("--out", default=None, help="report output directory")
-        p.add_argument("--cache", default=None, help="cache directory")
         p.add_argument(
             "--record",
             action="store_true",
@@ -937,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_metadata(out_dir: Path, command: str, meta: dict, elapsed: float):
     payload = {
         "command": command,
-        "backend": BACKEND,
         "started": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_ms": elapsed * 1000,
         **meta,
@@ -954,8 +934,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.budget is not None:
             cfg.budget["max_phi_total"] = args.budget
-        if args.cache is None and cfg.cache is not None:
-            args.cache = cfg.cache
         out_dir = Path(args.out if args.out is not None else (cfg.out or "out"))
         started = time.perf_counter()
         meta: dict = {}
@@ -1000,10 +978,7 @@ def main(argv=None) -> int:
             f"FAIL [{row.anchor}] {row.subject} {row.params}: value={row.value}",
             file=sys.stderr,
         )
-    print(
-        f"{len(all_rows) - len(failed)}/{len(all_rows)} checks passed "
-        f"(backend: {BACKEND})"
-    )
+    print(f"{len(all_rows) - len(failed)}/{len(all_rows)} checks passed")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -78,7 +78,6 @@ class ExperimentConfig:
     budget: dict = field(default_factory=lambda: dict(DEFAULT_BUDGET))
     fixtures: str | None = None
     out: str | None = None
-    cache: str | None = None
 
     # -- serialization -------------------------------------------------
 
@@ -99,7 +98,6 @@ class ExperimentConfig:
         "budget",
         "fixtures",
         "out",
-        "cache",
     }
 
     @classmethod
@@ -133,7 +131,6 @@ class ExperimentConfig:
             "budget": self.budget,
             "fixtures": self.fixtures,
             "out": self.out,
-            "cache": self.cache,
         }
 
     # -- validation ------------------------------------------------------

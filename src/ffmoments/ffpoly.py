@@ -390,10 +390,12 @@ _IRR_INDEX_CACHE: dict[int, list[np.ndarray]] = {}
 
 
 def _irreducible_index_table(q: int, n: int) -> list[np.ndarray]:
-    cached = _IRR_INDEX_CACHE.get(q)
-    if cached is None or len(cached) <= n:
-        _IRR_INDEX_CACHE[q] = irreducible_indices(q, n)
-    return _IRR_INDEX_CACHE[q]
+    """Irreducible index arrays of degree 0..n at least; each degree is
+    sieved once per process, a deeper request extending the table."""
+    table = _IRR_INDEX_CACHE.get(q)
+    if table is None or len(table) <= n:
+        table = _IRR_INDEX_CACHE[q] = irreducible_indices(q, n, table)
+    return table
 
 
 def enumerate_irreducible(field: FieldSpec, n: int) -> list[FqPoly]:

@@ -25,25 +25,22 @@ e^(-i t n log q); log|L| on the grid is likewise coeffs @ u(t)^n.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ffmoments._backend import digit_rows, reduction_rows
 from ffmoments.chargroup import (
     DirichletChar,
     Modulus,
     UnitGroup,
     all_characters,
     character_values,
-    modulus_slug,
     unit_group,
 )
 from ffmoments.ffpoly import FqPoly, _irreducible_index_table
 
-L_CACHE_SCHEMA = 1
 COEFF_TRIM_TOL = 1e-9
 
 
@@ -211,34 +208,18 @@ def l_polynomial(chi: DirichletChar) -> LPolynomial:
     return LPolynomial(chi, coeffs)
 
 
-def _reduction_matrix(modulus: Modulus, top: int) -> np.ndarray:
-    """Digit rows of T^k mod Q for k = 0..top, shape (top + 1, deg Q)."""
-    q, dQ = modulus.field.q, modulus.degree
-    low = np.array([modulus.poly.coeff(k) for k in range(dQ)], dtype=np.int64)
-    rows = np.zeros((top + 1, dQ), dtype=np.int64)
-    cur = np.zeros(dQ, dtype=np.int64)
-    cur[0] = 1
-    for k in range(top + 1):
-        rows[k] = cur
-        lead = cur[-1]
-        cur = np.concatenate(([0], cur[:-1]))
-        cur = (cur - lead * low) % q  # T^dQ = -(low part of Q) mod Q
-    return rows
-
-
 def _unit_rows_of_monics(
-    group: UnitGroup, reduction: np.ndarray, n: int, indices: np.ndarray
+    group: UnitGroup, n: int, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (into group.residues) of the monic degree-n polynomials with the
     given indices, reduced mod Q, and a mask of those that are units.
 
     Reduction is linear in the coefficients, so the residue digits are the
     coefficient digits (leading 1 included) times the rows T^k mod Q."""
-    q = group.modulus.field.q
-    digits = (indices[:, None] // q ** np.arange(n, dtype=np.int64)) % q
-    digits = np.hstack([digits, np.ones((len(indices), 1), dtype=np.int64)])
-    residue_digits = (digits @ reduction[: n + 1]) % q
-    residues = residue_digits @ q ** np.arange(group.modulus.degree, dtype=np.int64)
+    q, Q = group.modulus.field.q, group.modulus.poly
+    digits = digit_rows(indices + q**n, q, n + 1)  # leading 1 as digit n
+    residue_digits = (reduction_rows(q, Q.coeffs, n).T @ digits) % q
+    residues = q ** np.arange(Q.degree, dtype=np.int64) @ residue_digits
     rows = np.searchsorted(group.residues, residues)
     rows = np.minimum(rows, len(group.residues) - 1)
     return rows, group.residues[rows] == residues
@@ -248,10 +229,7 @@ def monic_residue_counts(group: UnitGroup, n: int) -> np.ndarray:
     """How many monic polynomials of degree n land on each unit residue
     (non-units are dropped)."""
     q = group.modulus.field.q
-    reduction = _reduction_matrix(group.modulus, n)
-    rows, unit = _unit_rows_of_monics(
-        group, reduction, n, np.arange(q**n, dtype=np.int64)
-    )
+    rows, unit = _unit_rows_of_monics(group, n, np.arange(q**n, dtype=np.int64))
     return np.bincount(rows[unit], minlength=len(group.residues))
 
 
@@ -276,7 +254,7 @@ def _values(group: UnitGroup, chars) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive family bundle with caching
+# Primitive family bundle
 # ---------------------------------------------------------------------------
 
 
@@ -290,7 +268,6 @@ class PrimitiveFamily:
     characters: tuple[DirichletChar, ...]
     primitive_chars: tuple[DirichletChar, ...]
     coeffs: np.ndarray  # (n_primitive, deg Q)
-    coeffs_from_cache: bool = False
 
     @property
     def n_primitive(self) -> int:
@@ -303,72 +280,17 @@ class PrimitiveFamily:
         ]
 
 
-def l_cache_name(modulus: Modulus) -> str:
-    return f"lpoly_{modulus_slug(modulus)}.json"
-
-
-def save_l_coefficients(family: PrimitiveFamily, path: Path) -> None:
-    payload = {
-        "schema": L_CACHE_SCHEMA,
-        "q": family.modulus.field.q,
-        "modulus": str(family.modulus),
-        "coeffs": {
-            str(chi.index): [[float(c.real), float(c.imag)] for c in row]
-            for chi, row in zip(family.primitive_chars, family.coeffs)
-        },
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True))
-
-
-def load_l_coefficients(
-    modulus: Modulus, primitive_chars, path: Path
-) -> np.ndarray:
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != L_CACHE_SCHEMA:
-        raise ValueError("L cache schema mismatch")
-    if payload["q"] != modulus.field.q or payload["modulus"] != str(modulus):
-        raise ValueError("L cache key mismatch")
-    table = payload["coeffs"]
-    if sorted(int(k) for k in table) != [c.index for c in primitive_chars]:
-        raise ValueError("L cache character set mismatch")
-    out = np.zeros((len(primitive_chars), modulus.degree), dtype=np.complex128)
-    for i, chi in enumerate(primitive_chars):
-        row = table[str(chi.index)]
-        out[i] = [complex(re, im) for re, im in row]
-    if not np.allclose(out[:, 0], 1.0, atol=1e-9):
-        raise ValueError("L cache sanity check failed (c_0 != 1)")
-    return out
-
-
-def primitive_family(
-    modulus: Modulus, cache_dir: Path | None = None
-) -> PrimitiveFamily:
-    """Build (or load from cache) the primitive-character family data."""
-    group = unit_group(modulus, cache_dir=cache_dir)
+def primitive_family(modulus: Modulus) -> PrimitiveFamily:
+    """The unit group, characters and primitive L-coefficients of Q."""
+    group = unit_group(modulus)
     chars = all_characters(group)
     primitive = tuple(c for c in chars if c.primitive)
-    from_cache = False
-    coeffs = None
-    if cache_dir is not None:
-        path = Path(cache_dir) / l_cache_name(modulus)
-        if path.exists():
-            coeffs = load_l_coefficients(modulus, primitive, path)
-            from_cache = True
-    if coeffs is None:
-        coeffs = l_coefficients(group, list(primitive))
-        if cache_dir is not None:
-            fam = PrimitiveFamily(
-                modulus, group, tuple(chars), primitive, coeffs
-            )
-            save_l_coefficients(fam, Path(cache_dir) / l_cache_name(modulus))
     return PrimitiveFamily(
         modulus=modulus,
         group=group,
         characters=tuple(chars),
         primitive_chars=primitive,
-        coeffs=coeffs,
-        coeffs_from_cache=from_cache,
+        coeffs=l_coefficients(group, list(primitive)),
     )
 
 
@@ -408,11 +330,10 @@ class PrimePowerTable:
     def build(cls, group: UnitGroup, chars, top: int) -> "PrimePowerTable":
         q = group.modulus.field.q
         values = _values(group, chars)
-        reduction = _reduction_matrix(group.modulus, top)
         irreducibles = _irreducible_index_table(q, top)
         sums = np.zeros((len(chars), top + 1, top + 1), dtype=np.complex128)
         for d in range(1, top + 1):
-            rows, unit = _unit_rows_of_monics(group, reduction, d, irreducibles[d])
+            rows, unit = _unit_rows_of_monics(group, d, irreducibles[d])
             chi_p = np.where(unit[:, None], values[rows], 0)
             for j in range(1, top // d + 1):
                 sums[:, d, j] = np.sum(chi_p**j, axis=0)

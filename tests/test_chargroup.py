@@ -1,6 +1,5 @@
-"""Unit-group structure, Dirichlet characters, primitivity, caching."""
+"""Unit-group structure, Dirichlet characters, primitivity."""
 
-import json
 import math
 import random
 
@@ -8,15 +7,14 @@ import numpy as np
 import pytest
 
 from ffmoments.chargroup import (
+    UnitGroup,
     all_characters,
     character_values,
     euler_phi,
     factor_modulus,
     is_primitive,
-    load_unit_group,
     primitive_count_inclusion_exclusion,
     unit_group,
-    unit_group_cache_name,
 )
 from ffmoments.ffpoly import (
     FieldSpec,
@@ -110,8 +108,26 @@ class TestUnitGroup:
 
     def test_bijection_verified(self):
         g = unit_group(modulus(F2, "T^3"))
-        g.verify_bijection(exhaustive=True)
-        g.verify_bijection(exhaustive=False)
+        g.verify_bijection()
+
+    @staticmethod
+    def _rebuilt(g, residues, dlog_mat):
+        return UnitGroup(g.modulus, g.generators, g.orders, residues, dlog_mat)
+
+    def test_non_unit_residue_rejected(self):
+        # T^2 + T = T(T + 1): the residue T (index 3) is not a unit; it
+        # replaces one unit in an otherwise valid table
+        g = unit_group(modulus(F3, "T^2 + T"))
+        residues = g.residues.copy()
+        residues[-1] = 3
+        order = np.argsort(residues)
+        with pytest.raises(ArithmeticError, match="non-unit"):
+            self._rebuilt(g, residues[order], g.dlog_mat[order]).verify_bijection()
+
+    def test_truncated_table_rejected(self):
+        g = unit_group(modulus(F3, "T^2"))
+        with pytest.raises(ArithmeticError, match="size"):
+            self._rebuilt(g, g.residues[:-1], g.dlog_mat[:-1]).verify_bijection()
 
     def test_dlog_covers_exactly_units(self):
         m = modulus(F3, "T^3 + T^2")
@@ -247,36 +263,3 @@ class TestCharEval:
             for i, ridx in enumerate(g.residues):
                 f = FqPoly(F3, [(int(ridx) // 3**k) % 3 for k in range(2)])
                 assert abs(V[i, j] - c(f)) < 1e-12
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        m = modulus(F3, "T^2")
-        g1 = unit_group(m, cache_dir=tmp_path)
-        assert (tmp_path / unit_group_cache_name(m)).exists()
-        assert not g1.from_cache
-        g2 = unit_group(m, cache_dir=tmp_path)
-        assert g2.from_cache
-        assert g2.dlog == g1.dlog
-        assert g2.orders == g1.orders
-
-    def test_corrupted_cache_rejected(self, tmp_path):
-        m = modulus(F3, "T^2")
-        g = unit_group(m, cache_dir=tmp_path)
-        path = tmp_path / unit_group_cache_name(m)
-        payload = json.loads(path.read_text())
-        payload["residues"] = payload["residues"][:-1]
-        payload["dlog"] = payload["dlog"][:-1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ArithmeticError):
-            load_unit_group(m, path)
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        m = modulus(F3, "T^2")
-        unit_group(m, cache_dir=tmp_path)
-        path = tmp_path / unit_group_cache_name(m)
-        payload = json.loads(path.read_text())
-        payload["schema"] = 999
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_unit_group(m, path)

@@ -1,5 +1,5 @@
 """Configuration schema validation and CLI behavior (exit codes,
-determinism, caching, self-test)."""
+determinism, self-test)."""
 
 import csv
 import json
@@ -50,7 +50,6 @@ def full_config_dict() -> dict:
         "budget": {"max_phi_total": 1000, "max_enum": 729},
         "fixtures": None,
         "out": None,
-        "cache": None,
     }
 
 
@@ -187,6 +186,13 @@ class TestCli:
         )
         assert code == 2
 
+    def test_cache_field_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cache.json"
+        cfg.write_text(json.dumps({"schema": 1, "q": 3, "moduli": ["T^2"], "cache": "c"}))
+        code = run_cli("enumerate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "unknown fields" in capsys.readouterr().err
+
     def test_selftest_perturb_fails(self, smoke):
         cfg, tmp = smoke
         out = tmp / "selftest"
@@ -197,25 +203,6 @@ class TestCli:
         rows = read_rows(out / "lfun.csv")
         assert any(r["status"] == "fail" for r in rows)
         assert any(r["anchor"] == "plumbing/selftest" for r in rows)
-
-    def test_cache_hit_logged(self, smoke):
-        cfg, tmp = smoke
-        out1, out2 = tmp / "c1", tmp / "c2"
-        cache = tmp / "cache"
-        assert (
-            run_cli("lfun", "--config", cfg, "--out", str(out1), "--cache", str(cache))
-            == 0
-        )
-        meta1 = json.loads((out1 / "run_metadata.json").read_text())
-        assert meta1["lfun"]["cache_hits"] == 0
-        assert (
-            run_cli("lfun", "--config", cfg, "--out", str(out2), "--cache", str(cache))
-            == 0
-        )
-        meta2 = json.loads((out2 / "run_metadata.json").read_text())
-        assert meta2["lfun"]["cache_hits"] == meta2["lfun"]["moduli"]
-        # cache must not change any reported value
-        assert (out1 / "lfun.csv").read_bytes() == (out2 / "lfun.csv").read_bytes()
 
     def test_budget_flag_overrides(self, smoke, capsys):
         cfg, tmp = smoke

@@ -1,44 +1,34 @@
-"""Parity between the compiled kernel extension and the numpy fallback."""
+"""The numpy kernels: the irreducibility sieve, batched residue scaling and
+the rows T^k mod F that every reduction mod a modulus goes through."""
 
 import random
 
 import numpy as np
 import pytest
 
-from ffmoments import _pykernels
+from ffmoments import _backend
+from ffmoments._backend import (
+    irreducible_indices,
+    reduction_rows,
+    scale_mod_many,
+)
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
     is_irreducible,
     monic_from_index,
+    parse_poly,
+    poly_divmod,
+    prime_count_exact,
     residue_from_index,
     residue_index,
 )
 
-try:
-    from ffmoments import _ckernels
-except ImportError:  # pragma: no cover - toolchain-less install
-    _ckernels = None
 
-BACKENDS = [_pykernels] + ([_ckernels] if _ckernels else [])
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_backend_parity_sieve(q):
-    if _ckernels is None:
-        pytest.skip("compiled kernels not built")
-    py = _pykernels.irreducible_indices(q, 7)
-    cc = _ckernels.irreducible_indices(q, 7)
-    assert len(py) == len(cc)
-    for n in range(1, 8):
-        assert np.array_equal(py[n], cc[n])
-
-
-@pytest.mark.parametrize("kernels", BACKENDS)
 @pytest.mark.parametrize("q", [2, 3])
-def test_sieve_matches_per_poly_test(kernels, q):
+def test_sieve_matches_per_poly_test(q):
     field = FieldSpec(q)
-    table = kernels.irreducible_indices(q, 8 if q == 2 else 6)
+    table = irreducible_indices(q, 8 if q == 2 else 6)
     for n in range(1, len(table)):
         expected = {
             i
@@ -48,26 +38,71 @@ def test_sieve_matches_per_poly_test(kernels, q):
         assert set(int(i) for i in table[n]) == expected
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
-def test_sieve_sorted_lexicographic(kernels):
-    table = kernels.irreducible_indices(3, 5)
+def test_sieve_sorted_lexicographic():
+    table = irreducible_indices(3, 5)
     for n in range(1, 6):
         arr = table[n]
         assert np.all(arr[:-1] < arr[1:])
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("q,n_max", [(2, 16), (3, 10), (5, 7)])
+def test_sieve_counts_match_formula(q, n_max, monkeypatch):
+    fresh = irreducible_indices(q, n_max)
+    # a small chunk splits every (degree, factor degree) pass over the primes
+    monkeypatch.setattr(_backend, "_SIEVE_CHUNK", 1 << 8)
+    chunked = irreducible_indices(q, n_max)
+    field = FieldSpec(q)
+    for n in range(1, n_max + 1):
+        assert len(chunked[n]) == prime_count_exact(field, n)
+        assert np.array_equal(chunked[n], fresh[n])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_extended_table_equals_fresh_build(q):
+    short = irreducible_indices(q, 5)
+    extended = irreducible_indices(q, 9, short)
+    fresh = irreducible_indices(q, 9)
+    assert len(short) == 6 and len(extended) == len(fresh) == 10
+    for a, b in zip(extended, fresh):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("q,dmod", [(2, 3), (3, 2), (3, 4), (5, 3)])
-def test_scale_mod_many_matches_poly_arithmetic(kernels, q, dmod):
+def test_scale_mod_many_matches_poly_arithmetic(q, dmod):
     field = FieldSpec(q)
     rng = random.Random(100 * q + dmod)
     mod = FqPoly(field, [rng.randrange(q) for _ in range(dmod)] + [1])
     mod_digits = np.array([mod.coeff(k) for k in range(dmod + 1)], np.int64)
     rows = np.array([rng.randrange(q**dmod) for _ in range(80)], np.int64)
-    c_idx = rng.randrange(q**dmod)
-    got = kernels.scale_mod_many(q, mod_digits, rows, c_idx)
-    c_poly = residue_from_index(field, dmod, c_idx)
-    for row, out in zip(rows, got):
-        r_poly = residue_from_index(field, dmod, int(row))
-        expected = (r_poly * c_poly) % mod
-        assert int(out) == residue_index(expected, dmod)
+    c_one = rng.randrange(q**dmod)
+    c_many = np.array([rng.randrange(q**dmod) for _ in range(80)], np.int64)
+    for c_idx in (c_one, c_many):
+        got = scale_mod_many(q, mod_digits, rows, c_idx)
+        for row, c, out in zip(rows, np.broadcast_to(c_idx, rows.shape), got):
+            r_poly = residue_from_index(field, dmod, int(row))
+            c_poly = residue_from_index(field, dmod, int(c))
+            expected = (r_poly * c_poly) % mod
+            assert int(out) == residue_index(expected, dmod)
+
+
+@pytest.mark.parametrize(
+    "q,text,top",
+    [
+        (2, "T^3 + T + 1", 9),
+        (2, "T^4", 9),  # non-squarefree
+        (3, "T^2 + 1", 8),
+        (3, "T^3 + T^2", 10),  # non-squarefree
+        (3, "T^4 + 2*T + 2", 6),
+        (5, "T^2 + T + 2", 7),
+        (5, "T^3 + 4*T + 4", 2),  # top below deg F
+    ],
+)
+def test_reduction_rows_match_division(q, text, top):
+    field = FieldSpec(q)
+    F = parse_poly(field, text)
+    rows = reduction_rows(q, F.coeffs, top)
+    assert rows.shape == (top + 1, F.degree)
+    for k in range(top + 1):
+        T_k = FqPoly(field, [0] * k + [1])
+        expected = poly_divmod(T_k, F)[1]
+        assert [int(c) for c in rows[k]] == [expected.coeff(i) for i in range(F.degree)]

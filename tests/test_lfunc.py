@@ -13,6 +13,7 @@ from ffmoments.ffpoly import (
     enumerate_irreducible,
     enumerate_monic,
     monic_from_index,
+    monic_index,
     parse_poly,
     residue_index,
 )
@@ -27,12 +28,12 @@ from ffmoments.lfunc import (
     l_eval_u,
     l_inverse_roots,
     l_polynomial,
-    load_l_coefficients,
     log_abs_l,
     log_l_bound_pointwise,
     log_l_bound_simplified,
     log_abs_l_grid,
     monic_residue_counts,
+    _unit_rows_of_monics,
     primitive_family,
     rh_root_deviation,
     shifted_log_bound,
@@ -372,6 +373,22 @@ class TestPrimePowerTable:
                     oracle_monic_residue_counts(fam.group, n),
                 )
 
+    def test_prime_residues_match_division(self):
+        # the residue the table gives each irreducible of degree >= deg Q is
+        # P mod Q, and P is flagged a unit iff that residue is one
+        for fam in parity_families():
+            field, Q = fam.modulus.field, fam.modulus.poly
+            top = Q.degree + 2
+            for d in range(Q.degree, top + 1):
+                primes = enumerate_irreducible(field, d)
+                indices = np.array([monic_index(P) for P in primes], dtype=np.int64)
+                rows, unit = _unit_rows_of_monics(fam.group, d, indices)
+                for P, row, is_unit in zip(primes, rows, unit):
+                    expected = residue_index(P % Q, Q.degree)
+                    assert is_unit == (expected in fam.group.dlog)
+                    if is_unit:
+                        assert fam.group.residues[row] == expected
+
     def test_log_abs_grid_matches_horner(self, fam_t2):
         ts = (0.0, 0.51, 2.3, 7.0)
         grid = log_abs_l_grid(fam_t2.coeffs, 3, ts)
@@ -492,26 +509,3 @@ class TestShiftedLogBound:
         for L in fam_t2.l_polynomials():
             r = crude_single_bound_ratio(L, 0.4)
             assert math.isfinite(r)
-
-
-class TestLCache:
-    def test_round_trip(self, tmp_path):
-        m = factor_modulus(parse_poly(F3, "T^2"))
-        fam1 = primitive_family(m, cache_dir=tmp_path)
-        assert not fam1.coeffs_from_cache
-        fam2 = primitive_family(m, cache_dir=tmp_path)
-        assert fam2.coeffs_from_cache
-        assert np.array_equal(fam1.coeffs, fam2.coeffs)
-
-    def test_wrong_key_rejected(self, tmp_path):
-        m = factor_modulus(parse_poly(F3, "T^2"))
-        fam = primitive_family(m, cache_dir=tmp_path)
-        other = factor_modulus(parse_poly(F3, "T^2 + 1"))
-        from ffmoments.lfunc import l_cache_name
-
-        with pytest.raises(ValueError):
-            load_l_coefficients(
-                other,
-                fam.primitive_chars,
-                tmp_path / l_cache_name(m),
-            )
