@@ -82,7 +82,7 @@ def _mark_products(mask: np.ndarray, q: int, primes: np.ndarray, n: int, d: int)
             col = p[lo] * cof[t - lo]
             for i in range(lo + 1, hi + 1):
                 col += p[i] * cof[t - i]
-            index += (col % q) * itype(q**t)
+            index += (col % q).astype(itype) * q**t  # widen before scaling
         mask[index] = False
 
 

@@ -401,13 +401,19 @@ def char_index(group: UnitGroup, exponents: tuple[int, ...]) -> int:
 def _trivial_on_rows(group: UnitGroup, K, rows) -> np.ndarray:
     """Per exponent row of K, whether that character is 1 on the units at
     the given rows: an exact integer test, phases scaled to the lcm L of
-    the orders and summed mod L."""
+    the orders and summed mod L.  K is taken in chunks so that each phase
+    matrix holds about 2^18 entries."""
     K = np.asarray(K, dtype=np.int64).reshape(len(K), group.rank)
     if group.rank == 0:
         return np.ones(len(K), dtype=bool)
     L = math.lcm(*group.orders)
     weights = K * (L // np.array(group.orders, dtype=np.int64))
-    return ~np.any((weights @ group.dlog_mat[rows].T) % L, axis=1)
+    dlogs = group.dlog_mat[rows].T
+    step = max(1, (1 << 18) // max(1, dlogs.shape[1]))
+    out = np.empty(len(K), dtype=bool)
+    for s in range(0, len(K), step):
+        out[s : s + step] = ~np.any((weights[s : s + step] @ dlogs) % L, axis=1)
+    return out
 
 
 def _primitive_mask(group: UnitGroup, K) -> np.ndarray:

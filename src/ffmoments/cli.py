@@ -34,7 +34,6 @@ from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
-    _irreducible_index_table,
     _prime_factors_int,
     irreducible_count_enumerated,
     parse_poly,
@@ -204,7 +203,6 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     n = 1
     while cfg.q ** (n + 1) <= cfg.budget["max_enum"] and n < 40:
         n += 1
-    _irreducible_index_table(cfg.q, n)  # every degree in one sieve build
     for deg in range(1, n + 1):
         exact = prime_count_exact(field, deg)
         enumerated = irreducible_count_enumerated(field, deg)

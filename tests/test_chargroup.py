@@ -147,8 +147,11 @@ class TestCharacters:
         assert sum(c.primitive for c in chars) == 4
 
     def test_primitive_counts_match_sieve(self):
-        for text in ["T^2", "T^2 + 1", "T^2 + T", "T^3", "T^3 + T"]:
-            m = modulus(F3, text)
+        cases = [(F3, t) for t in ["T^2", "T^2 + 1", "T^2 + T", "T^3", "T^3 + T"]]
+        # phi(Q) * |kernel| > 2^18: primitivity is tested in chunks
+        cases += [(F2, "T^10 + T^3 + 1"), (F2, "T^12 + T^5 + T^2")]
+        for field, text in cases:
+            m = modulus(field, text)
             chars = all_characters(unit_group(m))
             assert sum(c.primitive for c in chars) == (
                 primitive_count_inclusion_exclusion(m)
