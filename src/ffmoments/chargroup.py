@@ -18,6 +18,7 @@ complex numbers computed at call time.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,11 +98,6 @@ def factor_modulus(Q: FqPoly) -> Modulus:
         dp = P.degree
         phi *= q ** (dp * e) - q ** (dp * (e - 1))
     return Modulus(field=field, poly=Q, factors=tuple(factors), phi=phi)
-
-
-def euler_phi(m: Modulus) -> int:
-    """Euler totient of the modulus (order of the unit group)."""
-    return m.phi
 
 
 def primitive_count_inclusion_exclusion(m: Modulus) -> int:
@@ -242,13 +238,16 @@ class UnitGroup:
         self.orders = orders
         self.residues = residues  # sorted unit residue indices, int64
         self.dlog_mat = dlog_mat  # (phi, r) exponent rows aligned to residues
-        self.dlog: dict[int, tuple[int, ...]] = {
-            int(ridx): tuple(int(v) for v in vec)
-            for ridx, vec in zip(residues, dlog_mat)
-        }
-        self._row_of = {int(r): i for i, r in enumerate(residues)}
         self._kernel_rows: dict[int, np.ndarray] = {}
         self._monic_rows: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def dlog(self) -> dict[int, tuple[int, ...]]:
+        """Exponent vector of each unit residue index, built on first use."""
+        return {
+            int(ridx): tuple(int(v) for v in vec)
+            for ridx, vec in zip(self.residues, self.dlog_mat)
+        }
 
     @property
     def rank(self) -> int:
@@ -263,6 +262,15 @@ class UnitGroup:
         r = f % self.modulus.poly
         return self.dlog.get(residue_index(r, self.modulus.degree))
 
+    def rows_of(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (into residues) of the given residue indices by binary
+        search, and a mask of those that are units; a non-unit gets an
+        arbitrary valid row."""
+        indices = np.asarray(indices, dtype=np.int64)
+        rows = np.searchsorted(self.residues, indices)
+        rows = np.minimum(rows, len(self.residues) - 1)
+        return rows, self.residues[rows] == indices
+
     def monic_unit_rows(self, n: int) -> np.ndarray:
         """Rows (into residues) of the coprime monic polynomials of degree n,
         ascending; valid for 0 <= n < deg(Q)."""
@@ -275,33 +283,36 @@ class UnitGroup:
 
     def reduction_kernel_rows(self, which: int) -> np.ndarray:
         """Rows of the kernel of (A/Q)^* -> (A/(Q/P))^* for the which-th
-        prime factor P of Q."""
+        prime factor P of Q: the units 1 + (Q/P) a with deg a < deg P.  The
+        products (Q/P) a have degree < deg Q, so they need no reduction and
+        adding 1 only changes digit 0."""
         if which not in self._kernel_rows:
-            field = self.modulus.field
-            P = self.modulus.factors[which][0]
-            Qp = poly_divmod(self.modulus.poly, P)[0]
-            rows = []
-            one = FqPoly.one(field)
-            for aidx in range(field.q**P.degree):
-                a = residue_from_index(field, P.degree, aidx)
-                u = (one + Qp * a) % self.modulus.poly
-                ridx = residue_index(u, self.modulus.degree)
-                row = self._row_of.get(ridx)
-                if row is not None:
-                    rows.append(row)
-            self._kernel_rows[which] = np.array(sorted(rows), dtype=np.int64)
+            modulus = self.modulus
+            q, Q = modulus.field.q, modulus.poly
+            P = modulus.factors[which][0]
+            Qp = poly_divmod(Q, P)[0]
+            prods = scale_mod_many(
+                q, Q.coeffs, np.arange(q**P.degree), residue_index(Qp, Q.degree)
+            )
+            low = prods % q
+            rows, unit = self.rows_of(prods - low + (low + 1) % q)
+            self._kernel_rows[which] = np.sort(rows[unit])
         return self._kernel_rows[which]
 
     def verify_bijection(self):
         """Check that the exponent-grid map really is a bijection onto the
-        units: phi(Q) distinct residues, dlog(1) = 0, and every residue a
-        unit.  A residue is a unit iff its reduction mod each prime factor P
-        of Q is non-zero: one digit-matrix product per factor."""
+        units: phi(Q) strictly increasing (so distinct) residues, dlog(1) =
+        0, and every residue a unit.  A residue is a unit iff its reduction
+        mod each prime factor P of Q is non-zero: one digit-matrix product
+        per factor."""
         modulus = self.modulus
         q, dQ = modulus.field.q, modulus.degree
-        if len(self.dlog) != modulus.phi:
+        if not len(self.residues) == len(self.dlog_mat) == modulus.phi:
             raise ArithmeticError("unit table size mismatch")
-        if self.dlog.get(1) != (0,) * self.rank:  # the residue 1 has index 1
+        if np.any(np.diff(self.residues) <= 0):
+            raise ArithmeticError("unit residues are not distinct and sorted")
+        (row,), (found,) = self.rows_of([1])  # the residue 1 has index 1
+        if not found or np.any(self.dlog_mat[row]):
             raise ArithmeticError("dlog(1) is not the zero vector")
         digits = digit_rows(self.residues, q, dQ)
         for P, _ in modulus.factors:
@@ -431,11 +442,16 @@ def is_primitive(chi: DirichletChar) -> bool:
     return bool(_primitive_mask(chi.group, [chi.exponents])[0])
 
 
+def _even_mask(group: UnitGroup, K) -> np.ndarray:
+    """Per exponent row of K, whether that character is 1 on the nonzero
+    constants F_q^*."""
+    rows, _ = group.rows_of(np.arange(1, group.modulus.field.q))
+    return _trivial_on_rows(group, K, rows)
+
+
 def is_even(chi: DirichletChar) -> bool:
     """True iff chi is 1 on the nonzero constants F_q^*."""
-    group = chi.group
-    rows = [group._row_of[c] for c in range(1, group.modulus.field.q)]
-    return bool(_trivial_on_rows(group, [chi.exponents], rows)[0])
+    return bool(_even_mask(chi.group, [chi.exponents])[0])
 
 
 def character(group: UnitGroup, exponents: tuple[int, ...]) -> DirichletChar:

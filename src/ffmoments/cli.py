@@ -4,7 +4,8 @@ Subcommands: enumerate | lfun | moments | primesums | all.  Each consumes a
 versioned JSON config, runs its checks over the configured modulus family,
 and writes deterministic CSV/JSON reports plus a separate metadata file for
 timing and run counts.  Exit codes: 0 all checks passed, 1 at least
-one mathematical check failed, 2 configuration error.
+one mathematical check failed, 2 configuration error, 3 internal error (an
+uncaught exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ import math
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from ffmoments.chargroup import (
+    _even_mask,
     all_characters,
     char_index,
     character_values,
-    factor_modulus,
-    is_even,
     primitive_count_inclusion_exclusion,
     unit_group,
 )
@@ -36,7 +37,6 @@ from ffmoments.ffpoly import (
     FqPoly,
     _prime_factors_int,
     irreducible_count_enumerated,
-    parse_poly,
     poly_divmod,
     pow_mod,
     prime_count_exact,
@@ -51,10 +51,10 @@ from ffmoments.lfunc import (
     primitive_family,
     rh_root_deviation,
     t_period,
-    u_on_circle,
 )
 from ffmoments.moments import (
     charsum_moment,
+    circle_angle_moments,
     integral_moment,
     moment_report,
     perron_aliasing_bound,
@@ -84,6 +84,7 @@ from ffmoments.report import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
 
 
 def _map_tasks(func, payloads, jobs: int):
@@ -128,10 +129,9 @@ def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
 
 
 def _enumerate_task(payload) -> dict:
-    cfg_dict, modulus_str = payload
+    cfg_dict, modulus = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
     field = FieldSpec(cfg.q)
-    modulus = factor_modulus(parse_poly(field, modulus_str))
     group = unit_group(modulus)
     chars = all_characters(group)
 
@@ -231,7 +231,7 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     )
 
     moduli = cfg.modulus_list()
-    payloads = [(cfg.to_dict(), str(m)) for m in moduli]
+    payloads = [(cfg.to_dict(), m) for m in moduli]
     results = _map_tasks(_enumerate_task, payloads, args.jobs)
     tol = cfg.tolerance("orthogonality")
     for res in results:
@@ -295,10 +295,8 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
 
 def _lfun_task(payload) -> dict:
-    cfg_dict, modulus_str, selftest = payload
+    cfg_dict, modulus, selftest = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    field = FieldSpec(cfg.q)
-    modulus = factor_modulus(parse_poly(field, modulus_str))
     fam = primitive_family(modulus)
     out: dict = {
         "modulus": str(modulus),
@@ -319,10 +317,10 @@ def _lfun_task(payload) -> dict:
     out["probe_max"] = probe_max
 
     # RH root shape per primitive character, fixed by its parity
-    lpolys = [LPolynomial(c, row) for c, row in zip(fam.primitive_chars, coeffs)]
+    even = _even_mask(fam.group, [c.exponents for c in fam.primitive_chars])
     out["root_rows"] = [
-        (L.character.index, rh_root_deviation(L, is_even(L.character)))
-        for L in lpolys
+        (chi.index, rh_root_deviation(LPolynomial(chi, row), bool(e)))
+        for chi, row, e in zip(fam.primitive_chars, coeffs, even)
     ]
 
     # conjugation symmetry of the coefficient rows; conj chi has exponents -k
@@ -376,7 +374,7 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
     moduli = cfg.modulus_list()
     selftest = bool(getattr(args, "selftest_perturb", False))
     payloads = [
-        (cfg.to_dict(), str(m), selftest and i == 0) for i, m in enumerate(moduli)
+        (cfg.to_dict(), m, selftest and i == 0) for i, m in enumerate(moduli)
     ]
     results = _map_tasks(_lfun_task, payloads, args.jobs)
 
@@ -494,12 +492,9 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
 
 def _moments_task(payload) -> dict:
-    cfg_dict, modulus_str = payload
+    cfg_dict, modulus, specs = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    field = FieldSpec(cfg.q)
-    modulus = factor_modulus(parse_poly(field, modulus_str))
     fam = primitive_family(modulus)
-    specs = cfg.resolved_shift_specs()
     out: dict = {
         "modulus": str(modulus),
         "degree": modulus.degree,
@@ -513,8 +508,8 @@ def _moments_task(payload) -> dict:
         "charsum": [],
         "integral": [],
     }
-    for spec in specs:
-        rep = moment_report(fam, spec)
+    reports = moment_report(fam, specs)
+    for rep in reports:
         out["moment_rows"].append(
             [
                 rep.q,
@@ -522,7 +517,7 @@ def _moments_task(payload) -> dict:
                 rep.degree,
                 rep.phi,
                 rep.n_primitive,
-                spec.digest,
+                rep.spec.digest,
                 rep.lhs,
                 rep.rhs_zeta,
                 rep.rhs_min,
@@ -531,52 +526,43 @@ def _moments_task(payload) -> dict:
                 int(rep.degree == 2),
             ]
         )
-        if rep.n_primitive and rep.lhs > 0:
-            out["prop33_max"] = max(
-                out["prop33_max"], prop33_statistic(fam, rep.lhs)
-            )
-            # restatement on the critical circle: same values via angles
-            q = cfg.q
-            lnq = math.log(q)
-            mags = np.abs(
-                fam.coeffs
-                @ np.array(
-                    [
-                        u_on_circle(q, -t * lnq) ** np.arange(modulus.degree)
-                        for t in spec.t
-                    ]
-                ).T
-            )
-            lhs_theta = float(
-                np.sum(np.prod(mags ** np.asarray(spec.a)[None, :], axis=1))
-            )
-            out["cor12_dev"] = max(
-                out["cor12_dev"],
-                abs(lhs_theta - rep.lhs) / rep.lhs,
-            )
+    if not fam.n_primitive:
+        return out
 
-    if fam.n_primitive:
-        rng = random.Random(cfg.perron.get("seed", 1) + modulus.norm)
-        lpolys = fam.l_polynomials()
-        r = cfg.perron.get("radius", 0.5)
-        factor = cfg.perron.get("points_factor", 64)
-        for _ in range(cfg.perron.get("samples", 50)):
-            L = lpolys[rng.randrange(len(lpolys))]
-            N = rng.randrange(0, modulus.degree + 2)
-            M = factor * (N + modulus.degree)
-            quad = perron_partial_sum(L, N, r, M)
-            direct = complex(np.sum(L.coeffs[: N + 1]))
-            out["perron_max_err"] = max(out["perron_max_err"], abs(quad - direct))
-            out["perron_alias_bound"] = max(
-                out["perron_alias_bound"], perron_aliasing_bound(L, r, M)
-            )
+    # restatement on the critical circle: same values via angles
+    for rep, lhs_theta in zip(reports, circle_angle_moments(fam, specs)):
+        if rep.lhs > 0:
+            out["prop33_max"] = max(out["prop33_max"], prop33_statistic(fam, rep.lhs))
+            out["cor12_dev"] = max(out["cor12_dev"], abs(lhs_theta - rep.lhs) / rep.lhs)
 
-        for m in cfg.moment_exponents:
-            for yexp in cfg.y_exponents:
-                cs = charsum_moment(fam, m, cfg.q**yexp)
-                out["charsum"].append([m, yexp, cs.moment, cs.ratio])
-            im = integral_moment(fam, m, cfg.quad_points)
-            out["integral"].append([m, im.moment, im.ratio])
+    # the samples are drawn first, then evaluated in groups of equal N,
+    # since the sample count M depends on N alone
+    rng = random.Random(cfg.perron.get("seed", 1) + modulus.norm)
+    r = cfg.perron.get("radius", 0.5)
+    factor = cfg.perron.get("points_factor", 64)
+    draws = [
+        (rng.randrange(fam.n_primitive), rng.randrange(0, modulus.degree + 2))
+        for _ in range(cfg.perron.get("samples", 50))
+    ]
+    for N in sorted({n for _, n in draws}):
+        rows = fam.coeffs[[i for i, n in draws if n == N]]
+        M = factor * (N + modulus.degree)
+        quad = perron_partial_sum(rows, N, r, M)
+        err = np.max(np.abs(quad - np.sum(rows[:, : N + 1], axis=1)))
+        out["perron_max_err"] = max(out["perron_max_err"], float(err))
+        out["perron_alias_bound"] = max(
+            out["perron_alias_bound"], float(np.max(perron_aliasing_bound(rows, r, M)))
+        )
+
+    for m in cfg.moment_exponents:
+        for yexp in cfg.y_exponents:
+            cs = charsum_moment(fam, m, cfg.q**yexp)
+            out["charsum"].append([m, yexp, cs.moment, cs.ratio])
+    for m, im in zip(
+        cfg.moment_exponents,
+        integral_moment(fam, cfg.moment_exponents, cfg.quad_points),
+    ):
+        out["integral"].append([m, im.moment, im.ratio])
     return out
 
 
@@ -584,7 +570,8 @@ def cmd_moments(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, list
     rows: list[CheckRow] = []
     meta: dict = {}
     moduli = cfg.modulus_list()
-    payloads = [(cfg.to_dict(), str(m)) for m in moduli]
+    specs = cfg.resolved_shift_specs()
+    payloads = [(cfg.to_dict(), m, specs) for m in moduli]
     results = _map_tasks(_moments_task, payloads, args.jobs)
 
     fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
@@ -969,6 +956,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        # a defect in the program, never to be read as a failed check
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
     failed = [r for r in all_rows if not r.passed]
     for row in failed:

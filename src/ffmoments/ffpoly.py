@@ -100,6 +100,10 @@ class FqPoly:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("FqPoly is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore uses setattr
+        return FqPoly, (self.field, self.coeffs)
+
     # -- constructors ------------------------------------------------
 
     @classmethod

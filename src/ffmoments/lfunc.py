@@ -39,7 +39,7 @@ from ffmoments.chargroup import (
     character_values,
     unit_group,
 )
-from ffmoments.ffpoly import FqPoly, _irreducible_index_table
+from ffmoments.ffpoly import _irreducible_index_table
 
 COEFF_TRIM_TOL = 1e-9
 
@@ -140,15 +140,6 @@ class LPolynomial:
         return f"LPolynomial(chi#{self.character.index}, coeffs={self.coeffs})"
 
 
-def l_eval_u(L: LPolynomial, u: complex) -> complex:
-    """Horner evaluation of the L-polynomial at u."""
-    return L.eval_u(u)
-
-
-def l_inverse_roots(L: LPolynomial) -> np.ndarray:
-    return L.inverse_roots()
-
-
 def rh_root_deviation(L: LPolynomial, even: bool) -> float:
     """Largest deviation of the inverse roots of a primitive character's
     L-polynomial from the shape the Riemann hypothesis forces: deg(Q) - 1
@@ -198,16 +189,6 @@ def l_coefficients(group: UnitGroup, chars: list[DirichletChar]) -> np.ndarray:
     return out
 
 
-def l_polynomial(chi: DirichletChar) -> LPolynomial:
-    """The L-polynomial of a non-principal character."""
-    if chi.principal:
-        raise ValueError(
-            "the principal character has a pole factor and no L-polynomial"
-        )
-    coeffs = l_coefficients(chi.group, [chi])[0]
-    return LPolynomial(chi, coeffs)
-
-
 def _unit_rows_of_monics(
     group: UnitGroup, n: int, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -219,10 +200,7 @@ def _unit_rows_of_monics(
     q, Q = group.modulus.field.q, group.modulus.poly
     digits = digit_rows(indices + q**n, q, n + 1)  # leading 1 as digit n
     residue_digits = (reduction_rows(q, Q.coeffs, n).T @ digits) % q
-    residues = q ** np.arange(Q.degree, dtype=np.int64) @ residue_digits
-    rows = np.searchsorted(group.residues, residues)
-    rows = np.minimum(rows, len(group.residues) - 1)
-    return rows, group.residues[rows] == residues
+    return group.rows_of(q ** np.arange(Q.degree, dtype=np.int64) @ residue_digits)
 
 
 def monic_residue_counts(group: UnitGroup, n: int) -> np.ndarray:
@@ -451,16 +429,6 @@ def log_l_bound_simplified(chi: DirichletChar, t: float, x) -> float:
     h = _h_from_x(chi.group.modulus.field.q, x)
     table = PrimePowerTable.build(chi.group, [chi], h)
     return float(table.simplified([t], h)[0, 0])
-
-
-def h_weight(f: FqPoly, spec) -> complex:
-    """The shift-averaging weight (1/2) sum_j a_j |f|^(-i t_j)."""
-    if f.is_zero:
-        raise ValueError("h-weight of the zero polynomial is undefined")
-    lnq = math.log(f.field.q)
-    return 0.5 * sum(
-        a * cmath.exp(-1j * t * f.degree * lnq) for a, t in zip(spec.a, spec.t)
-    )
 
 
 def shifted_log_bound(chi: DirichletChar, spec, x) -> float:

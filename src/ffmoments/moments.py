@@ -2,6 +2,13 @@
 compared against, character-sum moments, the contour-integral identity for
 partial sums, and the circle-integral moment.
 
+Each family is one array pass per quantity: shifted_moment evaluates |L|
+at the shifts of all specs with one product and slices it per spec,
+circle_angle_moments does the same at the circle angles, perron_partial_sum
+evaluates every given coefficient row on the sampled circle by one Horner
+pass, and integral_moment computes the per-character circle integrals once
+for all exponents.
+
 All sums over characters run in canonical character-index order with
 pairwise summation, so family sweeps are reproducible and parallel runs
 reduce to the same bits as serial ones.
@@ -9,6 +16,7 @@ reduce to the same bits as serial ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -18,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ffmoments.chargroup import DirichletChar, Modulus
-from ffmoments.lfunc import PrimitiveFamily, u_at_shift, zeta_A
+from ffmoments.lfunc import PrimitiveFamily, u_at_shift, u_on_circle, zeta_A
 from ffmoments.ffpoly import enumerate_monic
 
 
@@ -65,7 +73,7 @@ class ShiftSpec:
             raise ValueError(f"unknown shift spec fields: {sorted(extra)}")
         return cls(a=tuple(float(x) for x in d["a"]), t=tuple(float(x) for x in d["t"]))
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -76,24 +84,50 @@ class ShiftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _abs_values_at_shifts(family: PrimitiveFamily, shifts) -> np.ndarray:
-    """|L(1/2 + i t_j, chi)| for every primitive chi (rows) and shift (cols)."""
-    q = family.modulus.field.q
-    dQ = family.modulus.degree
-    us = np.array([u_at_shift(q, t) for t in shifts], dtype=np.complex128)
-    powers = us[None, :] ** np.arange(dQ)[:, None]  # (dQ, n_shifts)
+def _abs_values_at(family: PrimitiveFamily, us) -> np.ndarray:
+    """|L(u, chi)| for every primitive chi (rows) and point u (cols)."""
+    powers = np.asarray(us)[None, :] ** np.arange(family.modulus.degree)[:, None]
     # einsum, not @: numpy sends this small product to a threaded BLAS whose
     # idle threads spin, about doubling the CPU time of a moments sweep
     return np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
 
 
-def shifted_moment(family: PrimitiveFamily, spec: ShiftSpec) -> float:
-    """sum over primitive chi of prod_j |L(1/2 + i t_j, chi)|^(a_j)."""
+def _spec_moments(mags: np.ndarray, specs) -> list[float]:
+    """Per spec, sum over rows of prod_j mags[:, j]^(a_j), where the specs'
+    shifts are consecutive column blocks of mags."""
+    out, start = [], 0
+    for spec in specs:
+        block = mags[:, start : start + len(spec.a)]
+        prod = np.prod(block ** np.asarray(spec.a)[None, :], axis=1)
+        out.append(float(np.sum(prod)))
+        start += len(spec.a)
+    return out
+
+
+def shifted_moment(family: PrimitiveFamily, specs) -> list[float]:
+    """Per spec, the sum over primitive chi of
+    prod_j |L(1/2 + i t_j, chi)|^(a_j); |L| at the shifts of all specs is
+    one product."""
     if family.n_primitive == 0:
         raise ValueError("modulus has no primitive characters")
-    mags = _abs_values_at_shifts(family, spec.t)
-    prod = np.prod(mags ** np.asarray(spec.a)[None, :], axis=1)
-    return float(np.sum(prod))
+    q = family.modulus.field.q
+    us = np.array(
+        [u_at_shift(q, t) for spec in specs for t in spec.t], dtype=np.complex128
+    )
+    return _spec_moments(_abs_values_at(family, us), specs)
+
+
+def circle_angle_moments(family: PrimitiveFamily, specs) -> list[float]:
+    """The shifted moments of each spec restated on the critical circle:
+    |L| at u = e^(i theta_j)/sqrt(q) with theta_j = -t_j log q, without
+    reducing t mod the period (Cor 1.2)."""
+    q = family.modulus.field.q
+    lnq = math.log(q)
+    us = np.array(
+        [u_on_circle(q, -t * lnq) for spec in specs for t in spec.t],
+        dtype=np.complex128,
+    )
+    return _spec_moments(_abs_values_at(family, us), specs)
 
 
 def theorem1_rhs_zeta(modulus: Modulus, spec: ShiftSpec) -> float:
@@ -149,20 +183,24 @@ class MomentReport:
         return self.lhs / self.rhs_min
 
 
-def moment_report(family: PrimitiveFamily, spec: ShiftSpec) -> MomentReport:
+def moment_report(family: PrimitiveFamily, specs) -> list[MomentReport]:
+    """One report per spec, the moments from one shifted_moment pass."""
     modulus = family.modulus
-    lhs = shifted_moment(family, spec) if family.n_primitive else 0.0
-    return MomentReport(
-        q=modulus.field.q,
-        modulus=str(modulus),
-        degree=modulus.degree,
-        phi=modulus.phi,
-        n_primitive=family.n_primitive,
-        spec=spec,
-        lhs=lhs,
-        rhs_zeta=theorem1_rhs_zeta(modulus, spec),
-        rhs_min=theorem1_rhs_min(modulus, spec),
-    )
+    lhs = shifted_moment(family, specs) if family.n_primitive else [0.0] * len(specs)
+    return [
+        MomentReport(
+            q=modulus.field.q,
+            modulus=str(modulus),
+            degree=modulus.degree,
+            phi=modulus.phi,
+            n_primitive=family.n_primitive,
+            spec=spec,
+            lhs=value,
+            rhs_zeta=theorem1_rhs_zeta(modulus, spec),
+            rhs_min=theorem1_rhs_min(modulus, spec),
+        )
+        for spec, value in zip(specs, lhs)
+    ]
 
 
 def prop33_statistic(family: PrimitiveFamily, lhs: float) -> float:
@@ -231,31 +269,34 @@ def charsum_moment(family: PrimitiveFamily, m: float, Y) -> CharSumMoment:
 # ---------------------------------------------------------------------------
 
 
-def perron_partial_sum(L, N: int, r: float, M: int) -> complex:
+def perron_partial_sum(coeffs: np.ndarray, N: int, r: float, M: int) -> np.ndarray:
     """Numerical evaluation of the contour-integral form of the partial
-    coefficient sum sum_{n<=N} c_n:
+    coefficient sum sum_{n<=N} c_n, for each coefficient row of L:
 
         (1/2 pi i) * integral over |u|=r of L(u) du / ((1-u) u^(N+1)),
 
-    by M-point uniform sampling of the circle.  Requires 0 < r < 1 and
-    M >= 4 (deg(Q) + N + 2) so aliased powers are negligible.
+    by M-point uniform sampling of the circle, every row evaluated there by
+    one Horner pass.  Requires 0 < r < 1 and M >= 4 (deg(Q) + N + 2), where
+    deg(Q) is the row length, so aliased powers are negligible.
     """
     if not 0 < r < 1:
         raise ValueError("radius must satisfy 0 < r < 1")
-    dQ = L.character.group.modulus.degree
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    dQ = coeffs.shape[1]
     if M < 4 * (dQ + N + 2):
         raise ValueError(f"sample count too small; need M >= {4 * (dQ + N + 2)}")
-    k = np.arange(M)
-    u = r * np.exp(2j * np.pi * k / M)
-    values = np.polyval(L.coeffs[::-1], u)
-    return complex(np.mean(values / ((1 - u) * u**N)))
+    u = r * np.exp(2j * np.pi * np.arange(M) / M)
+    values = np.zeros((len(coeffs), M), dtype=np.complex128)
+    for c in coeffs.T[::-1]:
+        values = values * u + c[:, None]
+    return np.mean(values / ((1 - u) * u**N), axis=1)
 
 
-def perron_aliasing_bound(L, r: float, M: int) -> float:
-    """Rigorous bound on the circle-sampling aliasing error:
-    r^M / (1 - r) times the coefficient-sum majorant of |L| on the circle."""
-    majorant = float(np.sum(np.abs(L.coeffs)))
-    return r**M / (1 - r) * majorant
+def perron_aliasing_bound(coeffs: np.ndarray, r: float, M: int) -> np.ndarray:
+    """Rigorous bound on the circle-sampling aliasing error, per coefficient
+    row: r^M / (1 - r) times the coefficient-sum majorant of |L| on the
+    circle."""
+    return r**M / (1 - r) * np.sum(np.abs(coeffs), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +329,15 @@ def integral_moments_per_char(
 
 
 def integral_moment(
-    family: PrimitiveFamily, m: float, quad_points: int = 1024
-) -> IntegralMoment:
-    """sum over primitive chi of (integral of |L| over the circle)^(2m),
-    with its ratio against phi(Q) (log|Q|)^((m-1)^2)."""
+    family: PrimitiveFamily, ms, quad_points: int = 1024
+) -> list[IntegralMoment]:
+    """For each exponent m in ms, the sum over primitive chi of (integral of
+    |L| over the circle)^(2m), with its ratio against
+    phi(Q) (log|Q|)^((m-1)^2); the integrals are computed once."""
     integrals = integral_moments_per_char(family, quad_points)
-    moment = float(np.sum(integrals ** (2 * m)))
-    bound = family.modulus.phi * family.modulus.log_norm ** ((m - 1) ** 2)
-    return IntegralMoment(moment, bound, moment / bound, integrals)
+    out = []
+    for m in ms:
+        moment = float(np.sum(integrals ** (2 * m)))
+        bound = family.modulus.phi * family.modulus.log_norm ** ((m - 1) ** 2)
+        out.append(IntegralMoment(moment, bound, moment / bound, integrals))
+    return out

@@ -11,53 +11,12 @@ of asserting universal bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ffmoments.ffpoly import FieldSpec, FqPoly, enumerate_irreducible, prime_count_exact
+from ffmoments.ffpoly import FieldSpec, prime_count_exact
 from ffmoments.lfunc import zeta_A
 from ffmoments.moments import theta_bar
-
-DEFAULT_LIST_BUDGET = 10**6
-
-
-@dataclass
-class PrimeTable:
-    """Per-degree monic irreducibles and counts up to a maximum degree.
-
-    Counts come from the exact formula for every degree; the explicit lists
-    are materialized only while q^n stays within list_budget (enumerating
-    beyond that is pointless for the sums, which need counts alone).
-    Where a list exists its length is checked against the formula.
-    """
-
-    field: FieldSpec
-    max_degree: int
-    list_budget: int = DEFAULT_LIST_BUDGET
-    counts: dict[int, int] = dataclass_field(default_factory=dict)
-    lists: dict[int, list[FqPoly]] = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        q = self.field.q
-        for n in range(1, self.max_degree + 1):
-            self.counts[n] = prime_count_exact(self.field, n)
-            if q**n <= self.list_budget:
-                primes = enumerate_irreducible(self.field, n)
-                if len(primes) != self.counts[n]:
-                    raise ArithmeticError(
-                        f"prime count mismatch at degree {n}: "
-                        f"{len(primes)} enumerated vs {self.counts[n]} exact"
-                    )
-                self.lists[n] = primes
-
-    def count(self, n: int) -> int:
-        if n <= self.max_degree:
-            return self.counts[n]
-        return prime_count_exact(self.field, n)
-
-    def primes(self, n: int) -> list[FqPoly]:
-        return self.lists[n]
 
 
 def degree_cutoff(q: int, x) -> int:

@@ -149,11 +149,11 @@ def test_criterion_3_hand_fixture():
     s1 = charsum_moment(fam, 1.0, 3).moment
     s1_ok = abs(s1 - 8) < 1e-8
 
-    lhs = shifted_moment(fam, ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0)))
+    [lhs] = shifted_moment(fam, [ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))])
     lhs_ok = abs(lhs - (4 + 2 * (1 - 1 / math.sqrt(3)) ** 2)) < 1e-8
 
     idx = int(np.argmin(np.abs(fam.coeffs[:, 1] - 1j * math.sqrt(3))))
-    integral = integral_moment(fam, 2.5, 8192).integrals[idx]
+    integral = integral_moment(fam, [2.5], 8192)[0].integrals[idx]
     integral_ok = abs(integral - 8) < 1e-6
 
     ok = multiset_ok and s1_ok and lhs_ok and integral_ok
@@ -212,7 +212,7 @@ def test_criterion_5_perron_identity(q3_family):
             L = fam.l_polynomials()[i]
             N = rng.randrange(0, degree + 2)
             M = 64 * (N + degree)
-            quad = perron_partial_sum(L, N, 0.5, M)
+            quad = perron_partial_sum(L.coeffs[None, :], N, 0.5, M)[0]
             direct = complex(np.sum(L.coeffs[: N + 1]))
             worst = max(worst, abs(quad - direct))
             n_samples += 1
@@ -267,8 +267,7 @@ def test_criterion_7_shifted_moment_ratios(q3_family, fixtures):
         for fam in fams:
             if not fam.n_primitive:
                 continue
-            for spec in specs:
-                rep = moment_report(fam, spec)
+            for rep in moment_report(fam, specs):
                 fine = (
                     math.isfinite(rep.ratio_zeta)
                     and math.isfinite(rep.ratio_min)
@@ -325,7 +324,7 @@ def test_criterion_8_charsum_and_integral_ratios(q3_family, fixtures):
                 if abs(value - fixtures[key]) > 0.25 * fixtures[key]:
                     failures.append((key, value, fixtures[key]))
             value = max(
-                integral_moment(fam, m, cfg.quad_points).ratio
+                integral_moment(fam, [m], cfg.quad_points)[0].ratio
                 for fam in fams
                 if fam.n_primitive
             )

@@ -10,7 +10,6 @@ from ffmoments.chargroup import (
     UnitGroup,
     all_characters,
     character_values,
-    euler_phi,
     factor_modulus,
     is_primitive,
     primitive_count_inclusion_exclusion,
@@ -22,15 +21,52 @@ from ffmoments.ffpoly import (
     enumerate_monic,
     monic_from_index,
     parse_poly,
+    poly_divmod,
     poly_gcd,
+    residue_from_index,
+    residue_index,
 )
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F5 = FieldSpec(5)
 
 
 def modulus(field, text):
     return factor_modulus(parse_poly(field, text))
+
+
+def oracle_kernel_rows(group, which):
+    """Rows of the units 1 + (Q/P) a mod Q, deg a < deg P, one FqPoly
+    product and reduction per a."""
+    field, Q = group.modulus.field, group.modulus.poly
+    P = group.modulus.factors[which][0]
+    Qp = poly_divmod(Q, P)[0]
+    row_of = {int(r): i for i, r in enumerate(group.residues)}
+    rows = []
+    for aidx in range(field.q**P.degree):
+        a = residue_from_index(field, P.degree, aidx)
+        u = (FqPoly.one(field) + Qp * a) % Q
+        row = row_of.get(residue_index(u, Q.degree))
+        if row is not None:
+            rows.append(row)
+    return sorted(rows)
+
+
+# q = 2, 3, 5; squarefree and not, one or several prime factors
+KERNEL_MODULI = [
+    (F2, "T^4"),
+    (F2, "T^3 + T"),  # T (T + 1)^2
+    (F2, "T^3 + T + 1"),
+    (F2, "T^5 + T^4 + T^2"),  # T^2 (T^3 + T^2 + 1)
+    (F3, "T^2"),
+    (F3, "T^3 + T^2"),
+    (F3, "T^4 + 2*T + 2"),
+    (F3, "T^4 + 2*T^2 + 1"),  # (T^2 + 1)^2
+    (F5, "T^2 + T + 2"),
+    (F5, "T^3"),
+    (F5, "T^3 + 4*T"),  # T (T + 1) (T + 4)
+]
 
 
 class TestFactorModulus:
@@ -69,9 +105,9 @@ class TestFactorModulus:
 
 class TestEulerPhi:
     def test_examples(self):
-        assert euler_phi(modulus(F3, "T^2")) == 6
-        assert euler_phi(modulus(F3, "T^2 + 1")) == 8
-        assert euler_phi(modulus(F2, "T^3")) == 4
+        assert modulus(F3, "T^2").phi == 6
+        assert modulus(F3, "T^2 + 1").phi == 8
+        assert modulus(F2, "T^3").phi == 4
 
     @pytest.mark.parametrize("text", ["T^2", "T^2 + T", "T^3 + T + 1", "T^3"])
     def test_matches_exhaustive_unit_count(self, text):
@@ -123,6 +159,21 @@ class TestUnitGroup:
         order = np.argsort(residues)
         with pytest.raises(ArithmeticError, match="non-unit"):
             self._rebuilt(g, residues[order], g.dlog_mat[order]).verify_bijection()
+
+    def test_duplicated_residue_rejected(self):
+        # a table of the right length whose residues are not distinct
+        g = unit_group(modulus(F3, "T^2 + 1"))
+        residues = g.residues.copy()
+        residues[1] = residues[0]
+        with pytest.raises(ArithmeticError, match="distinct"):
+            self._rebuilt(g, residues, g.dlog_mat).verify_bijection()
+
+    def test_dlog_of_one_must_be_zero(self):
+        g = unit_group(modulus(F3, "T^2 + 1"))
+        dlog_mat = g.dlog_mat.copy()
+        dlog_mat[0] = 1  # row 0 is the residue 1
+        with pytest.raises(ArithmeticError, match="dlog"):
+            self._rebuilt(g, g.residues, dlog_mat).verify_bijection()
 
     def test_truncated_table_rejected(self):
         g = unit_group(modulus(F3, "T^2"))
@@ -184,6 +235,15 @@ class TestCharacters:
                 conj = c.conjugate()
                 assert conj.primitive == c.primitive
                 assert conj.principal == c.principal
+
+    @pytest.mark.parametrize(
+        "field,text", KERNEL_MODULI, ids=[f"q{f.q}-{t}" for f, t in KERNEL_MODULI]
+    )
+    def test_kernel_rows_match_poly_loop(self, field, text):
+        g = unit_group(modulus(field, text))
+        for which in range(len(g.modulus.factors)):
+            rows = g.reduction_kernel_rows(which)
+            assert rows.tolist() == oracle_kernel_rows(g, which)
 
     def test_is_primitive_matches_flag(self):
         g = unit_group(modulus(F2, "T^3"))

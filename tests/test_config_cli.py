@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ffmoments import cli
 from ffmoments.anchors import CHECK_ANCHORS
 from ffmoments.chargroup import factor_modulus, unit_group
 from ffmoments.cli import _unit_group_ok, main
@@ -239,6 +240,30 @@ class TestCli:
         explicit = [r for r in rows if r["anchor"] == "explicit formula"]
         meta = json.loads((serial / "run_metadata.json").read_text())
         assert len(explicit) == meta["lfun"]["moduli"] == 12
+
+    def test_moments_jobs_byte_identical(self, tmp_path):
+        # moduli travel to the workers factored, so they must pickle
+        cfg = str(CONFIGS / "smoke_q3_d2.json")
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert run_cli("moments", "--config", cfg, "--out", str(serial)) == 0
+        assert (
+            run_cli("moments", "--config", cfg, "--out", str(parallel), "--jobs", "2")
+            == 0
+        )
+        for name in ("moments.csv", "moments.json", "moments_checks.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+        assert len(read_rows(serial / "moments.csv")) == 9 * 2
+
+    def test_internal_error_exit_three(self, smoke, monkeypatch, capsys):
+        cfg, tmp = smoke
+
+        def broken(*args):
+            raise RuntimeError("injected defect")
+
+        monkeypatch.setattr(cli, "cmd_enumerate", broken)
+        assert run_cli("enumerate", "--config", cfg, "--out", str(tmp / "e")) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: injected defect" in err
 
     def test_unit_group_check_can_fail(self):
         F3 = FieldSpec(3)

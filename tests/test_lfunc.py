@@ -23,11 +23,8 @@ from ffmoments.lfunc import (
     ShiftPoint,
     ZetaPoleError,
     crude_single_bound_ratio,
-    h_weight,
     l_coefficient_probe,
-    l_eval_u,
-    l_inverse_roots,
-    l_polynomial,
+    l_coefficients,
     log_abs_l,
     log_l_bound_pointwise,
     log_l_bound_simplified,
@@ -112,12 +109,20 @@ def oracle_simplified(chi, t, x):
     return primes + norm_term
 
 
+def h_weight(f, spec):
+    """The shift-averaging weight (1/2) sum_j a_j |f|^(-i t_j) of Prop 3.2."""
+    if f.is_zero:
+        raise ValueError("h-weight of the zero polynomial is undefined")
+    lnq = math.log(f.field.q)
+    return 0.5 * sum(
+        a * cmath.exp(-1j * t * f.degree * lnq) for a, t in zip(spec.a, spec.t)
+    )
+
+
 def oracle_shifted(chi, spec, x):
-    lnq = math.log(chi.group.modulus.field.q)
+    field = chi.group.modulus.field
     primes, norm_term = _oracle_two_sums(
-        chi,
-        x,
-        lambda n: sum(a * cmath.exp(-1j * t * n * lnq) for a, t in zip(spec.a, spec.t)),
+        chi, x, lambda n: 2 * h_weight(monic_from_index(field, n, 0), spec)
     )
     return primes + (sum(spec.a) + 10.0) * norm_term
 
@@ -147,6 +152,11 @@ def parity_families():
                     yield fam
     for text in ("T^2", "T^2 + 1", "T^2 + T + 2"):
         yield primitive_family(factor_modulus(parse_poly(F3, text)))
+
+
+def l_polynomial(chi):
+    """The L-polynomial of one non-principal character, computed alone."""
+    return LPolynomial(chi, l_coefficients(chi.group, [chi])[0])
 
 
 def l_by_c1(fam, value):
@@ -184,10 +194,13 @@ class TestLPolynomial:
         assert all(abs(a - b) < 1e-9 for a, b in zip(got, expected))
 
     def test_principal_rejected(self):
+        # the principal character has no L-polynomial: its coefficient of
+        # degree n >= deg Q counts the coprime monics, q^(n - deg Q) phi(Q)
         g = unit_group(factor_modulus(parse_poly(F3, "T^2")))
         principal = [c for c in all_characters(g) if c.principal][0]
-        with pytest.raises(ValueError):
-            l_polynomial(principal)
+        for n in (2, 3):
+            probe = l_coefficient_probe(g, [principal], n)
+            assert abs(probe[0] - 3 ** (n - 2) * 6) < 1e-9
 
     def test_single_matches_batch(self, fam_t2):
         for chi, row in zip(fam_t2.primitive_chars, fam_t2.coeffs):
@@ -205,7 +218,7 @@ class TestLPolynomial:
 class TestEval:
     def test_at_zero(self, fam_t2):
         for L in fam_t2.l_polynomials():
-            assert l_eval_u(L, 0) == 1
+            assert L.eval_u(0) == 1
 
     def test_worked_value(self, fam_t2):
         L = l_by_c1(fam_t2, 1j * math.sqrt(3))
@@ -246,11 +259,11 @@ class TestEval:
 class TestInverseRoots:
     def test_linear_cases(self, fam_t2):
         L = l_by_c1(fam_t2, 1j * math.sqrt(3))
-        roots = l_inverse_roots(L)
+        roots = L.inverse_roots()
         assert len(roots) == 1
         assert abs(roots[0] - (-1j * math.sqrt(3))) < 1e-9
         L2 = l_by_c1(fam_t2, -1 + 0j)
-        assert abs(l_inverse_roots(L2)[0] - 1) < 1e-9
+        assert abs(L2.inverse_roots()[0] - 1) < 1e-9
 
     def test_product_reconstruction(self):
         fam = primitive_family(factor_modulus(parse_poly(F3, "T^3 + 2*T + 1")))

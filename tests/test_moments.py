@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from ffmoments.chargroup import factor_modulus
-from ffmoments.ffpoly import FieldSpec, parse_poly
-from ffmoments.lfunc import primitive_family, t_period, zeta_A
+from ffmoments.ffpoly import FieldSpec, monic_from_index, parse_poly
+from ffmoments.lfunc import primitive_family, t_period, u_at_shift, u_on_circle, zeta_A
 from ffmoments.moments import (
     CharSumMoment,
     ShiftSpec,
     char_sum,
     char_sums_from_coeffs,
     charsum_moment,
+    circle_angle_moments,
     integral_moment,
     moment_report,
     perron_aliasing_bound,
@@ -28,6 +29,50 @@ from ffmoments.moments import (
 )
 
 F3 = FieldSpec(3)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: one spec, one sample, one character at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_moment(family, spec, u_of):
+    """sum over primitive chi of prod_j |L(u_of(t_j), chi)|^(a_j), one spec
+    at a time."""
+    powers = np.array(
+        [u_of(t) ** np.arange(family.modulus.degree) for t in spec.t]
+    ).T
+    mags = np.abs(family.coeffs @ powers)
+    return float(np.sum(np.prod(mags ** np.asarray(spec.a)[None, :], axis=1)))
+
+
+def oracle_perron(coeffs, N, r, M):
+    """The contour form of sum_{n<=N} c_n for one coefficient row, by
+    np.polyval on the M-point circle."""
+    u = r * np.exp(2j * np.pi * np.arange(M) / M)
+    values = np.polyval(coeffs[::-1], u)
+    return complex(np.mean(values / ((1 - u) * u**N)))
+
+
+def small_families():
+    """Every modulus with primitive characters at q=2, deg Q <= 4, q=3,
+    deg Q = 3, and q=5, deg Q = 2: squarefree and not."""
+    for q, degrees in ((2, (2, 3, 4)), (3, (3,)), (5, (2,))):
+        field = FieldSpec(q)
+        for d in degrees:
+            for idx in range(q**d):
+                fam = primitive_family(factor_modulus(monic_from_index(field, d, idx)))
+                if fam.n_primitive:
+                    yield fam
+
+
+RANDOM_SPECS = [
+    ShiftSpec(
+        a=tuple(random.Random(k).uniform(0.5, 2.0) for _ in range(4)),
+        t=tuple(random.Random(100 + k).uniform(-3.0, 9.0) for _ in range(4)),
+    )
+    for k in range(6)
+] + [ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0)), ShiftSpec(a=(1.5, 0.5), t=(0.0, 0.7))]
 
 
 @pytest.fixture(scope="module")
@@ -74,30 +119,28 @@ class TestShiftSpec:
 
 class TestShiftedMoment:
     def test_worked_value(self, fam_t2):
-        lhs = shifted_moment(fam_t2, ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0)))
+        [lhs] = shifted_moment(fam_t2, [ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))])
         expected = 4 + 2 * (1 - 1 / math.sqrt(3)) ** 2
         assert abs(lhs - expected) < 1e-10
 
     def test_even_power_reduction(self, fam_t2):
         # paired equal shifts with exponents (2, 2) give the 4th power moment
         spec = ShiftSpec(a=(2.0, 2.0), t=(0.3, 0.3))
-        direct = shifted_moment(fam_t2, spec)
         spec4 = ShiftSpec(a=(1.0, 3.0), t=(0.3, 0.3))
-        assert abs(direct - shifted_moment(fam_t2, spec4)) < 1e-10
+        direct, reduced = shifted_moment(fam_t2, [spec, spec4])
+        assert abs(direct - reduced) < 1e-10
 
     def test_period_invariance(self, fam_cubic):
         period = t_period(3)
         base = ShiftSpec(a=(1.2, 0.8), t=(0.1, 0.9))
         shifted = ShiftSpec(a=(1.2, 0.8), t=(0.1 + period, 0.9 + period))
-        a = shifted_moment(fam_cubic, base)
-        b = shifted_moment(fam_cubic, shifted)
+        a, b = shifted_moment(fam_cubic, [base, shifted])
         assert abs(a - b) / a < 1e-9
 
     def test_conjugate_pairing(self, fam_cubic):
         base = ShiftSpec(a=(1.2, 0.8), t=(0.1, 0.9))
         negated = ShiftSpec(a=(1.2, 0.8), t=(-0.1, -0.9))
-        a = shifted_moment(fam_cubic, base)
-        b = shifted_moment(fam_cubic, negated)
+        a, b = shifted_moment(fam_cubic, [base, negated])
         assert abs(a - b) / a < 1e-9
 
     def test_degenerate_family_rejected(self):
@@ -105,7 +148,7 @@ class TestShiftedMoment:
             factor_modulus(parse_poly(FieldSpec(2), "T^2 + T"))
         )
         with pytest.raises(ValueError):
-            shifted_moment(fam, ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0)))
+            shifted_moment(fam, [ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))])
 
     def test_holder_sanity(self, fam_cubic):
         rng = random.Random(77)
@@ -113,14 +156,12 @@ class TestShiftedMoment:
             a = tuple(rng.uniform(0.5, 2.0) for _ in range(4))
             t = tuple(rng.uniform(0, t_period(3)) for _ in range(4))
             spec = ShiftSpec(a=a, t=t)
-            lhs = shifted_moment(fam_cubic, spec)
             A = sum(a)
+            pure_specs = [ShiftSpec(a=(A / 2, A / 2), t=(tj, tj)) for tj in t]
+            lhs, *pure = shifted_moment(fam_cubic, [spec] + pure_specs)
             bound = 1.0
-            for aj, tj in zip(a, t):
-                pure = shifted_moment(
-                    fam_cubic, ShiftSpec(a=(A / 2, A / 2), t=(tj, tj))
-                )
-                bound *= pure ** (aj / A)
+            for aj, pure_j in zip(a, pure):
+                bound *= pure_j ** (aj / A)
             assert lhs <= bound * (1 + 1e-9)
 
 
@@ -180,11 +221,42 @@ class TestBoundForms:
             assert 0.05 < ratio < 20
 
     def test_report_fields(self, fam_t2):
-        rep = moment_report(fam_t2, ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0)))
+        [rep] = moment_report(fam_t2, [ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))])
         assert rep.n_primitive == 4 and rep.phi == 6
         assert rep.ratio_zeta > 0 and rep.ratio_min > 0
         assert math.isfinite(rep.ratio_zeta) and math.isfinite(rep.ratio_min)
         assert math.isfinite(prop33_statistic(fam_t2, rep.lhs))
+
+
+class TestBatchedMoments:
+    def test_reports_match_per_spec_oracle(self):
+        n_fams = 0
+        for fam in small_families():
+            q, m = fam.modulus.field.q, fam.modulus
+            reports = moment_report(fam, RANDOM_SPECS)
+            assert [r.spec for r in reports] == RANDOM_SPECS
+            for rep, spec in zip(reports, RANDOM_SPECS):
+                want = oracle_moment(fam, spec, lambda t: u_at_shift(q, t))
+                assert abs(rep.lhs - want) <= 1e-12 * want
+                assert rep.rhs_zeta == theorem1_rhs_zeta(m, spec)
+                assert rep.rhs_min == theorem1_rhs_min(m, spec)
+                assert (rep.n_primitive, rep.phi) == (fam.n_primitive, m.phi)
+            n_fams += 1
+        assert n_fams > 20
+
+    def test_circle_angles_match_oracle(self):
+        for fam in small_families():
+            q = fam.modulus.field.q
+            lnq = math.log(q)
+            got = circle_angle_moments(fam, RANDOM_SPECS)
+            for value, spec in zip(got, RANDOM_SPECS):
+                want = oracle_moment(fam, spec, lambda t: u_on_circle(q, -t * lnq))
+                assert abs(value - want) <= 1e-12 * want
+
+    def test_report_without_primitive_characters(self):
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^2 + T")))
+        [rep] = moment_report(fam, RANDOM_SPECS[:1])
+        assert rep.lhs == 0.0 and rep.n_primitive == 0
 
 
 class TestCharSum:
@@ -229,36 +301,50 @@ class TestCharSumMoment:
 
 class TestPerron:
     def test_partial_sums(self, fam_t2):
-        L = fam_t2.l_polynomials()[0]
-        chi = L.character
-        assert abs(perron_partial_sum(L, 0, 0.5, 64) - 1) < 1e-8
+        chi = fam_t2.primitive_chars[0]
+        assert abs(perron_partial_sum(fam_t2.coeffs[:1], 0, 0.5, 64)[0] - 1) < 1e-8
         for N in range(0, 4):
-            direct = complex(np.sum(L.coeffs[: N + 1]))
-            quad = perron_partial_sum(L, N, 0.5, 64 * (N + 2))
-            assert abs(quad - direct) < 1e-8
-            assert abs(char_sum(chi, 3**N) - direct) < 1e-10
+            direct = np.sum(fam_t2.coeffs[:, : N + 1], axis=1)
+            quad = perron_partial_sum(fam_t2.coeffs, N, 0.5, 64 * (N + 2))
+            assert quad.shape == (fam_t2.n_primitive,)
+            assert np.max(np.abs(quad - direct)) < 1e-8
+            assert abs(char_sum(chi, 3**N) - direct[0]) < 1e-10
 
     def test_validation(self, fam_t2):
-        L = fam_t2.l_polynomials()[0]
         with pytest.raises(ValueError):
-            perron_partial_sum(L, 0, 1.0, 64)
+            perron_partial_sum(fam_t2.coeffs, 0, 1.0, 64)
         with pytest.raises(ValueError):
-            perron_partial_sum(L, 0, 0.5, 8)
+            perron_partial_sum(fam_t2.coeffs, 0, 0.5, 8)
+        # M >= 4 (deg Q + N + 2) is the least count accepted
+        perron_partial_sum(fam_t2.coeffs, 1, 0.5, 20)
+        with pytest.raises(ValueError):
+            perron_partial_sum(fam_t2.coeffs, 1, 0.5, 19)
 
     def test_aliasing_bound_dominates_error(self, fam_cubic):
-        for L in fam_cubic.l_polynomials()[:4]:
-            for N in (0, 2, 4):
-                M = 64 * (N + 3)
-                err = abs(
-                    perron_partial_sum(L, N, 0.5, M)
-                    - complex(np.sum(L.coeffs[: N + 1]))
-                )
-                assert err <= perron_aliasing_bound(L, 0.5, M) + 1e-12
+        coeffs = fam_cubic.coeffs[:4]
+        for N in (0, 2, 4):
+            M = 64 * (N + 3)
+            quad = perron_partial_sum(coeffs, N, 0.5, M)
+            err = np.abs(quad - np.sum(coeffs[:, : N + 1], axis=1))
+            bound = perron_aliasing_bound(coeffs, 0.5, M)
+            assert bound.shape == (4,)
+            assert np.all(err <= bound + 1e-12)
+
+    def test_rows_match_polyval_oracle(self):
+        for fam in small_families():
+            dQ = fam.modulus.degree
+            for N in range(dQ + 2):
+                M = 64 * (N + dQ)
+                got = perron_partial_sum(fam.coeffs, N, 0.5, M)
+                majorant = perron_aliasing_bound(fam.coeffs, 0.5, M)
+                for row, value, bound in zip(fam.coeffs, got, majorant):
+                    assert abs(value - oracle_perron(row, N, 0.5, M)) <= 1e-12
+                    assert bound == 0.5**M / 0.5 * float(np.sum(np.abs(row)))
 
 
 class TestIntegralMoment:
     def test_worked_integral(self, fam_t2):
-        res = integral_moment(fam_t2, 2.5, 8192)
+        [res] = integral_moment(fam_t2, [2.5], 8192)
         idx = int(np.argmin(np.abs(fam_t2.coeffs[:, 1] - 1j * math.sqrt(3))))
         assert abs(res.integrals[idx] - 8) < 1e-6
 
@@ -267,19 +353,20 @@ class TestIntegralMoment:
         idx = int(np.argmin(np.abs(fam_t2.coeffs[:, 1] - 1j * math.sqrt(3))))
         deltas = []
         for M in (1024, 2048, 4096):
-            a = integral_moment(fam_t2, 2.5, M).integrals[idx]
-            b = integral_moment(fam_t2, 2.5, 2 * M).integrals[idx]
+            a = integral_moment(fam_t2, [2.5], M)[0].integrals[idx]
+            b = integral_moment(fam_t2, [2.5], 2 * M)[0].integrals[idx]
             deltas.append(abs(b - a))
         assert deltas[0] < 1e-5
         assert deltas[2] < deltas[1] < deltas[0]
 
     def test_floor_enforced(self, fam_t2):
         with pytest.raises(ValueError):
-            integral_moment(fam_t2, 2.5, 128)
+            integral_moment(fam_t2, [2.5], 128)
 
     def test_ratio_fields(self, fam_cubic):
-        res = integral_moment(fam_cubic, 2.5)
-        assert res.ratio > 0 and math.isfinite(res.ratio)
-        assert res.bound == fam_cubic.modulus.phi * (
-            fam_cubic.modulus.log_norm ** ((2.5 - 1) ** 2)
-        )
+        for m, res in zip((2.5, 3.0), integral_moment(fam_cubic, [2.5, 3.0])):
+            assert res.ratio > 0 and math.isfinite(res.ratio)
+            assert res.bound == fam_cubic.modulus.phi * (
+                fam_cubic.modulus.log_norm ** ((m - 1) ** 2)
+            )
+            assert res.moment == float(np.sum(res.integrals ** (2 * m)))

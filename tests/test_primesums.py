@@ -9,7 +9,6 @@ from ffmoments.ffpoly import FieldSpec, prime_count_exact
 from ffmoments.primesums import (
     F_sum,
     F_sum_cumulative,
-    PrimeTable,
     degree_cutoff,
     fsum_defect_sup,
     log_min_estimate,
@@ -21,23 +20,6 @@ from ffmoments.primesums import (
     tail_remainder_bound,
     zeta_log_estimate,
 )
-
-
-class TestPrimeTable:
-    def test_counts_match_formula(self):
-        table = PrimeTable(FieldSpec(2), max_degree=10)
-        for n in range(1, 11):
-            assert table.count(n) == prime_count_exact(FieldSpec(2), n)
-            assert len(table.primes(n)) == table.count(n)
-
-    def test_count_beyond_max_degree_uses_formula(self):
-        table = PrimeTable(FieldSpec(3), max_degree=4)
-        assert table.count(9) == prime_count_exact(FieldSpec(3), 9)
-
-    def test_list_budget_caps_materialization(self):
-        table = PrimeTable(FieldSpec(5), max_degree=12, list_budget=5**4)
-        assert 4 in table.lists and 5 not in table.lists
-        assert table.count(12) == prime_count_exact(FieldSpec(5), 12)
 
 
 class TestCutoff:
