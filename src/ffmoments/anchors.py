@@ -12,7 +12,6 @@ CHECK_ANCHORS = frozenset(
         "log-weighted prime sum",
         "reciprocal prime sum",
         "Lemma 2.3",
-        "Mertens cosine sum",
         "F partial sum",
         "prime power tail",
         # L-polynomial structure and pointwise bounds

@@ -57,7 +57,6 @@ from ffmoments.moments import (
     circle_angle_moments,
     integral_moment,
     moment_report,
-    perron_aliasing_bound,
     perron_partial_sum,
     prop33_statistic,
 )
@@ -74,6 +73,7 @@ from ffmoments.report import (
     PRIMESUM_COLUMNS,
     CheckRow,
     FixtureChecker,
+    below,
     load_fixtures,
     save_fixtures,
     write_check_csv,
@@ -97,6 +97,17 @@ def _map_tasks(func, payloads, jobs: int):
 def _t_grid(q: int, points: int) -> list[float]:
     period = t_period(q)
     return [i * period / points for i in range(points)]
+
+
+def _family_max(results: list[dict], name: str) -> dict[int, dict]:
+    """Per modulus degree, the maximum over the moduli of each entry of the
+    per-modulus dict ``res[name]``."""
+    out: dict[int, dict] = {}
+    for res in results:
+        agg = out.setdefault(res["degree"], {})
+        for key, value in res[name].items():
+            agg[key] = max(agg.get(key, -math.inf), value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +140,7 @@ def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
 
 
 def _enumerate_task(payload) -> dict:
-    cfg_dict, modulus = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, modulus = payload
     field = FieldSpec(cfg.q)
     group = unit_group(modulus)
     chars = all_characters(group)
@@ -195,10 +205,10 @@ def _unit_group_ok(group) -> bool:
     )
 
 
-def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
+def cmd_enumerate(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
-    meta: dict = {}
     field = FieldSpec(cfg.q)
+    subject = f"q={cfg.q}"
 
     n = 1
     while cfg.q ** (n + 1) <= cfg.budget["max_enum"] and n < 40:
@@ -207,86 +217,41 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
         exact = prime_count_exact(field, deg)
         enumerated = irreducible_count_enumerated(field, deg)
         drift = abs(exact - cfg.q**deg / deg)
-        bound = 3 * cfg.q ** (deg / 2) / deg
+        passed = enumerated == exact and drift <= 3 * cfg.q ** (deg / 2) / deg
         rows.append(
-            CheckRow(
-                anchor="Lemma 2.2",
-                subject=f"q={cfg.q}",
-                params=f"n={deg}",
-                value=enumerated,
-                constant=exact,
-                passed=(enumerated == exact) and (drift <= bound),
-            )
+            CheckRow("Lemma 2.2", subject, f"n={deg}", enumerated, exact, passed)
         )
 
+    failures = _ring_spotcheck(cfg.q)
+    params = "random triples, seed 2024"
     rows.append(
-        CheckRow(
-            anchor="plumbing/ring",
-            subject=f"q={cfg.q}",
-            params="random triples, seed 2024",
-            value=_ring_spotcheck(cfg.q),
-            constant=0,
-            passed=_ring_spotcheck(cfg.q) == 0,
-        )
+        CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)
     )
 
     moduli = cfg.modulus_list()
-    payloads = [(cfg.to_dict(), m) for m in moduli]
-    results = _map_tasks(_enumerate_task, payloads, args.jobs)
+    results = _map_tasks(_enumerate_task, [(cfg, m) for m in moduli], args.jobs)
     tol = cfg.tolerance("orthogonality")
     for res in results:
+        subject = res["modulus"]
+        for anchor, params, ok in [
+            ("plumbing/factorization", res["factors"], res["factorization_ok"]),
+            ("plumbing/unit-group", f"orders={res['orders']}", res["unit_group_ok"]),
+        ]:
+            rows.append(CheckRow(anchor, subject, params, res["phi"], "", ok))
+        params = "max |sum chi| over non-principal"
         rows.append(
-            CheckRow(
-                anchor="plumbing/factorization",
-                subject=res["modulus"],
-                params=res["factors"],
-                value=res["phi"],
-                constant="",
-                passed=res["factorization_ok"],
-            )
+            below("plumbing/orthogonality", subject, params, res["ortho_max"], tol)
         )
+        params = "seeded random unit pairs"
         rows.append(
-            CheckRow(
-                anchor="plumbing/unit-group",
-                subject=res["modulus"],
-                params=f"orders={res['orders']}",
-                value=res["phi"],
-                constant="",
-                passed=res["unit_group_ok"],
-            )
+            below("plumbing/multiplicativity", subject, params, res["mult_err"], 1e-12)
         )
+        n, sieve = res["n_primitive"], res["sieve_count"]
+        params = "conductor-divisor sieve"
         rows.append(
-            CheckRow(
-                anchor="plumbing/orthogonality",
-                subject=res["modulus"],
-                params="max |sum chi| over non-principal",
-                value=res["ortho_max"],
-                constant=tol,
-                passed=res["ortho_max"] < tol,
-            )
+            CheckRow("plumbing/primitive-count", subject, params, n, sieve, n == sieve)
         )
-        rows.append(
-            CheckRow(
-                anchor="plumbing/multiplicativity",
-                subject=res["modulus"],
-                params="seeded random unit pairs",
-                value=res["mult_err"],
-                constant=1e-12,
-                passed=res["mult_err"] < 1e-12,
-            )
-        )
-        rows.append(
-            CheckRow(
-                anchor="plumbing/primitive-count",
-                subject=res["modulus"],
-                params="conductor-divisor sieve",
-                value=res["n_primitive"],
-                constant=res["sieve_count"],
-                passed=res["n_primitive"] == res["sieve_count"],
-            )
-        )
-    meta["moduli"] = len(moduli)
-    return rows, meta
+    return rows, {"moduli": len(moduli)}
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +260,7 @@ def cmd_enumerate(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
 
 def _lfun_task(payload) -> dict:
-    cfg_dict, modulus, selftest = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, modulus, selftest = payload
     fam = primitive_family(modulus)
     out: dict = {
         "modulus": str(modulus),
@@ -341,7 +305,7 @@ def _lfun_task(payload) -> dict:
     out["explicit_top"] = top
     out["explicit_max"] = 0.0
     out["prop31_min_slack"] = {h: math.inf for h in range(1, modulus.degree)}
-    out["eq33_max"] = out["eq34_max"] = out["prop32_max"] = -math.inf
+    family = out["family"] = dict.fromkeys(("eq33", "eq34", "prop32"), -math.inf)
     if not fam.n_primitive:
         return out
 
@@ -354,136 +318,71 @@ def _lfun_task(payload) -> dict:
     for h in out["prop31_min_slack"]:
         out["prop31_min_slack"][h] = float(np.min(table.pointwise(ts, h) - log_abs))
 
-    out["eq33_max"] = max(
+    family["eq33"] = max(
         float(np.max(log_abs - table.simplified(ts, h))) for h in cfg.x_exponents
     )
     ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
-    out["eq34_max"] = float(np.max(ratios))
+    family["eq34"] = float(np.max(ratios))
 
     for spec in cfg.resolved_shift_specs():
         lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
         for h in cfg.x_exponents:
             defect = float(np.max(lhs - table.shifted(spec, h)))
-            out["prop32_max"] = max(out["prop32_max"], defect)
+            family["prop32"] = max(family["prop32"], defect)
     return out
 
 
-def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
+def cmd_lfun(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
-    meta: dict = {}
     moduli = cfg.modulus_list()
     selftest = bool(getattr(args, "selftest_perturb", False))
-    payloads = [
-        (cfg.to_dict(), m, selftest and i == 0) for i, m in enumerate(moduli)
-    ]
+    payloads = [(cfg, m, selftest and i == 0) for i, m in enumerate(moduli)]
     results = _map_tasks(_lfun_task, payloads, args.jobs)
 
-    fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
     coeff_tol = cfg.tolerance("coeff_zero")
     root_tol = cfg.tolerance("root_mag")
     identity_tol = cfg.tolerance("identity")
     slack_tol = cfg.tolerance("slack")
-
-    per_degree: dict[int, dict[str, float]] = {}
     for res in results:
         subject = res["modulus"]
         if res["selftest"]:
+            params = "coefficient perturbed by 0.5"
             rows.append(
-                CheckRow(
-                    anchor="plumbing/selftest",
-                    subject=subject,
-                    params="coefficient perturbed by 0.5",
-                    value="injected",
-                    constant="",
-                    passed=True,
-                )
+                CheckRow("plumbing/selftest", subject, params, "injected", "", True)
             )
-        rows.append(
-            CheckRow(
-                anchor="degree bound",
-                subject=subject,
-                params=f"probe degrees {res['degree']}..{res['degree'] + 2}",
-                value=res["probe_max"],
-                constant=coeff_tol,
-                passed=res["probe_max"] < coeff_tol,
-            )
-        )
+        probes = f"probe degrees {res['degree']}..{res['degree'] + 2}"
+        rows.append(below("degree bound", subject, probes, res["probe_max"], coeff_tol))
         for chi_index, dev in res["root_rows"]:
-            rows.append(
-                CheckRow(
-                    anchor="RH roots",
-                    subject=subject,
-                    params=f"chi#{chi_index}",
-                    value=dev,
-                    constant=root_tol,
-                    passed=dev < root_tol,
-                )
-            )
-        rows.append(
-            CheckRow(
-                anchor="conjugation",
-                subject=subject,
-                params="coeffs(conj chi) vs conj(coeffs)",
-                value=res["conj_max"],
-                constant=1e-10,
-                passed=res["conj_max"] < 1e-10,
-            )
-        )
-        rows.append(
-            CheckRow(
-                anchor="explicit formula",
-                subject=subject,
-                params=f"n=1..{res['explicit_top']}, prime powers vs Newton power sums",
-                value=res["explicit_max"],
-                constant=identity_tol,
-                passed=res["explicit_max"] < identity_tol,
-            )
-        )
+            rows.append(below("RH roots", subject, f"chi#{chi_index}", dev, root_tol))
+        params = "coeffs(conj chi) vs conj(coeffs)"
+        rows.append(below("conjugation", subject, params, res["conj_max"], 1e-10))
+        params = f"n=1..{res['explicit_top']}, prime powers vs Newton power sums"
+        value = res["explicit_max"]
+        rows.append(below("explicit formula", subject, params, value, identity_tol))
         for h, slack in sorted(res["prop31_min_slack"].items()):
+            params = f"h={h}, min slack over grid"
             rows.append(
                 CheckRow(
-                    anchor="Prop 3.1",
-                    subject=subject,
-                    params=f"h={h}, min slack over grid",
-                    value=slack,
-                    constant=-slack_tol,
-                    passed=slack >= -slack_tol,
+                    "Prop 3.1", subject, params, slack, -slack_tol, slack >= -slack_tol
                 )
             )
-        agg = per_degree.setdefault(
-            res["degree"], {"eq33": -math.inf, "eq34": -math.inf, "prop32": -math.inf}
-        )
-        agg["eq33"] = max(agg["eq33"], res["eq33_max"])
-        agg["eq34"] = max(agg["eq34"], res["eq34_max"])
-        agg["prop32"] = max(agg["prop32"], res["prop32_max"])
 
     rel = cfg.tolerance("fixture_rel")
     lsig = cfg.lfun_signature()
-    for degree in sorted(per_degree):
-        agg = per_degree[degree]
+    for degree, agg in sorted(_family_max(results, "family").items()):
         if not math.isfinite(agg["eq33"]):
             continue  # no primitive characters at this degree
-        for short, anchor in [
-            ("eq33", "simplified log-L bound"),
-            ("prop32", "Prop 3.2"),
-            ("eq34", "single-L bound"),
+        subject = f"q={cfg.q}, d(Q)={degree}"
+        for short, anchor, params in [
+            ("eq33", "simplified log-L bound", "family sup defect"),
+            ("prop32", "Prop 3.2", "family sup defect"),
+            ("eq34", "single-L bound", "family sup ratio"),
         ]:
             key = f"lfun/{short}_sup/{lsig}/q{cfg.q}_d{degree}"
-            ok, recorded = fixtures.check(key, agg[short], rel_tol=rel)
             rows.append(
-                CheckRow(
-                    anchor=anchor,
-                    subject=f"q={cfg.q}, d(Q)={degree}",
-                    params="family sup defect" if short != "eq34" else "family sup ratio",
-                    value=agg[short],
-                    constant=recorded,
-                    passed=ok,
-                )
+                fixtures.row(anchor, subject, params, key, agg[short], rel_tol=rel)
             )
-    if fixtures.updated:
-        save_fixtures(fixtures.fixtures, cfg.fixtures)
-    meta["moduli"] = len(moduli)
-    return rows, meta
+    return rows, {"moduli": len(moduli)}
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +391,20 @@ def cmd_lfun(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict]:
 
 
 def _moments_task(payload) -> dict:
-    cfg_dict, modulus, specs = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, modulus, specs = payload
     fam = primitive_family(modulus)
+    family = dict.fromkeys(("zeta", "min", "prop33"), -math.inf)
     out: dict = {
         "modulus": str(modulus),
         "degree": modulus.degree,
-        "phi": modulus.phi,
         "n_primitive": fam.n_primitive,
         "moment_rows": [],
-        "prop33_max": -math.inf,
+        "family": family,
+        "thm13": {},
+        "prop41": {},
+        "finite_ok": True,
         "cor12_dev": 0.0,
         "perron_max_err": 0.0,
-        "perron_alias_bound": 0.0,
-        "charsum": [],
-        "integral": [],
     }
     reports = moment_report(fam, specs)
     for rep in reports:
@@ -529,10 +427,16 @@ def _moments_task(payload) -> dict:
     if not fam.n_primitive:
         return out
 
+    for rep in reports:
+        ratios = (rep.ratio_zeta, rep.ratio_min)
+        out["finite_ok"] &= all(math.isfinite(x) and x > 0 for x in ratios)
+        family["zeta"] = max(family["zeta"], rep.ratio_zeta)
+        family["min"] = max(family["min"], rep.ratio_min)
+
     # restatement on the critical circle: same values via angles
     for rep, lhs_theta in zip(reports, circle_angle_moments(fam, specs)):
         if rep.lhs > 0:
-            out["prop33_max"] = max(out["prop33_max"], prop33_statistic(fam, rep.lhs))
+            family["prop33"] = max(family["prop33"], prop33_statistic(fam, rep.lhs))
             out["cor12_dev"] = max(out["cor12_dev"], abs(lhs_theta - rep.lhs) / rep.lhs)
 
     # the samples are drawn first, then evaluated in groups of equal N,
@@ -550,152 +454,69 @@ def _moments_task(payload) -> dict:
         quad = perron_partial_sum(rows, N, r, M)
         err = np.max(np.abs(quad - np.sum(rows[:, : N + 1], axis=1)))
         out["perron_max_err"] = max(out["perron_max_err"], float(err))
-        out["perron_alias_bound"] = max(
-            out["perron_alias_bound"], float(np.max(perron_aliasing_bound(rows, r, M)))
-        )
 
     for m in cfg.moment_exponents:
         for yexp in cfg.y_exponents:
-            cs = charsum_moment(fam, m, cfg.q**yexp)
-            out["charsum"].append([m, yexp, cs.moment, cs.ratio])
+            out["thm13"][m, yexp] = charsum_moment(fam, m, cfg.q**yexp).ratio
     for m, im in zip(
         cfg.moment_exponents,
         integral_moment(fam, cfg.moment_exponents, cfg.quad_points),
     ):
-        out["integral"].append([m, im.moment, im.ratio])
+        out["prop41"][m] = im.ratio
     return out
 
 
-def cmd_moments(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, list]:
+def cmd_moments(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
-    meta: dict = {}
     moduli = cfg.modulus_list()
     specs = cfg.resolved_shift_specs()
-    payloads = [(cfg.to_dict(), m, specs) for m in moduli]
+    payloads = [(cfg, m, specs) for m in moduli]
     results = _map_tasks(_moments_task, payloads, args.jobs)
 
-    fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
     ident_tol = cfg.tolerance("identity")
-    rel = cfg.tolerance("fixture_rel")
-
     moment_rows: list[list] = []
-    agg: dict[int, dict] = {}
     for res in results:
         moment_rows.extend(res["moment_rows"])
-        bucket = agg.setdefault(
-            res["degree"],
-            {
-                "zeta": -math.inf,
-                "min": -math.inf,
-                "prop33": -math.inf,
-                "thm13": {},
-                "prop41": {},
-            },
-        )
-        finite_ok = True
-        for row in res["moment_rows"]:
-            if row[4] > 0:
-                ratio_zeta, ratio_min = row[9], row[10]
-                finite_ok = finite_ok and all(
-                    math.isfinite(x) and x > 0 for x in (ratio_zeta, ratio_min)
-                )
-                bucket["zeta"] = max(bucket["zeta"], ratio_zeta)
-                bucket["min"] = max(bucket["min"], ratio_min)
-        bucket["prop33"] = max(bucket["prop33"], res["prop33_max"])
-        for m, yexp, _moment, ratio in res["charsum"]:
-            key = (m, yexp)
-            bucket["thm13"][key] = max(bucket["thm13"].get(key, -math.inf), ratio)
-        for m, _moment, ratio in res["integral"]:
-            bucket["prop41"][m] = max(bucket["prop41"].get(m, -math.inf), ratio)
-
         if res["n_primitive"]:
-            rows.append(
-                CheckRow(
-                    anchor="Thm 1.1 zeta",
-                    subject=res["modulus"],
-                    params="ratios finite and positive",
-                    value="ok" if finite_ok else "bad",
-                    constant="",
-                    passed=finite_ok,
-                )
-            )
-            rows.append(
-                CheckRow(
-                    anchor="Lemma 2.4",
-                    subject=res["modulus"],
-                    params="contour quadrature vs direct partial sums",
-                    value=res["perron_max_err"],
-                    constant=ident_tol,
-                    passed=res["perron_max_err"] < ident_tol,
-                )
-            )
-            rows.append(
-                CheckRow(
-                    anchor="Cor 1.2",
-                    subject=res["modulus"],
-                    params="circle-angle restatement, relative deviation",
-                    value=res["cor12_dev"],
-                    constant=1e-9,
-                    passed=res["cor12_dev"] < 1e-9,
-                )
-            )
+            subject, ok = res["modulus"], res["finite_ok"]
+            params = "ratios finite and positive"
+            value = "ok" if ok else "bad"
+            rows.append(CheckRow("Thm 1.1 zeta", subject, params, value, "", ok))
+            params = "contour quadrature vs direct partial sums"
+            value = res["perron_max_err"]
+            rows.append(below("Lemma 2.4", subject, params, value, ident_tol))
+            params = "circle-angle restatement, relative deviation"
+            rows.append(below("Cor 1.2", subject, params, res["cor12_dev"], 1e-9))
 
+    rel = cfg.tolerance("fixture_rel")
     msig = cfg.moments_signature()
-    for degree in sorted(agg):
-        bucket = agg[degree]
-        if not math.isfinite(bucket["zeta"]):
+    thm13 = _family_max(results, "thm13")
+    prop41 = _family_max(results, "prop41")
+    for degree, agg in sorted(_family_max(results, "family").items()):
+        if not math.isfinite(agg["zeta"]):
             continue
-        for short, anchor, value in [
-            ("thm11_zeta_max", "Thm 1.1 zeta", bucket["zeta"]),
-            ("thm11_min_max", "Thm 1.1 min", bucket["min"]),
-            ("prop33_max", "Prop 3.3", bucket["prop33"]),
+        subject = f"q={cfg.q}, d(Q)={degree}"
+        for short, anchor, name in [
+            ("thm11_zeta_max", "Thm 1.1 zeta", "zeta"),
+            ("thm11_min_max", "Thm 1.1 min", "min"),
+            ("prop33_max", "Prop 3.3", "prop33"),
         ]:
             key = f"moments/{short}/{msig}/q{cfg.q}_d{degree}"
-            ok, recorded = fixtures.check(key, value, rel_tol=rel)
             rows.append(
-                CheckRow(
-                    anchor=anchor,
-                    subject=f"q={cfg.q}, d(Q)={degree}",
-                    params="family max",
-                    value=value,
-                    constant=recorded,
-                    passed=ok,
-                )
+                fixtures.row(anchor, subject, "family max", key, agg[name], rel_tol=rel)
             )
-        for (m, yexp), value in sorted(bucket["thm13"].items()):
+        for (m, yexp), value in sorted(thm13[degree].items()):
+            params = f"m={m}, Y=q^{yexp}" + ("" if m > 2 else " (outside stated range)")
             key = f"moments/thm13_max/q{cfg.q}_d{degree}_m{m}_y{yexp}"
-            ok, recorded = fixtures.check(key, value, rel_tol=rel)
             rows.append(
-                CheckRow(
-                    anchor="Thm 1.3",
-                    subject=f"q={cfg.q}, d(Q)={degree}",
-                    params=f"m={m}, Y=q^{yexp}"
-                    + ("" if m > 2 else " (outside stated range)"),
-                    value=value,
-                    constant=recorded,
-                    passed=ok,
-                )
+                fixtures.row("Thm 1.3", subject, params, key, value, rel_tol=rel)
             )
-        for m, value in sorted(bucket["prop41"].items()):
-            key = (
-                f"moments/prop41_max/q{cfg.q}_d{degree}_m{m}"
-                f"_quad{cfg.quad_points}"
-            )
-            ok, recorded = fixtures.check(key, value, rel_tol=rel)
+        for m, value in sorted(prop41[degree].items()):
+            key = f"moments/prop41_max/q{cfg.q}_d{degree}_m{m}_quad{cfg.quad_points}"
             rows.append(
-                CheckRow(
-                    anchor="Prop 4.1",
-                    subject=f"q={cfg.q}, d(Q)={degree}",
-                    params=f"m={m}",
-                    value=value,
-                    constant=recorded,
-                    passed=ok,
-                )
+                fixtures.row("Prop 4.1", subject, f"m={m}", key, value, rel_tol=rel)
             )
-    if fixtures.updated:
-        save_fixtures(fixtures.fixtures, cfg.fixtures)
-    meta["moduli"] = len(moduli)
-    return rows, meta, moment_rows
+    return rows, {"moduli": len(moduli)}, moment_rows
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +524,11 @@ def cmd_moments(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, list
 # ---------------------------------------------------------------------------
 
 
-def cmd_primesums(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, list]:
+def cmd_primesums(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
     table_rows: list[list] = []
-    meta: dict = {}
     ps = cfg.primesums
-    fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
-    abs_tol = cfg.tolerance("fixture_abs")
+    tol = {"abs_tol": cfg.tolerance("fixture_abs")}
     h_min, h_max = ps["h_min"], ps["h_max"]
     psig = cfg.primesums_signature()
 
@@ -717,22 +536,12 @@ def cmd_primesums(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, li
     slice_max = {"half": -math.inf, "full": -math.inf}
     for q in ps["qs"]:
         lnq = math.log(q)
+        subject = f"q={q}"
 
-        eq22_sup = max(
-            abs(logp_sum(q, q**h) - h * lnq) for h in range(1, h_max + 1)
-        )
-        ok, recorded = fixtures.check(
-            f"primesums/eq22_sup/{psig}/q{q}", eq22_sup, abs_tol=abs_tol
-        )
+        eq22 = max(abs(logp_sum(q, q**h) - h * lnq) for h in range(1, h_max + 1))
+        params, key = f"sup defect, h<= {h_max}", f"primesums/eq22_sup/{psig}/q{q}"
         rows.append(
-            CheckRow(
-                anchor="log-weighted prime sum",
-                subject=f"q={q}",
-                params=f"sup defect, h<= {h_max}",
-                value=eq22_sup,
-                constant=recorded,
-                passed=ok,
-            )
+            fixtures.row("log-weighted prime sum", subject, params, key, eq22, **tol)
         )
 
         b_hat = recip_sum(q, q**h_max) - math.log(h_max * lnq)
@@ -740,32 +549,14 @@ def cmd_primesums(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, li
             abs(recip_sum(q, q**h) - math.log(h * lnq) - b_hat) * (h * lnq)
             for h in range(h_min, h_max + 1)
         )
-        ok_b, rec_b = fixtures.check(
-            f"primesums/eq23_b/{psig}/q{q}", b_hat, abs_tol=abs_tol
-        )
-        ok_r, rec_r = fixtures.check(
-            f"primesums/eq23_residual_sup/{psig}/q{q}", resid_sup, abs_tol=abs_tol
-        )
-        rows.append(
-            CheckRow(
-                anchor="reciprocal prime sum",
-                subject=f"q={q}",
-                params=f"fitted b at h={h_max}",
-                value=b_hat,
-                constant=rec_b,
-                passed=ok_b,
+        for params, short, value in [
+            (f"fitted b at h={h_max}", "eq23_b", b_hat),
+            ("sup residual * log x", "eq23_residual_sup", resid_sup),
+        ]:
+            key = f"primesums/{short}/{psig}/q{q}"
+            rows.append(
+                fixtures.row("reciprocal prime sum", subject, params, key, value, **tol)
             )
-        )
-        rows.append(
-            CheckRow(
-                anchor="reciprocal prime sum",
-                subject=f"q={q}",
-                params="sup residual * log x",
-                value=resid_sup,
-                constant=rec_r,
-                passed=ok_r,
-            )
-        )
 
         rows_q, sup_zeta, sup_min, per_h = mertens_grid_sweep(
             q, h_min, h_max, ps["alpha_points"]
@@ -776,93 +567,39 @@ def cmd_primesums(cfg: ExperimentConfig, args) -> tuple[list[CheckRow], dict, li
         pooled["zeta"] = max(pooled["zeta"], sup_zeta)
         pooled["min"] = max(pooled["min"], sup_min)
         for name, value in (("zeta", sup_zeta), ("min", sup_min)):
-            ok, recorded = fixtures.check(
-                f"primesums/lemma23_{name}_sup/{psig}/q{q}", value, abs_tol=abs_tol
-            )
-            rows.append(
-                CheckRow(
-                    anchor="Lemma 2.3",
-                    subject=f"q={q}",
-                    params=f"sup |cos sum - {name} estimate|",
-                    value=value,
-                    constant=recorded,
-                    passed=ok,
-                )
-            )
+            params = f"sup |cos sum - {name} estimate|"
+            key = f"primesums/lemma23_{name}_sup/{psig}/q{q}"
+            rows.append(fixtures.row("Lemma 2.3", subject, params, key, value, **tol))
 
-        tail_sup = max(
-            prime_power_tail(q, q**h) for h in range(1, ps["tail_h_max"] + 1)
-        )
-        ok, recorded = fixtures.check(
-            f"primesums/tail_sup/{psig}/q{q}", tail_sup, abs_tol=abs_tol
-        )
-        rows.append(
-            CheckRow(
-                anchor="prime power tail",
-                subject=f"q={q}",
-                params=f"sup over h <= {ps['tail_h_max']}",
-                value=tail_sup,
-                constant=recorded,
-                passed=ok,
-            )
-        )
+        tail = max(prime_power_tail(q, q**h) for h in range(1, ps["tail_h_max"] + 1))
+        params = f"sup over h <= {ps['tail_h_max']}"
+        key = f"primesums/tail_sup/{psig}/q{q}"
+        rows.append(fixtures.row("prime power tail", subject, params, key, tail, **tol))
         rem_bounds = [
             tail_remainder_bound(q, q**4, trunc) for trunc in range(8, 33, 4)
         ]
         monotone = all(a >= b for a, b in zip(rem_bounds, rem_bounds[1:]))
-        rows.append(
-            CheckRow(
-                anchor="prime power tail",
-                subject=f"q={q}",
-                params="remainder bound monotone in truncation",
-                value="decreasing" if monotone else "not monotone",
-                constant="",
-                passed=monotone,
-            )
-        )
+        params = "remainder bound monotone in truncation"
+        value = "decreasing" if monotone else "not monotone"
+        rows.append(CheckRow("prime power tail", subject, params, value, "", monotone))
 
     for name in ("zeta", "min"):
-        ok, recorded = fixtures.check(
-            f"primesums/lemma23_{name}_sup/{psig}", pooled[name], abs_tol=abs_tol
-        )
+        params = f"sup |cos sum - {name} estimate|"
+        key = f"primesums/lemma23_{name}_sup/{psig}"
         rows.append(
-            CheckRow(
-                anchor="Lemma 2.3",
-                subject="pooled",
-                params=f"sup |cos sum - {name} estimate|",
-                value=pooled[name],
-                constant=recorded,
-                passed=ok,
-            )
+            fixtures.row("Lemma 2.3", "pooled", params, key, pooled[name], **tol)
         )
-    growth_ok = slice_max["full"] <= 1.1 * slice_max["half"]
+    half, full = slice_max["half"], slice_max["full"]
+    params = f"h={h_max} slice vs h={h_max // 2} slice"
     rows.append(
-        CheckRow(
-            anchor="Lemma 2.3",
-            subject="pooled",
-            params=f"h={h_max} slice vs h={h_max // 2} slice",
-            value=slice_max["full"] / slice_max["half"],
-            constant=1.1,
-            passed=growth_ok,
-        )
+        CheckRow("Lemma 2.3", "pooled", params, full / half, 1.1, full <= 1.1 * half)
     )
 
     f_sup = fsum_defect_sup(ps["f_h_max"], ps["alpha_points"])
-    ok, recorded = fixtures.check(f"primesums/fsum_sup/{psig}", f_sup, abs_tol=abs_tol)
-    rows.append(
-        CheckRow(
-            anchor="F partial sum",
-            subject=f"h <= {ps['f_h_max']}",
-            params="sup |F - log min(h, 1/theta_bar)|",
-            value=f_sup,
-            constant=recorded,
-            passed=ok,
-        )
-    )
-
-    if fixtures.updated:
-        save_fixtures(fixtures.fixtures, cfg.fixtures)
-    return rows, meta, table_rows
+    subject, params = f"h <= {ps['f_h_max']}", "sup |F - log min(h, 1/theta_bar)|"
+    key = f"primesums/fsum_sup/{psig}"
+    rows.append(fixtures.row("F partial sum", subject, params, key, f_sup, **tol))
+    return rows, {}, table_rows
 
 
 # ---------------------------------------------------------------------------
@@ -915,43 +652,32 @@ def _write_metadata(out_dir: Path, command: str, meta: dict, elapsed: float):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    dispatch = {
+        "enumerate": (cmd_enumerate, "enumerate.csv", None),
+        "lfun": (cmd_lfun, "lfun.csv", None),
+        "moments": (cmd_moments, "moments_checks.csv", MOMENT_COLUMNS),
+        "primesums": (cmd_primesums, "primesums_checks.csv", PRIMESUM_COLUMNS),
+    }
     try:
         cfg = load_config(args.config)
         if args.budget is not None:
             cfg.budget["max_phi_total"] = args.budget
         out_dir = Path(args.out if args.out is not None else (cfg.out or "out"))
         started = time.perf_counter()
+        fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
         meta: dict = {}
         all_rows: list[CheckRow] = []
-        commands = (
-            ["enumerate", "lfun", "moments", "primesums"]
-            if args.command == "all"
-            else [args.command]
-        )
-        for command in commands:
-            if command == "enumerate":
-                rows, m = cmd_enumerate(cfg, args)
-                write_check_csv(out_dir / "enumerate.csv", rows)
-            elif command == "lfun":
-                rows, m = cmd_lfun(cfg, args)
-                write_check_csv(out_dir / "lfun.csv", rows)
-            elif command == "moments":
-                rows, m, moment_rows = cmd_moments(cfg, args)
-                write_check_csv(out_dir / "moments_checks.csv", rows)
-                write_table_csv(
-                    out_dir / "moments.csv", MOMENT_COLUMNS, moment_rows
-                )
-                write_json_rows(
-                    out_dir / "moments.json", MOMENT_COLUMNS, moment_rows
-                )
-            else:
-                rows, m, table = cmd_primesums(cfg, args)
-                write_check_csv(out_dir / "primesums_checks.csv", rows)
-                write_table_csv(
-                    out_dir / "primesums.csv", PRIMESUM_COLUMNS, table
-                )
+        for command in list(dispatch) if args.command == "all" else [args.command]:
+            cmd, checks, columns = dispatch[command]
+            rows, meta[command], *tables = cmd(cfg, args, fixtures)
+            write_check_csv(out_dir / checks, rows)
+            if columns:
+                write_table_csv(out_dir / f"{command}.csv", columns, tables[0])
+            if command == "moments":
+                write_json_rows(out_dir / "moments.json", columns, tables[0])
             all_rows.extend(rows)
-            meta[command] = m
+        if fixtures.updated:
+            save_fixtures(fixtures.fixtures, cfg.fixtures)
         _write_metadata(out_dir, args.command, meta, time.perf_counter() - started)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

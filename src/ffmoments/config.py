@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ffmoments.chargroup import Modulus, factor_modulus
@@ -81,30 +81,11 @@ class ExperimentConfig:
 
     # -- serialization -------------------------------------------------
 
-    _FIELDS = {
-        "schema",
-        "q",
-        "family",
-        "moduli",
-        "shift_specs",
-        "moment_exponents",
-        "y_exponents",
-        "x_exponents",
-        "t_grid_points",
-        "quad_points",
-        "perron",
-        "primesums",
-        "tolerances",
-        "budget",
-        "fixtures",
-        "out",
-    }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("configuration must be a JSON object")
-        _require_keys(d, cls._FIELDS, "config")
+        _require_keys(d, {f.name for f in fields(cls)}, "config")
         if d.get("schema") != CONFIG_SCHEMA:
             raise ConfigError(
                 f'config must declare "schema": {CONFIG_SCHEMA}, got {d.get("schema")!r}'
@@ -114,24 +95,7 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "q": self.q,
-            "family": self.family,
-            "moduli": self.moduli,
-            "shift_specs": self.shift_specs,
-            "moment_exponents": self.moment_exponents,
-            "y_exponents": self.y_exponents,
-            "x_exponents": self.x_exponents,
-            "t_grid_points": self.t_grid_points,
-            "quad_points": self.quad_points,
-            "perron": self.perron,
-            "primesums": self.primesums,
-            "tolerances": self.tolerances,
-            "budget": self.budget,
-            "fixtures": self.fixtures,
-            "out": self.out,
-        }
+        return asdict(self)
 
     # -- validation ------------------------------------------------------
 

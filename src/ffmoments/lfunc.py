@@ -73,31 +73,6 @@ def u_on_circle(q: int, theta: float) -> complex:
     return cmath.exp(1j * theta) / math.sqrt(q)
 
 
-@dataclass(frozen=True)
-class ShiftPoint:
-    """A point on the critical circle, as a shift t and an angle theta.
-
-    The two coordinates satisfy theta = -t log q, so that evaluating the
-    L-polynomial at e^(i theta)/sqrt(q) equals L(1/2 + i t, chi).
-    """
-
-    q: int
-    t: float
-    theta: float
-
-    @classmethod
-    def from_t(cls, q: int, t: float) -> "ShiftPoint":
-        return cls(q=q, t=t, theta=-t * math.log(q))
-
-    @classmethod
-    def from_theta(cls, q: int, theta: float) -> "ShiftPoint":
-        return cls(q=q, t=-theta / math.log(q), theta=theta)
-
-    @property
-    def u(self) -> complex:
-        return u_on_circle(self.q, self.theta)
-
-
 class LPolynomial:
     """Complex coefficients of the L-polynomial of a non-principal character."""
 
@@ -243,7 +218,6 @@ class PrimitiveFamily:
 
     modulus: Modulus
     group: UnitGroup
-    characters: tuple[DirichletChar, ...]
     primitive_chars: tuple[DirichletChar, ...]
     coeffs: np.ndarray  # (n_primitive, deg Q)
 
@@ -251,22 +225,14 @@ class PrimitiveFamily:
     def n_primitive(self) -> int:
         return len(self.primitive_chars)
 
-    def l_polynomials(self) -> list[LPolynomial]:
-        return [
-            LPolynomial(chi, row)
-            for chi, row in zip(self.primitive_chars, self.coeffs)
-        ]
-
 
 def primitive_family(modulus: Modulus) -> PrimitiveFamily:
     """The unit group, characters and primitive L-coefficients of Q."""
     group = unit_group(modulus)
-    chars = all_characters(group)
-    primitive = tuple(c for c in chars if c.primitive)
+    primitive = tuple(c for c in all_characters(group) if c.primitive)
     return PrimitiveFamily(
         modulus=modulus,
         group=group,
-        characters=tuple(chars),
         primitive_chars=primitive,
         coeffs=l_coefficients(group, list(primitive)),
     )
@@ -448,9 +414,3 @@ def loglog_norm(modulus: Modulus) -> float:
         raise ValueError("log log |Q| undefined or nonpositive at this modulus")
     return math.log(val)
 
-
-def crude_single_bound_ratio(L: LPolynomial, t: float) -> float:
-    """log|L(1/2+it)| divided by log|Q|/loglog|Q|; the family-wise sup is the
-    empirical constant in the crude single-value bound."""
-    modulus = L.character.group.modulus
-    return log_abs_l(L, t) / (modulus.log_norm / loglog_norm(modulus))

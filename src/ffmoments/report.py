@@ -33,6 +33,11 @@ class CheckRow:
             raise ValueError(f"unregistered check anchor: {self.anchor!r}")
 
 
+def below(anchor: str, subject: str, params: str, value, bound) -> CheckRow:
+    """A row that passes when value < bound; equality and NaN fail."""
+    return CheckRow(anchor, subject, params, value, bound, value < bound)
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "pass" if x else "fail"
@@ -162,3 +167,8 @@ class FixtureChecker:
         else:
             ok = abs(value - recorded) <= (rel_tol or 0.25) * abs(recorded)
         return ok, recorded
+
+    def row(self, anchor, subject, params, key, value, **tol) -> CheckRow:
+        """The row comparing ``value`` with fixture ``key`` (see ``check``)."""
+        ok, recorded = self.check(key, value, **tol)
+        return CheckRow(anchor, subject, params, value, recorded, ok)

@@ -27,6 +27,7 @@ from ffmoments.ffpoly import (
     prime_count_exact,
 )
 from ffmoments.lfunc import (
+    LPolynomial,
     l_coefficient_probe,
     log_abs_l,
     log_l_bound_pointwise,
@@ -45,6 +46,11 @@ from ffmoments.primesums import mertens_grid_sweep
 from ffmoments.report import load_fixtures
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def l_polynomials(fam):
+    """One L-polynomial per primitive character of the family, in order."""
+    return [LPolynomial(chi, row) for chi, row in zip(fam.primitive_chars, fam.coeffs)]
 
 
 def report(number: int, name: str, ok: bool, detail: str):
@@ -116,7 +122,7 @@ def test_criterion_2_l_polynomial_structure(q3_family):
                     fam.group, list(fam.primitive_chars), extra
                 )
                 worst_probe = max(worst_probe, float(np.max(np.abs(vals))))
-            for L in fam.l_polynomials():
+            for L in l_polynomials(fam):
                 n_chars += 1
                 for alpha in L.inverse_roots():
                     mag = abs(alpha)
@@ -177,7 +183,7 @@ def test_criterion_4_pointwise_inequality():
             fam = primitive_family(
                 factor_modulus(monic_from_index(field, 3, idx))
             )
-            for chi, L in zip(fam.primitive_chars, fam.l_polynomials()):
+            for chi, L in zip(fam.primitive_chars, l_polynomials(fam)):
                 for h in (1, 2):
                     for t in ts:
                         slack = log_l_bound_pointwise(chi, t, h) - log_abs_l(
@@ -209,7 +215,7 @@ def test_criterion_5_perron_identity(q3_family):
         rng = random.Random(500 + degree)
         for _ in range(50):
             fam, i = pool[rng.randrange(len(pool))]
-            L = fam.l_polynomials()[i]
+            L = l_polynomials(fam)[i]
             N = rng.randrange(0, degree + 2)
             M = 64 * (N + degree)
             quad = perron_partial_sum(L.coeffs[None, :], N, 0.5, M)[0]

@@ -14,6 +14,7 @@ from ffmoments.chargroup import factor_modulus, unit_group
 from ffmoments.cli import _unit_group_ok, main
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
+from ffmoments.report import CheckRow, FixtureChecker, below
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,6 +130,30 @@ class TestConfig:
             load_config(tmp_path / "nope.json")
 
 
+class TestReportRows:
+    def test_below_is_strict(self):
+        assert below("Cor 1.2", "s", "p", 0.5, 1.0).passed
+        assert not below("Cor 1.2", "s", "p", 1.0, 1.0).passed
+        assert not below("Cor 1.2", "s", "p", float("nan"), 1.0).passed
+        row = below("Cor 1.2", "s", "p", 0.5, 1.0)
+        assert row == CheckRow("Cor 1.2", "s", "p", 0.5, 1.0, True)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("recorded", 1.1, (True, 1.0)),  # within 25 % of 1.0
+            ("missing", 1.1, (True, "")),  # unrecorded: blank constant
+            ("recorded", 2.0, (False, 1.0)),  # out of tolerance
+            ("recorded", float("inf"), (False, 1.0)),  # non-finite
+        ],
+    )
+    def test_fixture_row_matches_check(self, key, value, expected):
+        fixtures = FixtureChecker({"recorded": 1.0}, record=False)
+        assert fixtures.check(key, value, rel_tol=0.25) == expected
+        row = fixtures.row("Prop 3.3", "s", "p", key, value, rel_tol=0.25)
+        assert row == CheckRow("Prop 3.3", "s", "p", value, expected[1], expected[0])
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -158,17 +183,64 @@ class TestCli:
         assert all(r["status"] == "pass" for r in rows)
 
     def test_all_anchors_registered(self, smoke):
+        # smoke `all` plus the self-test emit every registered anchor, and
+        # only those
         cfg, tmp = smoke
         out = tmp / "anchor_check"
         assert run_cli("all", "--config", cfg, "--out", str(out)) == 0
+        selftest = tmp / "anchor_selftest"
+        code = run_cli(
+            "lfun", "--config", cfg, "--out", str(selftest), "--selftest-perturb"
+        )
+        assert code == 1
+        emitted = {row["anchor"] for row in read_rows(selftest / "lfun.csv")}
         for name in (
             "enumerate.csv",
             "lfun.csv",
             "moments_checks.csv",
             "primesums_checks.csv",
         ):
-            for row in read_rows(out / name):
-                assert row["anchor"] in CHECK_ANCHORS, row
+            emitted |= {row["anchor"] for row in read_rows(out / name)}
+        assert emitted == CHECK_ANCHORS
+
+    def test_all_record_saves_once(self, tmp_path, monkeypatch):
+        # one fixture file write per run, holding the keys of every command;
+        # a verify run against it then meets a recorded fixture on every row
+        fixtures_path = tmp_path / "fixtures.json"
+        cfg_dict = json.loads((CONFIGS / "smoke_q3_d2.json").read_text())
+        cfg_dict["fixtures"] = str(fixtures_path)
+        cfg = tmp_path / "smoke.json"
+        cfg.write_text(json.dumps(cfg_dict))
+
+        saves, looked_up, unrecorded = [], set(), []
+        save, check = cli.save_fixtures, FixtureChecker.check
+
+        def counting_save(fixtures, path):
+            saves.append(sorted(fixtures))
+            save(fixtures, path)
+
+        def counting_check(checker, key, value, **tol):
+            looked_up.add(key)
+            if key not in checker.fixtures:
+                unrecorded.append(key)
+            return check(checker, key, value, **tol)
+
+        monkeypatch.setattr(cli, "save_fixtures", counting_save)
+        monkeypatch.setattr(FixtureChecker, "check", counting_check)
+        out = str(tmp_path / "out")
+        assert run_cli("all", "--config", str(cfg), "--out", out, "--record") == 0
+        assert saves == [sorted(looked_up)]
+        assert {key.split("/")[0] for key in looked_up} == {
+            "lfun",
+            "moments",
+            "primesums",
+        }
+        assert sorted(json.loads(fixtures_path.read_text())) == saves[0]
+
+        unrecorded.clear()
+        assert run_cli("all", "--config", str(cfg), "--out", out) == 0
+        assert unrecorded == []
+        assert len(saves) == 1
 
     def test_config_error_exit_two(self, smoke, tmp_path, capsys):
         bad = tmp_path / "bad.json"
