@@ -18,7 +18,6 @@ complex numbers computed at call time.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -238,16 +237,6 @@ class UnitGroup:
         self.orders = orders
         self.residues = residues  # sorted unit residue indices, int64
         self.dlog_mat = dlog_mat  # (phi, r) exponent rows aligned to residues
-        self._kernel_rows: dict[int, np.ndarray] = {}
-        self._monic_rows: dict[int, np.ndarray] = {}
-
-    @functools.cached_property
-    def dlog(self) -> dict[int, tuple[int, ...]]:
-        """Exponent vector of each unit residue index, built on first use."""
-        return {
-            int(ridx): tuple(int(v) for v in vec)
-            for ridx, vec in zip(self.residues, self.dlog_mat)
-        }
 
     @property
     def rank(self) -> int:
@@ -260,7 +249,8 @@ class UnitGroup:
     def dlog_of(self, f: FqPoly) -> tuple[int, ...] | None:
         """Exponent vector of f mod Q, or None when gcd(f, Q) != 1."""
         r = f % self.modulus.poly
-        return self.dlog.get(residue_index(r, self.modulus.degree))
+        (row,), (unit,) = self.rows_of([residue_index(r, self.modulus.degree)])
+        return tuple(int(v) for v in self.dlog_mat[row]) if unit else None
 
     def rows_of(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """Rows (into residues) of the given residue indices by binary
@@ -274,30 +264,26 @@ class UnitGroup:
     def monic_unit_rows(self, n: int) -> np.ndarray:
         """Rows (into residues) of the coprime monic polynomials of degree n,
         ascending; valid for 0 <= n < deg(Q)."""
-        if n not in self._monic_rows:
-            q = self.modulus.field.q
-            lo = np.searchsorted(self.residues, q**n)
-            hi = np.searchsorted(self.residues, 2 * q**n)
-            self._monic_rows[n] = np.arange(lo, hi, dtype=np.int64)
-        return self._monic_rows[n]
+        q = self.modulus.field.q
+        lo = np.searchsorted(self.residues, q**n)
+        hi = np.searchsorted(self.residues, 2 * q**n)
+        return np.arange(lo, hi, dtype=np.int64)
 
     def reduction_kernel_rows(self, which: int) -> np.ndarray:
         """Rows of the kernel of (A/Q)^* -> (A/(Q/P))^* for the which-th
         prime factor P of Q: the units 1 + (Q/P) a with deg a < deg P.  The
         products (Q/P) a have degree < deg Q, so they need no reduction and
         adding 1 only changes digit 0."""
-        if which not in self._kernel_rows:
-            modulus = self.modulus
-            q, Q = modulus.field.q, modulus.poly
-            P = modulus.factors[which][0]
-            Qp = poly_divmod(Q, P)[0]
-            prods = scale_mod_many(
-                q, Q.coeffs, np.arange(q**P.degree), residue_index(Qp, Q.degree)
-            )
-            low = prods % q
-            rows, unit = self.rows_of(prods - low + (low + 1) % q)
-            self._kernel_rows[which] = np.sort(rows[unit])
-        return self._kernel_rows[which]
+        modulus = self.modulus
+        q, Q = modulus.field.q, modulus.poly
+        P = modulus.factors[which][0]
+        Qp = poly_divmod(Q, P)[0]
+        prods = scale_mod_many(
+            q, Q.coeffs, np.arange(q**P.degree), residue_index(Qp, Q.degree)
+        )
+        low = prods % q
+        rows, unit = self.rows_of(prods - low + (low + 1) % q)
+        return np.sort(rows[unit])
 
     def verify_bijection(self):
         """Check that the exponent-grid map really is a bijection onto the
@@ -388,12 +374,6 @@ class DirichletChar:
     def __call__(self, f: FqPoly) -> complex:
         return char_eval(self, f)
 
-    def conjugate(self) -> "DirichletChar":
-        exps = tuple(
-            (-k) % m for k, m in zip(self.exponents, self.group.orders)
-        )
-        return character(self.group, exps)
-
     def __repr__(self):
         return (
             f"DirichletChar(Q={self.group.modulus}, index={self.index}, "
@@ -401,11 +381,19 @@ class DirichletChar:
         )
 
 
-def char_index(group: UnitGroup, exponents: tuple[int, ...]) -> int:
-    """Canonical index: position in lexicographic exponent order."""
-    idx = 0
-    for k, m in zip(exponents, group.orders):
-        idx = idx * m + k
+def exponent_rows(group: UnitGroup, chars) -> np.ndarray:
+    """(len(chars), rank) int64 matrix of the characters' exponent rows."""
+    return np.array([c.exponents for c in chars], dtype=np.int64).reshape(
+        len(chars), group.rank
+    )
+
+
+def char_index(group: UnitGroup, K: np.ndarray) -> np.ndarray:
+    """Canonical index of each exponent row of K: its position in
+    lexicographic exponent order."""
+    idx = np.zeros(len(K), dtype=np.int64)
+    for j, m in enumerate(group.orders):
+        idx = idx * m + K[:, j]
     return idx
 
 
@@ -436,34 +424,11 @@ def _primitive_mask(group: UnitGroup, K) -> np.ndarray:
     return mask
 
 
-def is_primitive(chi: DirichletChar) -> bool:
-    """True iff chi is non-trivial on the kernel of reduction to Q/P for
-    every prime P dividing Q."""
-    return bool(_primitive_mask(chi.group, [chi.exponents])[0])
-
-
 def _even_mask(group: UnitGroup, K) -> np.ndarray:
     """Per exponent row of K, whether that character is 1 on the nonzero
     constants F_q^*."""
     rows, _ = group.rows_of(np.arange(1, group.modulus.field.q))
     return _trivial_on_rows(group, K, rows)
-
-
-def is_even(chi: DirichletChar) -> bool:
-    """True iff chi is 1 on the nonzero constants F_q^*."""
-    return bool(_even_mask(chi.group, [chi.exponents])[0])
-
-
-def character(group: UnitGroup, exponents: tuple[int, ...]) -> DirichletChar:
-    """The character with the given exponent vector."""
-    exps = tuple(k % m for k, m in zip(exponents, group.orders))
-    return DirichletChar(
-        group=group,
-        exponents=exps,
-        index=char_index(group, exps),
-        primitive=bool(_primitive_mask(group, [exps])[0]),
-        principal=all(k == 0 for k in exps),
-    )
 
 
 def all_characters(group: UnitGroup) -> list[DirichletChar]:

@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ffmoments._backend import scale_mod_many
 from ffmoments.chargroup import (
     _even_mask,
-    all_characters,
     char_index,
     character_values,
+    exponent_rows,
     primitive_count_inclusion_exclusion,
-    unit_group,
 )
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import (
@@ -40,16 +40,14 @@ from ffmoments.ffpoly import (
     poly_divmod,
     pow_mod,
     prime_count_exact,
-    residue_from_index,
 )
 from ffmoments.lfunc import (
-    LPolynomial,
     PrimePowerTable,
     l_coefficient_probe,
     log_abs_l_grid,
     loglog_norm,
     primitive_family,
-    rh_root_deviation,
+    rh_root_deviations,
     t_period,
 )
 from ffmoments.moments import (
@@ -86,12 +84,38 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
+# commands whose checks run per modulus, on the modulus's family
+FAMILY_COMMANDS = ("enumerate", "lfun", "moments")
 
-def _map_tasks(func, payloads, jobs: int):
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(func, payloads, chunksize=1))
-    return [func(p) for p in payloads]
+
+def _modulus_task(payload) -> dict:
+    """Build one modulus's family once and run on it the per-modulus work of
+    each requested command; one result dict per command."""
+    cfg, specs, modulus, commands, selftest = payload
+    fam = primitive_family(modulus)
+    out = {}
+    if "enumerate" in commands:
+        out["enumerate"] = _enumerate_result(fam)
+    if "lfun" in commands:
+        out["lfun"] = _lfun_result(cfg, fam, specs, selftest)
+    if "moments" in commands:
+        out["moments"] = _moments_result(cfg, fam, specs)
+    return out
+
+
+def _family_results(cfg: ExperimentConfig, args, commands) -> list[dict]:
+    """Per modulus of the config, in order, the results of _modulus_task;
+    the selftest perturbation goes to the first modulus only."""
+    specs = cfg.resolved_shift_specs()
+    selftest = bool(getattr(args, "selftest_perturb", False))
+    payloads = [
+        (cfg, specs, m, commands, selftest and i == 0)
+        for i, m in enumerate(cfg.modulus_list())
+    ]
+    if args.jobs > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            return list(pool.map(_modulus_task, payloads, chunksize=1))
+    return [_modulus_task(p) for p in payloads]
 
 
 def _t_grid(q: int, points: int) -> list[float]:
@@ -139,13 +163,9 @@ def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
     return failures
 
 
-def _enumerate_task(payload) -> dict:
-    cfg, modulus = payload
-    field = FieldSpec(cfg.q)
-    group = unit_group(modulus)
-    chars = all_characters(group)
-
-    product = FqPoly.one(field)
+def _enumerate_result(fam) -> dict:
+    modulus, group, chars = fam.modulus, fam.group, fam.characters
+    product = FqPoly.one(modulus.field)
     for P, e in modulus.factors:
         for _ in range(e):
             product = product * P
@@ -153,27 +173,28 @@ def _enumerate_task(payload) -> dict:
         group.residues
     )
 
-    n_primitive = sum(c.primitive for c in chars)
-    unit_group_ok = _unit_group_ok(group)
-    sieve_count = primitive_count_inclusion_exclusion(modulus)
-
-    K = np.array([c.exponents for c in chars], dtype=np.int64).reshape(
-        len(chars), group.rank
-    )
-    V = character_values(group, K)
+    V = character_values(group, exponent_rows(group, chars))
     col_sums = np.abs(np.sum(V, axis=0))
     non_principal = [i for i, c in enumerate(chars) if not c.principal]
     ortho_max = float(np.max(col_sums[non_principal])) if non_principal else 0.0
 
+    # seeded random (unit, unit, character) triples; chi(a b) is read from
+    # the value matrix at the row of the product residue.  The columns go
+    # through Python complex arithmetic, whose rounding the report records.
     rng = random.Random(1000 + modulus.norm)
-    mult_err = 0.0
-    units = [int(r) for r in group.residues]
-    for _ in range(min(200, 4 * len(units))):
-        i, j = rng.randrange(len(units)), rng.randrange(len(units))
-        fi = residue_from_index(field, modulus.degree, units[i])
-        fj = residue_from_index(field, modulus.degree, units[j])
-        chi = chars[rng.randrange(len(chars))]
-        mult_err = max(mult_err, abs(chi(fi * fj) - chi(fi) * chi(fj)))
+    n = len(group.residues)
+    i, j, c = np.array(
+        [
+            (rng.randrange(n), rng.randrange(n), rng.randrange(len(chars)))
+            for _ in range(min(200, 4 * n))
+        ]
+    ).T
+    units = group.residues
+    product_rows, _ = group.rows_of(
+        scale_mod_many(modulus.field.q, modulus.poly.coeffs, units[i], units[j])
+    )
+    columns = (V[product_rows, c].tolist(), V[i, c].tolist(), V[j, c].tolist())
+    mult_err = max(abs(ab - a * b) for ab, a, b in zip(*columns))
 
     return {
         "modulus": str(modulus),
@@ -183,11 +204,11 @@ def _enumerate_task(payload) -> dict:
         "phi": modulus.phi,
         "orders": ",".join(str(m) for m in group.orders),
         "factorization_ok": bool(factorization_ok),
-        "unit_group_ok": unit_group_ok,
-        "n_primitive": int(n_primitive),
-        "sieve_count": int(sieve_count),
+        "unit_group_ok": _unit_group_ok(group),
+        "n_primitive": fam.n_primitive,
+        "sieve_count": primitive_count_inclusion_exclusion(modulus),
         "ortho_max": ortho_max,
-        "mult_err": float(mult_err),
+        "mult_err": mult_err,
     }
 
 
@@ -205,7 +226,7 @@ def _unit_group_ok(group) -> bool:
     )
 
 
-def cmd_enumerate(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
+def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     rows: list[CheckRow] = []
     field = FieldSpec(cfg.q)
     subject = f"q={cfg.q}"
@@ -228,8 +249,6 @@ def cmd_enumerate(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
         CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)
     )
 
-    moduli = cfg.modulus_list()
-    results = _map_tasks(_enumerate_task, [(cfg, m) for m in moduli], args.jobs)
     tol = cfg.tolerance("orthogonality")
     for res in results:
         subject = res["modulus"]
@@ -251,7 +270,7 @@ def cmd_enumerate(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
         rows.append(
             CheckRow("plumbing/primitive-count", subject, params, n, sieve, n == sieve)
         )
-    return rows, {"moduli": len(moduli)}
+    return rows, {"moduli": len(results)}
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +278,8 @@ def cmd_enumerate(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
 # ---------------------------------------------------------------------------
 
 
-def _lfun_task(payload) -> dict:
-    cfg, modulus, selftest = payload
-    fam = primitive_family(modulus)
+def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
+    modulus = fam.modulus
     out: dict = {
         "modulus": str(modulus),
         "degree": modulus.degree,
@@ -281,25 +299,20 @@ def _lfun_task(payload) -> dict:
     out["probe_max"] = probe_max
 
     # RH root shape per primitive character, fixed by its parity
-    even = _even_mask(fam.group, [c.exponents for c in fam.primitive_chars])
-    out["root_rows"] = [
-        (chi.index, rh_root_deviation(LPolynomial(chi, row), bool(e)))
-        for chi, row, e in zip(fam.primitive_chars, coeffs, even)
-    ]
+    K = exponent_rows(fam.group, fam.primitive_chars)
+    devs = rh_root_deviations(coeffs, _even_mask(fam.group, K), cfg.q)
+    index = np.array([c.index for c in fam.primitive_chars], dtype=np.int64)
+    out["root_rows"] = list(zip(index.tolist(), devs.tolist()))
 
-    # conjugation symmetry of the coefficient rows; conj chi has exponents -k
-    conj_max = 0.0
-    orders = fam.group.orders
-    index_of = {c.index: i for i, c in enumerate(fam.primitive_chars)}
-    for i, chi in enumerate(fam.primitive_chars):
-        conj = [(-k) % m for k, m in zip(chi.exponents, orders)]
-        j = index_of.get(char_index(fam.group, conj))
-        if j is not None:
-            conj_max = max(
-                conj_max,
-                float(np.max(np.abs(coeffs[j] - np.conj(coeffs[i])))),
-            )
-    out["conj_max"] = conj_max
+    # conjugation symmetry of the coefficient rows: conj chi has exponents
+    # -k; a conjugate missing from the family fails the row with inf
+    conj = char_index(fam.group, -K % np.array(fam.group.orders, dtype=np.int64))
+    at = np.minimum(np.searchsorted(index, conj), len(index) - 1)
+    out["conj_max"] = (
+        float(np.max(np.abs(coeffs[at] - np.conj(coeffs)), initial=0.0))
+        if np.array_equal(index[at], conj)
+        else math.inf
+    )
 
     top = max(modulus.degree - 1, *cfg.x_exponents)
     out["explicit_top"] = top
@@ -324,7 +337,7 @@ def _lfun_task(payload) -> dict:
     ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
     family["eq34"] = float(np.max(ratios))
 
-    for spec in cfg.resolved_shift_specs():
+    for spec in specs:
         lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
         for h in cfg.x_exponents:
             defect = float(np.max(lhs - table.shifted(spec, h)))
@@ -332,13 +345,8 @@ def _lfun_task(payload) -> dict:
     return out
 
 
-def cmd_lfun(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
+def cmd_lfun(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     rows: list[CheckRow] = []
-    moduli = cfg.modulus_list()
-    selftest = bool(getattr(args, "selftest_perturb", False))
-    payloads = [(cfg, m, selftest and i == 0) for i, m in enumerate(moduli)]
-    results = _map_tasks(_lfun_task, payloads, args.jobs)
-
     coeff_tol = cfg.tolerance("coeff_zero")
     root_tol = cfg.tolerance("root_mag")
     identity_tol = cfg.tolerance("identity")
@@ -382,7 +390,7 @@ def cmd_lfun(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
             rows.append(
                 fixtures.row(anchor, subject, params, key, agg[short], rel_tol=rel)
             )
-    return rows, {"moduli": len(moduli)}
+    return rows, {"moduli": len(results)}
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +398,8 @@ def cmd_lfun(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
 # ---------------------------------------------------------------------------
 
 
-def _moments_task(payload) -> dict:
-    cfg, modulus, specs = payload
-    fam = primitive_family(modulus)
+def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
+    modulus = fam.modulus
     family = dict.fromkeys(("zeta", "min", "prop33"), -math.inf)
     out: dict = {
         "modulus": str(modulus),
@@ -466,13 +473,8 @@ def _moments_task(payload) -> dict:
     return out
 
 
-def cmd_moments(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
+def cmd_moments(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     rows: list[CheckRow] = []
-    moduli = cfg.modulus_list()
-    specs = cfg.resolved_shift_specs()
-    payloads = [(cfg, m, specs) for m in moduli]
-    results = _map_tasks(_moments_task, payloads, args.jobs)
-
     ident_tol = cfg.tolerance("identity")
     moment_rows: list[list] = []
     for res in results:
@@ -516,7 +518,7 @@ def cmd_moments(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
             rows.append(
                 fixtures.row("Prop 4.1", subject, f"m={m}", key, value, rel_tol=rel)
             )
-    return rows, {"moduli": len(moduli)}, moment_rows
+    return rows, {"moduli": len(results)}, moment_rows
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +526,7 @@ def cmd_moments(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
 # ---------------------------------------------------------------------------
 
 
-def cmd_primesums(cfg: ExperimentConfig, args, fixtures: FixtureChecker):
+def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
     table_rows: list[list] = []
     ps = cfg.primesums
@@ -667,9 +669,16 @@ def main(argv=None) -> int:
         fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
         meta: dict = {}
         all_rows: list[CheckRow] = []
-        for command in list(dispatch) if args.command == "all" else [args.command]:
+        commands = list(dispatch) if args.command == "all" else [args.command]
+        on_family = [c for c in commands if c in FAMILY_COMMANDS]
+        per_modulus = _family_results(cfg, args, on_family) if on_family else []
+        for command in commands:
             cmd, checks, columns = dispatch[command]
-            rows, meta[command], *tables = cmd(cfg, args, fixtures)
+            if command in on_family:
+                results = [res[command] for res in per_modulus]
+                rows, meta[command], *tables = cmd(cfg, fixtures, results)
+            else:
+                rows, meta[command], *tables = cmd(cfg, fixtures)
             write_check_csv(out_dir / checks, rows)
             if columns:
                 write_table_csv(out_dir / f"{command}.csv", columns, tables[0])

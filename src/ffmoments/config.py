@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ffmoments.chargroup import Modulus, factor_modulus
@@ -93,9 +93,6 @@ class ExperimentConfig:
         cfg = cls(**{k: d[k] for k in d})
         cfg.validate()
         return cfg
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     # -- validation ------------------------------------------------------
 

@@ -37,6 +37,7 @@ from ffmoments.chargroup import (
     UnitGroup,
     all_characters,
     character_values,
+    exponent_rows,
     unit_group,
 )
 from ffmoments.ffpoly import _irreducible_index_table
@@ -76,12 +77,11 @@ def u_on_circle(q: int, theta: float) -> complex:
 class LPolynomial:
     """Complex coefficients of the L-polynomial of a non-principal character."""
 
-    __slots__ = ("character", "coeffs", "_roots")
+    __slots__ = ("character", "coeffs")
 
     def __init__(self, character: DirichletChar, coeffs: np.ndarray):
         self.character = character
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-        self._roots = None
 
     @property
     def q(self) -> int:
@@ -103,34 +103,41 @@ class LPolynomial:
     def inverse_roots(self) -> np.ndarray:
         """The alpha_i with L(u) = prod (1 - alpha_i u), from the
         companion-matrix eigenvalues of the reversed polynomial."""
-        if self._roots is None:
-            trimmed = self.coeffs[: self.degree + 1]
-            if len(trimmed) <= 1:
-                self._roots = np.empty(0, dtype=np.complex128)
-            else:
-                self._roots = np.roots(trimmed)
-        return self._roots
+        trimmed = self.coeffs[: self.degree + 1]
+        if len(trimmed) <= 1:
+            return np.empty(0, dtype=np.complex128)
+        return np.roots(trimmed)
 
     def __repr__(self):
         return f"LPolynomial(chi#{self.character.index}, coeffs={self.coeffs})"
 
 
-def rh_root_deviation(L: LPolynomial, even: bool) -> float:
-    """Largest deviation of the inverse roots of a primitive character's
-    L-polynomial from the shape the Riemann hypothesis forces: deg(Q) - 1
-    roots, all with |alpha| = sqrt(q), except that an even character has
-    exactly one root alpha = 1 in their place.  inf when the root count is
-    wrong."""
-    roots = L.inverse_roots()
-    if len(roots) != L.character.group.modulus.degree - 1:
-        return math.inf
-    dev = 0.0
-    if even:
-        one = int(np.argmin(np.abs(roots - 1)))
-        dev = float(abs(roots[one] - 1))
-        roots = np.delete(roots, one)
-    if len(roots):
-        dev = max(dev, float(np.max(np.abs(np.abs(roots) - math.sqrt(L.q)))))
+def rh_root_deviations(coeffs: np.ndarray, even: np.ndarray, q: int) -> np.ndarray:
+    """Per coefficient row of primitive characters mod a degree-d modulus
+    (rows of length d), the largest deviation of the inverse roots from the
+    shape the Riemann hypothesis forces: d - 1 roots, all with |alpha| =
+    sqrt(q), except that an even character has exactly one root alpha = 1
+    in their place.  inf for a row whose top coefficient is at most
+    COEFF_TRIM_TOL, as then the root count is wrong.
+
+    The roots are the eigenvalues of the companion matrices of the rows,
+    stacked into one batched eigenvalue call."""
+    n_rows, d = coeffs.shape
+    dev = np.full(n_rows, math.inf)
+    full = np.abs(coeffs[:, -1]) > COEFF_TRIM_TOL
+    c = coeffs[full]
+    companion = np.zeros((len(c), d - 1, d - 1), dtype=np.complex128)
+    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    companion[:, np.arange(1, d - 1), np.arange(d - 2)] = 1
+    roots = np.linalg.eigvals(companion)
+    is_even = np.asarray(even, dtype=bool)[full]
+    one = np.argmin(np.abs(roots - 1), axis=1)
+    near = roots[np.arange(len(c)), one] - 1
+    # hypot per element: the vectorised complex abs may round differently
+    dev_one = np.where(is_even, np.hypot(near.real, near.imag), 0.0)
+    mags = np.abs(np.abs(roots) - math.sqrt(q))
+    mags[is_even, one[is_even]] = 0.0
+    dev[full] = np.maximum(dev_one, np.max(mags, axis=1, initial=0.0))
     return dev
 
 
@@ -200,10 +207,7 @@ def l_coefficient_probe(
 
 def _values(group: UnitGroup, chars) -> np.ndarray:
     """Character value matrix (units x chars) for the given characters."""
-    K = np.array([c.exponents for c in chars], dtype=np.int64).reshape(
-        len(chars), group.rank
-    )
-    return character_values(group, K)
+    return character_values(group, exponent_rows(group, chars))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +217,13 @@ def _values(group: UnitGroup, chars) -> np.ndarray:
 
 @dataclass
 class PrimitiveFamily:
-    """A modulus together with its primitive characters and their
-    L-polynomial coefficients (rows in canonical character order)."""
+    """A modulus together with all its characters, its primitive characters
+    and their L-polynomial coefficients (rows in canonical character
+    order)."""
 
     modulus: Modulus
     group: UnitGroup
+    characters: tuple[DirichletChar, ...]  # all phi(Q), by canonical index
     primitive_chars: tuple[DirichletChar, ...]
     coeffs: np.ndarray  # (n_primitive, deg Q)
 
@@ -229,10 +235,12 @@ class PrimitiveFamily:
 def primitive_family(modulus: Modulus) -> PrimitiveFamily:
     """The unit group, characters and primitive L-coefficients of Q."""
     group = unit_group(modulus)
-    primitive = tuple(c for c in all_characters(group) if c.primitive)
+    characters = tuple(all_characters(group))
+    primitive = tuple(c for c in characters if c.primitive)
     return PrimitiveFamily(
         modulus=modulus,
         group=group,
+        characters=characters,
         primitive_chars=primitive,
         coeffs=l_coefficients(group, list(primitive)),
     )

@@ -56,10 +56,6 @@ class ShiftSpec:
         return len(self.a) // 2
 
     @property
-    def sum_a(self) -> float:
-        return float(sum(self.a))
-
-    @property
     def sum_a_sq(self) -> float:
         return float(sum(a * a for a in self.a))
 

@@ -8,10 +8,12 @@ import pytest
 
 from ffmoments.chargroup import (
     UnitGroup,
+    _primitive_mask,
     all_characters,
+    char_index,
     character_values,
+    exponent_rows,
     factor_modulus,
-    is_primitive,
     primitive_count_inclusion_exclusion,
     unit_group,
 )
@@ -183,8 +185,8 @@ class TestUnitGroup:
     def test_dlog_covers_exactly_units(self):
         m = modulus(F3, "T^3 + T^2")
         g = unit_group(m)
-        assert len(g.dlog) == m.phi
-        for ridx in g.dlog:
+        assert len(g.residues) == len(g.dlog_mat) == m.phi
+        for ridx in g.residues.tolist():
             r = FqPoly(F3, [(ridx // 3**k) % 3 for k in range(m.degree)])
             assert poly_gcd(r, m.poly).degree == 0
 
@@ -231,10 +233,13 @@ class TestCharacters:
     def test_conjugate_closure(self):
         for text in ["T^2", "T^3 + T^2 + 1"]:
             g = unit_group(modulus(F3, text))
-            for c in all_characters(g):
-                conj = c.conjugate()
-                assert conj.primitive == c.primitive
-                assert conj.principal == c.principal
+            chars = all_characters(g)
+            K = exponent_rows(g, chars)
+            assert char_index(g, K).tolist() == [c.index for c in chars]
+            conj = char_index(g, -K % np.array(g.orders))
+            for c, j in zip(chars, conj):
+                assert chars[j].primitive == c.primitive
+                assert chars[j].principal == c.principal
 
     @pytest.mark.parametrize(
         "field,text", KERNEL_MODULI, ids=[f"q{f.q}-{t}" for f, t in KERNEL_MODULI]
@@ -246,9 +251,10 @@ class TestCharacters:
             assert rows.tolist() == oracle_kernel_rows(g, which)
 
     def test_is_primitive_matches_flag(self):
+        # one character at a time gives the flag the batched test gave
         g = unit_group(modulus(F2, "T^3"))
         for c in all_characters(g):
-            assert is_primitive(c) == c.primitive
+            assert _primitive_mask(g, [c.exponents])[0] == c.primitive
 
 
 class TestCharEval:
@@ -271,7 +277,7 @@ class TestCharEval:
     def test_unit_modulus_values(self):
         g = unit_group(modulus(F3, "T^2"))
         for c in all_characters(g):
-            for ridx in g.dlog:
+            for ridx in g.residues.tolist():
                 f = FqPoly(F3, [(ridx // 3**k) % 3 for k in range(2)])
                 assert abs(abs(c(f)) - 1) < 1e-14
 
@@ -295,7 +301,7 @@ class TestCharEval:
             chars = all_characters(g)
             units = [
                 FqPoly(F3, [(r // 3**k) % 3 for k in range(m.degree)])
-                for r in g.dlog
+                for r in g.residues.tolist()
             ]
             rng = random.Random(42)
             for _ in range(1000):

@@ -2,18 +2,22 @@
 determinism, self-test)."""
 
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ffmoments import cli
 from ffmoments.anchors import CHECK_ANCHORS
-from ffmoments.chargroup import factor_modulus, unit_group
+from ffmoments.chargroup import UnitGroup, factor_modulus, unit_group
 from ffmoments.cli import _unit_group_ok, main
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
+from ffmoments.lfunc import primitive_family
 from ffmoments.report import CheckRow, FixtureChecker, below
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -58,7 +62,7 @@ def full_config_dict() -> dict:
 class TestConfig:
     def test_round_trip_identity(self):
         d = full_config_dict()
-        assert ExperimentConfig.from_dict(d).to_dict() == d
+        assert dataclasses.asdict(ExperimentConfig.from_dict(d)) == d
 
     def test_unknown_field_rejected(self):
         d = full_config_dict()
@@ -352,6 +356,53 @@ class TestCli:
         assert not _unit_group_ok(replace_attrs(fake, generators=(square,)))
         # orders that do not multiply to phi(Q)
         assert not _unit_group_ok(replace_attrs(fake, orders=(4,)))
+
+    def test_all_matches_single_commands(self, smoke):
+        # `all` builds each family once, serially or in workers, and writes
+        # the reports its four commands write when run one at a time
+        cfg, tmp = smoke
+        outs = {name: tmp / name for name in ("all", "jobs", "single")}
+        assert run_cli("all", "--config", cfg, "--out", str(outs["all"])) == 0
+        jobs = ("--out", str(outs["jobs"]), "--jobs", "2")
+        assert run_cli("all", "--config", cfg, *jobs) == 0
+        for command in ("enumerate", "lfun", "moments", "primesums"):
+            assert run_cli(command, "--config", cfg, "--out", str(outs["single"])) == 0
+        names = sorted(p.name for p in outs["all"].glob("*.csv")) + ["moments.json"]
+        assert len(names) == 7
+        for name in names:
+            blob = (outs["all"] / name).read_bytes()
+            assert blob == (outs["jobs"] / name).read_bytes()
+            assert blob == (outs["single"] / name).read_bytes()
+
+    def test_multiplicativity_check_can_fail(self):
+        # two swapped dlog rows keep every column sum, so only the
+        # multiplicativity spot check sees them
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
+        assert cli._enumerate_result(fam)["mult_err"] < 1e-12
+        g = fam.group
+        dlog_mat = g.dlog_mat.copy()
+        dlog_mat[[1, 2]] = dlog_mat[[2, 1]]
+        swapped = UnitGroup(g.modulus, g.generators, g.orders, g.residues, dlog_mat)
+        res = cli._enumerate_result(dataclasses.replace(fam, group=swapped))
+        assert res["mult_err"] > 1e-12
+        assert res["ortho_max"] < 1e-9
+
+    def test_conjugation_check_can_fail(self):
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+        specs = cfg.resolved_shift_specs()
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
+        assert cli._lfun_result(cfg, fam, specs, False)["conj_max"] < 1e-10
+        # one row replaced by its own conjugate
+        coeffs = fam.coeffs.copy()
+        row = int(np.argmax(np.abs(coeffs[:, 1].imag)))
+        coeffs[row] = np.conj(coeffs[row])
+        tampered = dataclasses.replace(fam, coeffs=coeffs)
+        assert cli._lfun_result(cfg, tampered, specs, False)["conj_max"] > 1e-10
+        # a character whose conjugate is missing from the family
+        dropped = dataclasses.replace(
+            fam, primitive_chars=fam.primitive_chars[1:], coeffs=fam.coeffs[1:]
+        )
+        assert cli._lfun_result(cfg, dropped, specs, False)["conj_max"] == math.inf
 
     def test_timing_isolated_from_csv(self, smoke):
         cfg, tmp = smoke

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from ffmoments.chargroup import all_characters, factor_modulus, is_even, unit_group
+from ffmoments.chargroup import (
+    _even_mask,
+    all_characters,
+    char_index,
+    exponent_rows,
+    factor_modulus,
+    unit_group,
+)
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
@@ -18,6 +25,7 @@ from ffmoments.ffpoly import (
     residue_index,
 )
 from ffmoments.lfunc import (
+    COEFF_TRIM_TOL,
     LPolynomial,
     PrimePowerTable,
     ZetaPoleError,
@@ -31,7 +39,7 @@ from ffmoments.lfunc import (
     monic_residue_counts,
     _unit_rows_of_monics,
     primitive_family,
-    rh_root_deviation,
+    rh_root_deviations,
     shifted_log_bound,
     t_period,
     u_at_shift,
@@ -298,14 +306,26 @@ class TestInverseRoots:
     def test_root_shape_by_parity(self):
         n_even = n_odd = 0
         for fam in parity_families():
-            for L in l_polynomials(fam):
-                even = is_even(L.character)
-                n_even += even
-                n_odd += not even
-                assert rh_root_deviation(L, even) < 1e-9
-                # the wrong parity misplaces the root 1 or demands one
-                assert rh_root_deviation(L, not even) > 0.4
+            q = fam.modulus.field.q
+            even = _even_mask(fam.group, exponent_rows(fam.group, fam.primitive_chars))
+            n_even += int(np.sum(even))
+            n_odd += int(np.sum(~even))
+            assert np.all(rh_root_deviations(fam.coeffs, even, q) < 1e-9)
+            # the wrong parity misplaces the root 1 or demands one
+            assert np.all(rh_root_deviations(fam.coeffs, ~even, q) > 0.4)
         assert n_even and n_odd
+
+    def test_short_row_is_infinite(self):
+        # a top coefficient at or below the trim tolerance leaves fewer than
+        # deg(Q) - 1 roots; only that row fails
+        fam = primitive_family(factor_modulus(parse_poly(F3, "T^3 + 2*T + 1")))
+        even = _even_mask(fam.group, exponent_rows(fam.group, fam.primitive_chars))
+        for top in (COEFF_TRIM_TOL, 0.0):
+            coeffs = fam.coeffs.copy()
+            coeffs[1, -1] = top
+            devs = rh_root_deviations(coeffs, even, 3)
+            assert devs[1] == math.inf
+            assert np.all(np.delete(devs, 1) < 1e-9)
 
     def test_degree_zero_gives_empty_multiset(self):
         # the imprimitive non-principal character mod T^2 has L = 1
@@ -333,9 +353,12 @@ class TestDegreeBound:
                 assert float(np.max(np.abs(vals))) < 1e-6
 
     def test_conjugation_symmetry(self, fam_t2):
+        g = fam_t2.group
         index_of = {c.index: i for i, c in enumerate(fam_t2.primitive_chars)}
+        K = exponent_rows(g, fam_t2.primitive_chars)
+        conj = char_index(g, -K % np.array(g.orders))
         for i, chi in enumerate(fam_t2.primitive_chars):
-            j = index_of[chi.conjugate().index]
+            j = index_of[int(conj[i])]
             assert np.allclose(
                 fam_t2.coeffs[j], np.conj(fam_t2.coeffs[i]), atol=1e-10
             )
@@ -408,7 +431,7 @@ class TestPrimePowerTable:
                 rows, unit = _unit_rows_of_monics(fam.group, d, indices)
                 for P, row, is_unit in zip(primes, rows, unit):
                     expected = residue_index(P % Q, Q.degree)
-                    assert is_unit == (expected in fam.group.dlog)
+                    assert is_unit == (expected in fam.group.residues)
                     if is_unit:
                         assert fam.group.residues[row] == expected
 
