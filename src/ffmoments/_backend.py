@@ -7,8 +7,10 @@ slots.  Reduction mod a monic F is linear in the digits: a polynomial with
 digit column x (leading coefficient included) reduces to the digits
 (reduction_rows(q, F, top)[:len(x)].T @ x) mod q.
 
-irreducible_indices sieves the monic irreducibles of each degree, with one
-array operation per chunk of primes; scale_mod_many multiplies a batch of
+irreducible_indices sieves the monic irreducibles of each degree.  A monic
+A = H T^d + R of degree n, deg R < d, is a multiple of the degree-d prime P
+exactly when R = -H T^d mod P; then index(A) = index(H) q^d + index(R), and
+R is linear in the digits of H.  scale_mod_many multiplies a batch of
 encoded residues by residues mod Q.
 """
 
@@ -20,10 +22,10 @@ import numpy as np
 _SIEVE_CHUNK = 1 << 20
 
 
-def digit_rows(indices, q: int, width: int, dtype=np.int64) -> np.ndarray:
+def digit_rows(indices, q: int, width: int) -> np.ndarray:
     """(width, N) base-q digits of N indices: row k holds digit k."""
     rem = np.array(indices, dtype=np.int64)
-    out = np.empty((width, len(rem)), dtype=dtype)
+    out = np.empty((width, len(rem)), dtype=np.int64)
     for k in range(width):
         out[k] = rem % q
         rem //= q
@@ -32,58 +34,56 @@ def digit_rows(indices, q: int, width: int, dtype=np.int64) -> np.ndarray:
 
 def reduction_rows(q: int, mod_digits, top: int) -> np.ndarray:
     """(top + 1, d) digit rows of T^k mod F for k = 0..top, where mod_digits
-    holds the d + 1 coefficients of the monic degree-d F, constant first."""
-    low = np.asarray(mod_digits, dtype=np.int64)[:-1]
-    d = len(low)
-    rows = np.zeros((top + 1, d), dtype=np.int64)
+    holds the d + 1 coefficients of the monic degree-d F, constant first.
+    A stack of N moduli of one degree, mod_digits of shape (N, d + 1), gives
+    the rows of each along a leading axis, shape (N, top + 1, d)."""
+    low = np.asarray(mod_digits, dtype=np.int64)[..., :-1]
+    d = low.shape[-1]
+    rows = np.zeros(low.shape[:-1] + (top + 1, d), dtype=np.int64)
     if d == 0:
         return rows
-    cur = np.zeros(d, dtype=np.int64)
-    cur[0] = 1
-    for k in range(top + 1):
-        rows[k] = cur
-        lead = cur[-1]
-        cur = np.concatenate(([0], cur[:-1]))
-        cur = (cur - lead * low) % q  # T^d = -(low part of F) mod F
+    rows[..., 0, 0] = 1
+    for k in range(top):
+        cur, nxt = rows[..., k, :], rows[..., k + 1, :]
+        nxt[..., 1:] = cur[..., :-1]
+        nxt -= cur[..., -1:] * low  # T^d = -(low part of F) mod F
+        nxt %= q
     return rows
 
 
-def _mark_products_q2(mask: np.ndarray, primes: np.ndarray, n: int, d: int):
-    """Mark P * G for every prime P of degree d and monic G of degree n - d,
-    as carry-less products of bit-packed polynomials."""
+def _multiple_indices(q: int, primes: np.ndarray, n: int, d: int):
+    """Yield the indices of the monic degree-n multiples of the degree-d
+    primes, one (c, q^m) array per chunk of c primes, m = n - d; row i, column
+    index(H) is the multiple of the i-th prime with top part H.  Its remainder
+    R = sum_k h_k rho_k over the digits of H (h_m = 1), rho_k = -T^(d+k) mod P,
+    is built by outer sums, one digit of H per step as the new most
+    significant axis, in the narrowest dtype that cannot wrap between its
+    reductions mod q, one every `steps` steps: (q - 1) + steps (q - 1)^2."""
     m = n - d
-    cof = np.arange(1 << m, dtype=np.int64) | (1 << m)
-    bits = primes | (1 << d)
-    step = max(1, _SIEVE_CHUNK >> m)
-    for s in range(0, len(bits), step):
-        p = bits[s : s + step, None]
-        prod = np.zeros((len(p), len(cof)), dtype=np.int64)
-        for i in range(d + 1):
-            prod ^= ((p >> i) & 1) * (cof << i)
-        mask[prod & ((1 << n) - 1)] = False
-
-
-def _mark_products(mask: np.ndarray, q: int, primes: np.ndarray, n: int, d: int):
-    """Mark P * G for every prime P of degree d and monic G of degree n - d:
-    digit t of the product is sum_i p_i g_(t-i) mod q, built one digit
-    column at a time for a chunk of primes against all cofactors."""
-    m = n - d
-    ctype = np.int16 if (d + 1) * (q - 1) ** 2 < 2**15 else np.int64
     itype = np.int32 if q**n < 2**31 else np.int64
-    # offsetting an index by q^k makes its digit k the leading 1
-    cof = digit_rows(np.arange(q**m, 2 * q**m), q, m + 1, ctype)
-    pdig = digit_rows(primes + q**d, q, d + 1, ctype)
+    for ctype in (np.int8, np.int16, np.int32, np.int64):
+        steps = (np.iinfo(ctype).max - (q - 1)) // (q - 1) ** 2
+        if steps >= 1:
+            break
+    rho = -reduction_rows(q, digit_rows(primes + q**d, q, d + 1).T, n)[:, d:] % q
+    rho = rho.transpose(1, 2, 0).astype(ctype)  # (m + 1, d, N)
+    hdig = np.arange(q, dtype=ctype)[:, None]
+    top = np.arange(q**m, dtype=itype) * q**d
     step = max(1, _SIEVE_CHUNK // q**m)
     for s in range(0, len(primes), step):
-        p = pdig[:, s : s + step, None]
-        index = np.zeros((p.shape[1], q**m), dtype=itype)
-        for t in range(n):
-            lo, hi = max(0, t - m), min(d, t)
-            col = p[lo] * cof[t - lo]
-            for i in range(lo + 1, hi + 1):
-                col += p[i] * cof[t - i]
-            index += (col % q).astype(itype) * q**t  # widen before scaling
-        mask[index] = False
+        chunk = rho[:, :, s : s + step, None]
+        r = chunk[m]
+        for k in range(m):
+            r = r[:, :, None] + hdig * chunk[k, :, :, None]
+            r = r.reshape(d, r.shape[1], -1)
+            if (k + 1) % steps == 0 or k == m - 1:
+                r -= r // q * q  # numpy divides by a scalar far faster than %
+        index = r[d - 1].astype(itype)  # widen before scaling
+        for j in range(d - 2, -1, -1):
+            index *= q
+            index += r[j]
+        index += top
+        yield index
 
 
 def irreducible_indices(
@@ -101,10 +101,8 @@ def irreducible_indices(
     for n in range(len(out), n_max + 1):
         mask = np.ones(q**n, dtype=bool)
         for d in range(1, n // 2 + 1):
-            if q == 2:
-                _mark_products_q2(mask, out[d], n, d)
-            else:
-                _mark_products(mask, q, out[d], n, d)
+            for index in _multiple_indices(q, out[d], n, d):
+                mask[index] = False
         out.append(np.flatnonzero(mask).astype(np.int64))
     return out
 

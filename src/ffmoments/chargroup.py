@@ -307,6 +307,16 @@ class UnitGroup:
                 raise ArithmeticError("non-unit residue in table")
 
 
+def _power_blocks(q: int, mod_digits, table, g: int, m: int) -> np.ndarray:
+    """The m blocks table * g^t mod Q, t < m, by doubling: each call also
+    squares g^k, carried as one extra row."""
+    out, gk, need = table, g, m * len(table)
+    while len(out) < need:
+        more = scale_mod_many(q, mod_digits, np.append(out[: need - len(out)], gk), gk)
+        out, gk = np.concatenate([out, more[:-1]]), more[-1]
+    return out
+
+
 def unit_group(modulus: Modulus) -> UnitGroup:
     """Construct and verify the unit-group presentation."""
     field = modulus.field
@@ -328,19 +338,10 @@ def unit_group(modulus: Modulus) -> UnitGroup:
         gens.extend(lifted)
         orders.extend(lorders)
 
-    mod_digits = np.array(Q.coeffs, dtype=np.int64)
     res = np.array([residue_index(FqPoly.one(field), dQ)], dtype=np.int64)
     vecs = np.zeros((1, 0), dtype=np.int64)
     for g, m in zip(gens, orders):
-        powers, cur = [], g
-        for _ in range(1, m):
-            powers.append(residue_index(cur, dQ))
-            cur = (cur * g) % Q
-        # block t of the new table is the old table times g^t
-        scaled = scale_mod_many(
-            q, mod_digits, np.tile(res, m - 1), np.repeat(powers, len(res))
-        )
-        res = np.concatenate([res, scaled])
+        res = _power_blocks(q, Q.coeffs, res, residue_index(g, dQ), m)
         exps = np.repeat(np.arange(m, dtype=np.int64), len(vecs))
         vecs = np.hstack([np.tile(vecs, (m, 1)), exps[:, None]])
 

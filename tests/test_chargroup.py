@@ -8,6 +8,7 @@ import pytest
 
 from ffmoments.chargroup import (
     UnitGroup,
+    _power_blocks,
     _primitive_mask,
     all_characters,
     char_index,
@@ -123,6 +124,23 @@ class TestEulerPhi:
 
 
 class TestUnitGroup:
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["q2", "q3", "q5"])
+    @pytest.mark.parametrize("m", [2, 3, 9, 242])
+    def test_power_blocks_match_per_power_products(self, field, m):
+        q = field.q
+        Q = modulus(field, {2: "T^5 + T^2 + 1", 3: "T^3 + 2*T + 1", 5: "T^3 + T"}[q])
+        d, rng = Q.degree, random.Random(10 * q + m)
+        table = np.array([rng.randrange(1, q**d) for _ in range(3)], np.int64)
+        g = residue_from_index(field, d, rng.randrange(2, q**d))
+        got = _power_blocks(q, Q.poly.coeffs, table, residue_index(g, d), m)
+        expected, g_t = [], FqPoly.one(field)
+        for _ in range(m):
+            for a in table:
+                u = (residue_from_index(field, d, int(a)) * g_t) % Q.poly
+                expected.append(residue_index(u, d))
+            g_t = (g_t * g) % Q.poly
+        assert got.tolist() == expected
+
     def test_t_squared_structure(self):
         g = unit_group(modulus(F3, "T^2"))
         assert math.prod(g.orders) == 6

@@ -8,6 +8,7 @@ import pytest
 
 from ffmoments import _backend
 from ffmoments._backend import (
+    _multiple_indices,
     irreducible_indices,
     reduction_rows,
     scale_mod_many,
@@ -25,10 +26,10 @@ from ffmoments.ffpoly import (
 )
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_sieve_matches_per_poly_test(q):
     field = FieldSpec(q)
-    table = irreducible_indices(q, 8 if q == 2 else 6)
+    table = irreducible_indices(q, {2: 8, 3: 6, 5: 4, 7: 3}[q])
     for n in range(1, len(table)):
         expected = {
             i
@@ -45,7 +46,10 @@ def test_sieve_sorted_lexicographic():
         assert np.all(arr[:-1] < arr[1:])
 
 
-@pytest.mark.parametrize("q,n_max", [(2, 16), (3, 10), (5, 7)])
+# q = 11 reduces its int8 remainders at every step, q = 13 needs int16
+@pytest.mark.parametrize(
+    "q,n_max", [(2, 16), (3, 10), (5, 7), (7, 5), (11, 3), (13, 3)]
+)
 def test_sieve_counts_match_formula(q, n_max, monkeypatch):
     fresh = irreducible_indices(q, n_max)
     # a small chunk splits every (degree, factor degree) pass over the primes
@@ -55,6 +59,24 @@ def test_sieve_counts_match_formula(q, n_max, monkeypatch):
     for n in range(1, n_max + 1):
         assert len(chunked[n]) == prime_count_exact(field, n)
         assert np.array_equal(chunked[n], fresh[n])
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 7), (3, 5), (5, 4), (7, 3)])
+def test_multiple_indices_are_the_multiples(q, n_max, monkeypatch):
+    # a small chunk makes the rows of one (n, d) pass span several arrays
+    monkeypatch.setattr(_backend, "_SIEVE_CHUNK", 1 << 4)
+    field = FieldSpec(q)
+    table = irreducible_indices(q, n_max)
+    for n in range(2, n_max + 1):
+        for d in range(1, n + 1):
+            rows = np.vstack(list(_multiple_indices(q, table[d], n, d)))
+            assert rows.shape == (len(table[d]), q ** (n - d))
+            for p_idx, row in zip(table[d], rows):
+                P = monic_from_index(field, d, int(p_idx))
+                assert len(set(row.tolist())) == q ** (n - d)
+                for idx in row:
+                    A = monic_from_index(field, n, int(idx))
+                    assert poly_divmod(A, P)[1].is_zero, (str(P), str(A))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -102,6 +124,7 @@ def test_reduction_rows_match_division(q, text, top):
     F = parse_poly(field, text)
     rows = reduction_rows(q, F.coeffs, top)
     assert rows.shape == (top + 1, F.degree)
+    assert np.array_equal(reduction_rows(q, [F.coeffs] * 2, top), [rows, rows])
     for k in range(top + 1):
         T_k = FqPoly(field, [0] * k + [1])
         expected = poly_divmod(T_k, F)[1]
