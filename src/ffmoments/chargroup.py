@@ -261,14 +261,6 @@ class UnitGroup:
         rows = np.minimum(rows, len(self.residues) - 1)
         return rows, self.residues[rows] == indices
 
-    def monic_unit_rows(self, n: int) -> np.ndarray:
-        """Rows (into residues) of the coprime monic polynomials of degree n,
-        ascending; valid for 0 <= n < deg(Q)."""
-        q = self.modulus.field.q
-        lo = np.searchsorted(self.residues, q**n)
-        hi = np.searchsorted(self.residues, 2 * q**n)
-        return np.arange(lo, hi, dtype=np.int64)
-
     def reduction_kernel_rows(self, which: int) -> np.ndarray:
         """Rows of the kernel of (A/Q)^* -> (A/(Q/P))^* for the which-th
         prime factor P of Q: the units 1 + (Q/P) a with deg a < deg P.  The

@@ -3,9 +3,9 @@ function of the polynomial ring, and explicit pointwise bounds on log|L|.
 
 For a non-principal character mod Q the Dirichlet series collapses to a
 polynomial in u = q^(-s) of degree at most deg(Q) - 1; coefficient n is the
-full character sum over the monic polynomials of degree n.  Coefficients
-are accumulated in enumeration order with pairwise summation (np.sum), so
-results are reproducible bit-for-bit on a given platform.
+full character sum over the monic polynomials of degree n.  Such sums for
+all phi(Q) characters at once are one inverse DFT over the exponent grid of
+the unit group (character_sums), reproducible bit-for-bit on a platform.
 
 Values on the critical line live on the circle |u| = q^(-1/2); the shift t
 in L(1/2 + it, chi) corresponds to the angle theta = -t log q, and all
@@ -15,11 +15,12 @@ The log|L| bounds are sums over prime powers P^j whose t-dependence is
 e^(-i t n log q) with n = j deg P alone.  So one prime-power table
 S[chi, d, j] = sum over monic irreducible P of degree d of chi(P)^j
 (d*j <= top) is built per family: the irreducible indices are reduced mod
-Q by one digit-matrix product against the rows T^k mod Q, located among
-the unit residues by binary search, and gathered from the character value
-matrix.  Each bound is then a weight vector over n, and its values on a
-whole t-grid are one (characters x n) @ (n x t) product with the phases
-e^(-i t n log q); log|L| on the grid is likewise coeffs @ u(t)^n.
+Q by one digit-matrix product against the rows T^k mod Q and counted per
+unit residue, one layer per degree d; character_sums turns the layers into
+S[chi, d, 1], and S[chi, d, j] = S[chi^j, d, 1].  Each bound is then a
+weight vector over n, and its values on a whole t-grid are one
+(characters x n) @ (n x t) product with the phases e^(-i t n log q);
+log|L| on the grid is likewise coeffs @ u(t)^n.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ffmoments.chargroup import (
     Modulus,
     UnitGroup,
     all_characters,
-    character_values,
+    char_index,
     exponent_rows,
     unit_group,
 )
@@ -152,23 +153,30 @@ def log_abs_l(L: LPolynomial, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def l_coefficients(group: UnitGroup, chars: list[DirichletChar]) -> np.ndarray:
-    """Coefficient matrix (len(chars) x deg(Q)) of the L-polynomials.
+def character_sums(group: UnitGroup, weights) -> np.ndarray:
+    """(len(weights), phi) sums of w(a) chi_k(a) over the units a, one row per
+    weight row w (aligned with group.residues), characters in canonical index
+    order: the unnormalised inverse DFT of w placed on the exponent grid
+    (shape group.orders) by the discrete-log table, since chi_k(a) =
+    exp(2 pi i sum_j k_j a_j / m_j) and the canonical index is C order on
+    that grid."""
+    weights = np.asarray(weights)
+    if group.rank == 0:
+        return weights.astype(np.complex128)
+    grid = np.zeros((len(weights), *group.orders), dtype=np.complex128)
+    grid[(slice(None), *group.dlog_mat.T)] = weights
+    sums = np.fft.ifftn(grid, axes=tuple(range(1, group.rank + 1)), norm="forward")
+    return sums.reshape(len(weights), group.order)
 
-    Accumulates the per-degree monic character sums from one unit-value
-    matrix, characters in the given order; chunked so memory stays at a few
-    hundred thousand complex entries.
-    """
-    dQ = group.modulus.degree
-    out = np.zeros((len(chars), dQ), dtype=np.complex128)
-    rows_by_degree = [group.monic_unit_rows(n) for n in range(dQ)]
-    chunk = max(1, (1 << 18) // max(1, len(group.residues)))
-    for start in range(0, len(chars), chunk):
-        batch = chars[start : start + chunk]
-        V = _values(group, batch)
-        for n, rows in enumerate(rows_by_degree):
-            out[start : start + len(batch), n] = np.sum(V[rows, :], axis=0)
-    return out
+
+def l_coefficients(group: UnitGroup, chars: list[DirichletChar]) -> np.ndarray:
+    """Coefficient matrix (len(chars) x deg(Q)) of the L-polynomials:
+    coefficient n sums the characters over the 0/1 layer of the coprime
+    monic residues of degree n, whose indices lie in [q^n, 2 q^n)."""
+    low = group.modulus.field.q ** np.arange(group.modulus.degree)[:, None]
+    layers = (low <= group.residues) & (group.residues < 2 * low)
+    columns = char_index(group, exponent_rows(group, chars))
+    return np.ascontiguousarray(character_sums(group, layers)[:, columns].T)
 
 
 def _unit_rows_of_monics(
@@ -200,14 +208,8 @@ def l_coefficient_probe(
     reduction of every monic polynomial of degree n; used to check that the
     coefficients beyond deg(Q)-1 really vanish."""
     counts = monic_residue_counts(group, n)
-    # einsum, not @: numpy sends a vector-matrix product to a threaded BLAS
-    # gemv, whose spinning threads doubled this probe's CPU time
-    return np.einsum("u,uc->c", counts.astype(np.complex128), _values(group, chars))
-
-
-def _values(group: UnitGroup, chars) -> np.ndarray:
-    """Character value matrix (units x chars) for the given characters."""
-    return character_values(group, exponent_rows(group, chars))
+    columns = char_index(group, exponent_rows(group, chars))
+    return character_sums(group, counts[None, :])[0, columns]
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +282,19 @@ class PrimePowerTable:
 
     @classmethod
     def build(cls, group: UnitGroup, chars, top: int) -> "PrimePowerTable":
-        q = group.modulus.field.q
-        values = _values(group, chars)
-        irreducibles = _irreducible_index_table(q, top)
-        sums = np.zeros((len(chars), top + 1, top + 1), dtype=np.complex128)
+        irreducibles = _irreducible_index_table(group.modulus.field.q, top)
+        counts = np.zeros((top + 1, len(group.residues)))
         for d in range(1, top + 1):
             rows, unit = _unit_rows_of_monics(group, d, irreducibles[d])
-            chi_p = np.where(unit[:, None], values[rows], 0)
-            for j in range(1, top // d + 1):
-                sums[:, d, j] = np.sum(chi_p**j, axis=0)
+            counts[d] = np.bincount(rows[unit], minlength=len(group.residues))
+        prime_sums = character_sums(group, counts)
+        # chi(P)^j = chi^j(P), and chi^j has the exponent row j*K mod orders
+        K = exponent_rows(group, chars)
+        orders = np.array(group.orders, dtype=np.int64)
+        sums = np.zeros((len(chars), top + 1, top + 1), dtype=np.complex128)
+        for j in range(1, top + 1):
+            at = char_index(group, j * K % orders)
+            sums[:, 1 : top // j + 1, j] = prime_sums[1 : top // j + 1, at].T
         return cls(group.modulus, sums)
 
     @property

@@ -7,7 +7,8 @@ at the shifts of all specs with one product and slices it per spec,
 circle_angle_moments does the same at the circle angles, perron_partial_sum
 evaluates every given coefficient row on the sampled circle by one Horner
 pass, and integral_moment computes the per-character circle integrals once
-for all exponents.
+for all exponents, sampling |L| on the uniform circle grid by one FFT of the
+scaled coefficient rows.
 
 All sums over characters run in canonical character-index order with
 pairwise summation, so family sweeps are reproducible and parallel runs
@@ -91,13 +92,10 @@ def _abs_values_at(family: PrimitiveFamily, us) -> np.ndarray:
 def _spec_moments(mags: np.ndarray, specs) -> list[float]:
     """Per spec, sum over rows of prod_j mags[:, j]^(a_j), where the specs'
     shifts are consecutive column blocks of mags."""
-    out, start = [], 0
-    for spec in specs:
-        block = mags[:, start : start + len(spec.a)]
-        prod = np.prod(block ** np.asarray(spec.a)[None, :], axis=1)
-        out.append(float(np.sum(prod)))
-        start += len(spec.a)
-    return out
+    a = np.array([a for spec in specs for a in spec.a], dtype=np.float64)
+    starts = np.cumsum([0] + [len(spec.a) for spec in specs])[:-1]
+    prods = np.multiply.reduceat(mags**a, starts, axis=1)
+    return np.sum(np.ascontiguousarray(prods.T), axis=1).tolist()
 
 
 def shifted_moment(family: PrimitiveFamily, specs) -> list[float]:
@@ -315,12 +313,10 @@ def integral_moments_per_char(
     if quad_points < 256:
         raise ValueError("at least 256 quadrature points are required")
     q = family.modulus.field.q
-    dQ = family.modulus.degree
-    t = 2 * np.pi * np.arange(quad_points) / quad_points
-    u = np.exp(1j * t) / math.sqrt(q)
-    powers = u[None, :] ** np.arange(dQ)[:, None]  # (dQ, M)
-    # einsum, not @, as in _abs_values_at_shifts
-    mags = np.abs(np.einsum("cn,nm->cm", family.coeffs, powers))  # (n_prim, M)
+    # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of
+    # the rows c_n q^(-n/2), zero-padded to M > deg Q points by the floor
+    scaled = family.coeffs * q ** (-0.5 * np.arange(family.modulus.degree))
+    mags = np.abs(np.fft.ifft(scaled, n=quad_points, axis=1, norm="forward"))
     return 2 * np.pi * np.mean(mags, axis=1)
 
 

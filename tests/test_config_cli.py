@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,12 @@ import pytest
 
 from ffmoments import cli
 from ffmoments.anchors import CHECK_ANCHORS
-from ffmoments.chargroup import UnitGroup, factor_modulus, unit_group
+from ffmoments.chargroup import (
+    UnitGroup,
+    character_values,
+    factor_modulus,
+    unit_group,
+)
 from ffmoments.cli import _unit_group_ok, main
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
@@ -329,6 +335,29 @@ class TestCli:
         for name in ("moments.csv", "moments.json", "moments_checks.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
         assert len(read_rows(serial / "moments.csv")) == 9 * 2
+
+    def test_lfun_and_moments_build_no_value_matrix(self, smoke, monkeypatch):
+        # only the enumerate checks read the dense character value matrix;
+        # every L-coefficient and prime sum comes from character_sums
+        cfg, tmp = smoke
+        plain, patched = tmp / "plain", tmp / "patched"
+        for command in ("lfun", "moments"):
+            assert run_cli(command, "--config", cfg, "--out", str(plain)) == 0
+
+        def refuse(*args):
+            raise AssertionError("dense character value matrix built")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ffmoments") and (
+                getattr(module, "character_values", None) is character_values
+            ):
+                monkeypatch.setattr(module, "character_values", refuse)
+        for command in ("lfun", "moments"):
+            assert run_cli(command, "--config", cfg, "--out", str(patched)) == 0
+        names = sorted(p.name for p in plain.glob("*.csv")) + ["moments.json"]
+        assert len(names) == 4
+        for name in names:
+            assert (plain / name).read_bytes() == (patched / name).read_bytes()
 
     def test_internal_error_exit_three(self, smoke, monkeypatch, capsys):
         cfg, tmp = smoke

@@ -10,6 +10,7 @@ from ffmoments.chargroup import (
     _even_mask,
     all_characters,
     char_index,
+    character_values,
     exponent_rows,
     factor_modulus,
     unit_group,
@@ -17,6 +18,7 @@ from ffmoments.chargroup import (
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
+    _irreducible_index_table,
     enumerate_irreducible,
     enumerate_monic,
     monic_from_index,
@@ -146,6 +148,57 @@ def oracle_monic_residue_counts(group, n):
     return counts
 
 
+# ---------------------------------------------------------------------------
+# Dense oracles: character sums read off the unit-value matrix
+# ---------------------------------------------------------------------------
+
+
+def dense_values(group, chars):
+    """Value matrix V[u, c] = chi_c(residue_u)."""
+    return character_values(group, exponent_rows(group, chars))
+
+
+def oracle_l_coefficients(group, chars):
+    V = dense_values(group, chars)
+    out = np.zeros((len(chars), group.modulus.degree), dtype=np.complex128)
+    for n in range(group.modulus.degree):
+        out[:, n] = oracle_monic_residue_counts(group, n) @ V
+    return out
+
+
+def oracle_probe(group, chars, n):
+    return monic_residue_counts(group, n) @ dense_values(group, chars)
+
+
+def oracle_prime_power_sums(group, chars, top):
+    """sums[c, d, j] = sum over irreducible P of degree d of chi_c(P)^j,
+    with chi_c(P) gathered from the value matrix and raised to the power j."""
+    values = dense_values(group, chars)
+    irreducibles = _irreducible_index_table(group.modulus.field.q, top)
+    sums = np.zeros((len(chars), top + 1, top + 1), dtype=np.complex128)
+    for d in range(1, top + 1):
+        rows, unit = _unit_rows_of_monics(group, d, irreducibles[d])
+        chi_p = np.where(unit[:, None], values[rows], 0)
+        for j in range(1, top // d + 1):
+            sums[:, d, j] = np.sum(chi_p**j, axis=0)
+    return sums
+
+
+# (q, modulus, rank of its unit group): rank 0, rank >= 2, prime powers,
+# irreducibles and products of distinct primes, at q = 2, 3 and 5
+DENSE_PARITY_MODULI = [
+    (2, "T^2 + T", 0),
+    (2, "T^4", 2),
+    (2, "T^3 + T + 1", 1),
+    (3, "T^3 + T^2", 3),
+    (3, "T^3", 3),
+    (3, "T^2 + 1", 1),
+    (5, "T^2", 2),
+    (5, "T^2 + T", 2),
+    (5, "T^3 + T + 1", 1),
+]
+
+
 def parity_families():
     """All moduli with primitive characters at q=2, deg Q <= 3, and q=3,
     deg Q = 3; moduli of degree 2 come with x up to q^3, so primes of degree
@@ -182,6 +235,27 @@ def l_by_c1(fam, value):
     idx = int(np.argmin(np.abs(fam.coeffs[:, 1] - value)))
     assert abs(fam.coeffs[idx, 1] - value) < 1e-9
     return l_polynomials(fam)[idx]
+
+
+@pytest.mark.parametrize("q, text, rank", DENSE_PARITY_MODULI)
+def test_character_sums_match_dense_oracles(q, text, rank):
+    # every character, in reverse canonical order, so the columns must be
+    # gathered by index; errors are taken relative to q^(n/2) for degree n
+    group = unit_group(factor_modulus(parse_poly(FieldSpec(q), text)))
+    assert group.rank == rank
+    chars = all_characters(group)[::-1]
+    dQ = group.modulus.degree
+    scale = float(q) ** (np.arange(dQ + 3) / 2)
+    err = np.abs(l_coefficients(group, chars) - oracle_l_coefficients(group, chars))
+    assert np.all(err <= 1e-12 * scale[:dQ])
+    for n in (dQ, dQ + 1, dQ + 2):
+        got = l_coefficient_probe(group, chars, n)
+        assert np.all(np.abs(got - oracle_probe(group, chars, n)) <= 1e-12 * scale[n])
+    top = dQ + 2
+    sums = PrimePowerTable.build(group, chars, top).sums
+    n = np.outer(np.arange(top + 1), np.arange(top + 1))
+    err = np.abs(sums - oracle_prime_power_sums(group, chars, top))
+    assert np.all(err <= 1e-12 * float(q) ** (n / 2))
 
 
 class TestZeta:

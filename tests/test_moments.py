@@ -18,6 +18,7 @@ from ffmoments.moments import (
     charsum_moment,
     circle_angle_moments,
     integral_moment,
+    integral_moments_per_char,
     moment_report,
     perron_aliasing_bound,
     perron_partial_sum,
@@ -52,6 +53,14 @@ def oracle_perron(coeffs, N, r, M):
     u = r * np.exp(2j * np.pi * np.arange(M) / M)
     values = np.polyval(coeffs[::-1], u)
     return complex(np.mean(values / ((1 - u) * u**N)))
+
+
+def oracle_circle_integrals(family, M):
+    """The per-character circle integrals of |L| by the periodic trapezoid
+    rule, |L| on the grid from one (chars x deg Q) @ (deg Q x M) product."""
+    u = np.exp(2j * np.pi * np.arange(M) / M) / math.sqrt(family.modulus.field.q)
+    powers = u[None, :] ** np.arange(family.modulus.degree)[:, None]
+    return 2 * np.pi * np.mean(np.abs(family.coeffs @ powers), axis=1)
 
 
 def small_families():
@@ -358,6 +367,13 @@ class TestIntegralMoment:
             deltas.append(abs(b - a))
         assert deltas[0] < 1e-5
         assert deltas[2] < deltas[1] < deltas[0]
+
+    def test_integrals_match_dense_oracle(self):
+        for fam in small_families():
+            for M in (256, 1024):
+                want = oracle_circle_integrals(fam, M)
+                got = integral_moments_per_char(fam, M)
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_floor_enforced(self, fam_t2):
         with pytest.raises(ValueError):
