@@ -1,15 +1,16 @@
 """Structure of (F_q[T]/Q)^* and the Dirichlet characters mod Q.
 
-The unit group is presented by an explicit generator basis with orders, plus
-a full discrete-log table mapping every coprime residue (in its integer
-encoding) to its exponent vector.  The basis is assembled per prime-power
-factor of Q: the part of order q^d - 1 comes from deterministic order
-testing in residue-enumeration order, the (1+P)-part from a generic abelian
-p-group basis computation over its elements, and the factors are glued by
-CRT.  The map (a_1..a_r) -> prod g_j^a_j is verified at construction to be
-a bijection onto the units: phi(Q) distinct residues, every one non-zero
-mod each prime factor of Q, so any defect in the structure computation
-fails loudly.
+By the CRT the unit group is the product of the local groups (F_q[T]/P^e)^*
+over the prime-power factors of Q.  Each local group is built on residue
+index arrays once per process per prime power and memoised: the part of
+order q^deg(P) - 1 is generated by a power of the first primitive root mod P,
+the (1+P)-part by a greedy p-group basis, and a mask marks its primitive
+characters.  unit_group glues the local tables of Q with the CRT
+idempotents: generator basis with orders, plus a full discrete-log table
+mapping every coprime residue (in its integer encoding) to its exponent
+vector.  The map (a_1..a_r) -> prod g_j^a_j is verified to be a bijection
+onto the units: phi(Q) distinct residues, every one non-zero mod each prime
+factor of Q, so any defect in the structure computation fails loudly.
 
 Characters are exponent vectors against that basis; values are unit-circle
 complex numbers computed at call time.
@@ -18,9 +19,11 @@ complex numbers computed at call time.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +33,7 @@ from ffmoments.ffpoly import (
     FqPoly,
     _prime_factors_int,
     enumerate_irreducible,
-    ext_gcd,
     poly_divmod,
-    poly_gcd,
-    pow_mod,
     render_poly,
     residue_from_index,
     residue_index,
@@ -119,106 +119,146 @@ def primitive_count_inclusion_exclusion(m: Modulus) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Abelian p-group basis from its full element list
+# Local unit groups (F_q[T]/P^e)^* on residue index arrays
 # ---------------------------------------------------------------------------
 
 
-def _pgroup_basis(elements, mul, one, p):
-    """Generators and orders presenting a finite abelian p-group as a direct
-    product of cyclics, given the complete element list.
+class _LocalTable(NamedTuple):
+    """(F_q[T]/P^e)^* on residue indices of width deg(P^e); arrays read-only."""
 
-    Greedy maximal-order selection with the classical correction step; the
-    dict of exponent tuples built along the way doubles as a directness
-    check (a collision raises).
-    """
-    basis, orders = [], []
-    table = {one: ()}
-    while len(table) < len(elements):
-        best, best_k, best_tail = None, 1, None
-        for h in elements:
-            x, k = h, 1
-            while x not in table:
-                y = x
-                for _ in range(p - 1):
-                    y = mul(y, x)
-                x, k = y, k * p
-            if k > best_k:
-                best, best_k, best_tail = h, k, table[x]
-        h, k = best, best_k
-        for i, c_i in enumerate(best_tail):
-            if c_i % k:
-                raise ArithmeticError("p-group basis correction failed")
-            if c_i:
-                adj, steps = one, (orders[i] - c_i // k) % orders[i]
-                for _ in range(steps):
-                    adj = mul(adj, basis[i])
-                h = mul(h, adj)
-        basis.append(h)
+    modulus: np.ndarray  # coefficients of P^e, constant first
+    orders: tuple[int, ...]
+    residues: np.ndarray  # prod g_j^a_j over the exponent grid, C order
+    primitive: np.ndarray  # per local character, same order: is it primitive
+
+
+# (q, P.coeffs, e) -> table, built on first use in each process
+_LOCAL_TABLES: dict[tuple[int, tuple[int, ...], int], _LocalTable] = {}
+
+
+def _strides(orders) -> np.ndarray:
+    """C-order strides of the exponent grid: flat index = exponents @ strides."""
+    return np.cumprod([1, *orders[:0:-1]], dtype=np.int64)[::-1][: len(orders)]
+
+
+def _exponent_grid(flat, orders) -> np.ndarray:
+    """(len(flat), rank) exponent rows of an array of C-order grid indices."""
+    return flat[:, None] // _strides(orders) % np.array(orders, dtype=np.int64)
+
+
+def _from_digits(q: int, digits) -> np.ndarray:
+    """Residue indices of an int64 array of digit rows, one residue per row."""
+    return digits @ q ** np.arange(digits.shape[-1], dtype=np.int64)
+
+
+def _one_plus(q: int, local, m, n: int) -> np.ndarray:
+    """Indices of 1 + m a mod P^e for the a of index < n, where deg(m a) <
+    deg P^e: the product needs no reduction, and adding 1 only changes digit 0."""
+    prods = scale_mod_many(q, local, np.arange(n), _from_digits(q, m))
+    low = prods % q
+    return prods - low + (low + 1) % q
+
+
+def _power_blocks(q: int, mod_digits, table, g: int, m: int) -> np.ndarray:
+    """The m blocks table * g^t mod Q, t < m, by doubling: each call also
+    squares g^k, carried as one extra row."""
+    out, gk, need = table, g, m * len(table)
+    while len(out) < need:
+        more = scale_mod_many(q, mod_digits, np.append(out[: need - len(out)], gk), gk)
+        out, gk = np.concatenate([out, more[:-1]]), more[-1]
+    return out
+
+
+def _primitive_root(q: int, P: np.ndarray) -> int:
+    """The first index in [1, q^k) of a primitive root mod the prime P of
+    degree k: every candidate, raised to c/l for every prime l | c = q^k - 1,
+    is a row of one square-and-multiply mod P; each step multiplies only the
+    rows whose exponent has that bit set, and squares each candidate once."""
+    c = q ** (len(P) - 1) - 1
+    ells = np.array(_prime_factors_int(c), dtype=np.int64)
+    exps = np.repeat(c // ells, c)  # row l c + j: candidate j + 1 to c / ells[l]
+    result, acc = np.ones_like(exps), np.arange(1, c + 1, dtype=np.int64)
+    for bit in range(int(exps.max()).bit_length()):
+        sel = np.flatnonzero(exps >> bit & 1)
+        rows, by = np.append(result[sel], acc), np.append(acc[sel % c], acc)
+        both = scale_mod_many(q, P, rows, by)
+        result[sel], acc = both[: len(sel)], both[len(sel) :]
+    return 1 + int(np.argmax(np.all((result != 1).reshape(len(ells), c), axis=0)))
+
+
+def _one_plus_p_basis(q: int, elems, local, frob):
+    """Orders and C-order table of the (1+P)-part of (F_q[T]/P^e)^* from its
+    sorted elements: greedy maximal-order selection (the first element of
+    the largest order over the subgroup found so far) with the classical
+    correction step.  The p-th power is the Frobenius digit map frob; a
+    lookup array over all residues gives each element's flat table index."""
+    d = len(local) - 1
+    orders, table = [], np.ones(1, dtype=np.int64)
+    where = np.full(q**d, -1, dtype=np.int64)
+    where[1] = 0  # the residue 1 is the table's flat index 0
+    while len(table) < len(elems):
+        x, size = elems.copy(), np.ones(len(elems), dtype=np.int64)
+        pending = where[x] < 0
+        while pending.any():
+            x[pending] = _from_digits(q, digit_rows(x[pending], q, d).T @ frob % q)
+            size[pending] *= q
+            pending = where[x] < 0
+        best = int(np.argmax(size))
+        k = int(size[best])
+        (tail,) = _exponent_grid(where[x[best : best + 1]], orders)  # of h^k
+        if np.any(tail % k):
+            raise ArithmeticError("p-group basis correction failed")
+        fix = table[-(tail // k) % np.array(orders, np.int64) @ _strides(orders)]
+        h = scale_mod_many(q, local, elems[best : best + 1], fix)[0]
+        table = _power_blocks(q, local, table, h, k).reshape(k, -1).T.ravel()
         orders.append(k)
-        snapshot = list(table.items())
-        table = {res: vec + (0,) for res, vec in snapshot}
-        cur = one
-        for t in range(1, k):
-            cur = mul(cur, h)
-            for res, vec in snapshot:
-                nres = mul(res, cur)
-                if nres in table:
-                    raise ArithmeticError("p-group basis is not direct")
-                table[nres] = vec + (t,)
-    return basis, orders
+        where[table] = np.arange(len(table))
+        if np.count_nonzero(where >= 0) != len(table):
+            raise ArithmeticError("p-group basis is not direct")
+    return orders, table
 
 
-def _component_basis(field: FieldSpec, P: FqPoly, e: int):
-    """Generator/order pairs for (F_q[T]/P^e)^*.
-
-    The prime-to-q part (order q^deg(P) - 1) is found by deterministic order
-    testing over residues in enumeration order; the (1+P)-part by the
-    generic p-group basis computation.
-    """
-    q = field.q
-    local = P
+def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
+    """The cyclic part of order c = q^k - 1 (k = deg P) is generated by
+    r^(q^(k(e-1))), r the first primitive root mod P.  u^(q^(k(e-1))) mod P^e
+    depends only on u mod P, and z -> z^q is F_q-linear on the digits, so
+    the powers of r mod P lift to P^e by one digit-matrix product.  A local
+    character is primitive iff it is non-trivial on 1 + P^(e-1) a, deg a < k."""
+    k = len(P) - 1
+    below = np.ones(1, dtype=np.int64)  # P^(e-1)
     for _ in range(e - 1):
-        local = local * P
-    dloc = local.degree
-    one = FqPoly.one(field)
-    gens: list[FqPoly] = []
-    orders: list[int] = []
-
-    cyc = q**P.degree - 1
-    ppart = q ** (P.degree * (e - 1))
-    if cyc > 1:
-        fac = _prime_factors_int(cyc)
-        found = None
-        for ridx in range(1, q**dloc):
-            u = residue_from_index(field, dloc, ridx)
-            if poly_gcd(u, P).degree != 0:
-                continue
-            t = pow_mod(u, ppart, local)
-            if all(pow_mod(t, cyc // ell, local) != one for ell in fac):
-                found = t
-                break
-        assert found is not None, "cyclic part generator search failed"
-        gens.append(found)
-        orders.append(cyc)
-
+        below = np.convolve(below, P) % q
+    local, d = np.convolve(below, P) % q, k * e
+    frob = reduction_rows(q, local, (d - 1) * q)[::q]  # rows T^(iq) mod P^e
+    orders, table = [], np.ones(1, dtype=np.int64)
     if e > 1:
-        elems = []
-        for widx in range(ppart):
-            w = residue_from_index(field, P.degree * (e - 1), widx)
-            elems.append(residue_index((one + P * w) % local, dloc))
-        elems.sort()
+        elems = np.sort(_one_plus(q, local, P, q ** (d - k)))
+        orders, table = _one_plus_p_basis(q, elems, local, frob)
+    c = q**k - 1
+    if c > 1:
+        cyclic = _power_blocks(q, P, np.ones(1, np.int64), _primitive_root(q, P), c)
+        lift = np.eye(k, d, dtype=np.int64)
+        for _ in range(d - k):
+            lift = lift @ frob % q
+        cyclic = _from_digits(q, digit_rows(cyclic, q, k).T @ lift % q)
+        table = scale_mod_many(q, local, cyclic.repeat(len(table)), np.tile(table, c))
+        orders.insert(0, c)
+    where = np.full(q**d, -1, dtype=np.int64)
+    where[table] = np.arange(len(table))
+    rows = where[_one_plus(q, local, below, q**k)]
+    grid = _exponent_grid(np.arange(len(table)), orders)
+    primitive = ~_trivial_on_rows(orders, grid, grid[rows[rows >= 0]])
+    for a in (local, table, primitive):
+        a.setflags(write=False)
+    return _LocalTable(local, tuple(orders), table, primitive)
 
-        def mul_idx(a: int, b: int) -> int:
-            pa = residue_from_index(field, dloc, a)
-            pb = residue_from_index(field, dloc, b)
-            return residue_index((pa * pb) % local, dloc)
 
-        pbasis, porders = _pgroup_basis(
-            elems, mul_idx, residue_index(one, dloc), q
-        )
-        gens.extend(residue_from_index(field, dloc, g) for g in pbasis)
-        orders.extend(porders)
-    return local, gens, orders
+def _local_table(field: FieldSpec, P: FqPoly, e: int) -> _LocalTable:
+    """The memoised table of (F_q[T]/P^e)^*, built once per process."""
+    key = (field.q, P.coeffs, e)
+    if key not in _LOCAL_TABLES:
+        _LOCAL_TABLES[key] = _build_local_table(field.q, np.array(P.coeffs), e)
+    return _LOCAL_TABLES[key]
 
 
 class UnitGroup:
@@ -261,22 +301,6 @@ class UnitGroup:
         rows = np.minimum(rows, len(self.residues) - 1)
         return rows, self.residues[rows] == indices
 
-    def reduction_kernel_rows(self, which: int) -> np.ndarray:
-        """Rows of the kernel of (A/Q)^* -> (A/(Q/P))^* for the which-th
-        prime factor P of Q: the units 1 + (Q/P) a with deg a < deg P.  The
-        products (Q/P) a have degree < deg Q, so they need no reduction and
-        adding 1 only changes digit 0."""
-        modulus = self.modulus
-        q, Q = modulus.field.q, modulus.poly
-        P = modulus.factors[which][0]
-        Qp = poly_divmod(Q, P)[0]
-        prods = scale_mod_many(
-            q, Q.coeffs, np.arange(q**P.degree), residue_index(Qp, Q.degree)
-        )
-        low = prods % q
-        rows, unit = self.rows_of(prods - low + (low + 1) % q)
-        return np.sort(rows[unit])
-
     def verify_bijection(self):
         """Check that the exponent-grid map really is a bijection onto the
         units: phi(Q) strictly increasing (so distinct) residues, dlog(1) =
@@ -299,52 +323,45 @@ class UnitGroup:
                 raise ArithmeticError("non-unit residue in table")
 
 
-def _power_blocks(q: int, mod_digits, table, g: int, m: int) -> np.ndarray:
-    """The m blocks table * g^t mod Q, t < m, by doubling: each call also
-    squares g^k, carried as one extra row."""
-    out, gk, need = table, g, m * len(table)
-    while len(out) < need:
-        more = scale_mod_many(q, mod_digits, np.append(out[: need - len(out)], gk), gk)
-        out, gk = np.concatenate([out, more[:-1]]), more[-1]
-    return out
+def _times_idempotent(q: int, tables: list[_LocalTable], i: int, shifted):
+    """(deg P_i^e_i, deg Q) digit rows of T^j e_i mod Q, given the rows
+    shifted[k] of T^k mod Q.  The CRT idempotent e_i = other (other^-1 mod
+    P_i^e_i), other the product of the other local moduli, has degree < deg Q,
+    so it needs no reduction; the inverse is read off the local table by
+    negating the exponent row."""
+    other = np.ones(1, dtype=np.int64)
+    for j, t in enumerate(tables):
+        if j != i:
+            other = np.convolve(other, t.modulus) % q
+    t, d, dQ = tables[i], len(tables[i].modulus) - 1, shifted.shape[1]
+    rem = _from_digits(q, other @ reduction_rows(q, t.modulus, len(other) - 1) % q)
+    (exps,) = _exponent_grid(np.argmax(t.residues == rem, keepdims=True), t.orders)
+    inverse = t.residues[-exps % np.array(t.orders, np.int64) @ _strides(t.orders)]
+    idem = np.convolve(other, digit_rows([inverse], q, d)[:, 0]) % q
+    return np.stack([idem @ shifted[j : j + dQ] for j in range(d)]) % q
 
 
 def unit_group(modulus: Modulus) -> UnitGroup:
-    """Construct and verify the unit-group presentation."""
-    field = modulus.field
-    q = field.q
-    Q = modulus.poly
-    dQ = Q.degree
-    gens: list[FqPoly] = []
-    orders: list[int] = []
-    for P, e in modulus.factors:
-        local, lgens, lorders = _component_basis(field, P, e)
-        other = poly_divmod(Q, local)[0]
-        if other.degree == 0:
-            lifted = lgens
-        else:
-            _, _, v = ext_gcd(local, other)  # v*other == 1 mod local
-            lift_unit = (other * v) % Q
-            one = FqPoly.one(field)
-            lifted = [(one + (g - one) * lift_unit) % Q for g in lgens]
-        gens.extend(lifted)
-        orders.extend(lorders)
-
-    res = np.array([residue_index(FqPoly.one(field), dQ)], dtype=np.int64)
-    vecs = np.zeros((1, 0), dtype=np.int64)
-    for g, m in zip(gens, orders):
-        res = _power_blocks(q, Q.coeffs, res, residue_index(g, dQ), m)
-        exps = np.repeat(np.arange(m, dtype=np.int64), len(vecs))
-        vecs = np.hstack([np.tile(vecs, (m, 1)), exps[:, None]])
-
+    """Glue the local tables of the factors P_i^e_i of Q by the CRT, then
+    verify the bijection.  The unit with local parts x_i is sum_i x_i e_i mod
+    Q, and x -> x e_i mod Q is linear on the digits, so the units over the
+    whole exponent grid come from one broadcast digit sum mod q; generator j
+    of factor i lifts to the unit 1 + (g_j - 1) e_i, at its unit exponent
+    vector."""
+    field, Q = modulus.field, modulus.poly
+    q, dQ = field.q, Q.degree
+    tables = [_local_table(field, P, e) for P, e in modulus.factors]
+    shifted = reduction_rows(q, Q.coeffs, 2 * dQ - 2)  # T^k mod Q
+    digits = np.zeros((1, dQ), dtype=np.int64)
+    for i, t in enumerate(tables):
+        local = digit_rows(t.residues, q, len(t.modulus) - 1).T
+        local = local @ _times_idempotent(q, tables, i, shifted)
+        digits = (digits[:, None, :] + local[None, :, :]).reshape(-1, dQ)
+    res = _from_digits(q, digits % q)
+    orders = tuple(m for t in tables for m in t.orders)
     order = np.argsort(res, kind="stable")
-    group = UnitGroup(
-        modulus=modulus,
-        generators=tuple(gens),
-        orders=tuple(orders),
-        residues=res[order],
-        dlog_mat=vecs[order],
-    )
+    gens = tuple(residue_from_index(field, dQ, int(res[s])) for s in _strides(orders))
+    group = UnitGroup(modulus, gens, orders, res[order], _exponent_grid(order, orders))
     group.verify_bijection()
     return group
 
@@ -390,17 +407,17 @@ def char_index(group: UnitGroup, K: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _trivial_on_rows(group: UnitGroup, K, rows) -> np.ndarray:
-    """Per exponent row of K, whether that character is 1 on the units at
-    the given rows: an exact integer test, phases scaled to the lcm L of
-    the orders and summed mod L.  K is taken in chunks so that each phase
-    matrix holds about 2^18 entries."""
-    K = np.asarray(K, dtype=np.int64).reshape(len(K), group.rank)
-    if group.rank == 0:
+def _trivial_on_rows(orders, K, dlogs) -> np.ndarray:
+    """Per exponent row of K, whether that character of the group with these
+    orders is 1 on the units with the given dlog rows: an exact integer
+    test, phases scaled to the lcm L of the orders and summed mod L.  K is
+    taken in chunks so that each phase matrix holds about 2^18 entries."""
+    K = np.asarray(K, dtype=np.int64).reshape(len(K), len(orders))
+    if not orders:
         return np.ones(len(K), dtype=bool)
-    L = math.lcm(*group.orders)
-    weights = K * (L // np.array(group.orders, dtype=np.int64))
-    dlogs = group.dlog_mat[rows].T
+    L = math.lcm(*orders)
+    weights = K * (L // np.array(orders, dtype=np.int64))
+    dlogs = np.asarray(dlogs).T
     step = max(1, (1 << 18) // max(1, dlogs.shape[1]))
     out = np.empty(len(K), dtype=bool)
     for s in range(0, len(K), step):
@@ -408,34 +425,27 @@ def _trivial_on_rows(group: UnitGroup, K, rows) -> np.ndarray:
     return out
 
 
-def _primitive_mask(group: UnitGroup, K) -> np.ndarray:
-    """Per exponent row of K, whether that character is non-trivial on the
-    kernel of reduction to Q/P for every prime P dividing Q."""
-    mask = np.ones(len(K), dtype=bool)
-    for which in range(len(group.modulus.factors)):
-        mask &= ~_trivial_on_rows(group, K, group.reduction_kernel_rows(which))
-    return mask
-
-
 def _even_mask(group: UnitGroup, K) -> np.ndarray:
     """Per exponent row of K, whether that character is 1 on the nonzero
     constants F_q^*."""
     rows, _ = group.rows_of(np.arange(1, group.modulus.field.q))
-    return _trivial_on_rows(group, K, rows)
+    return _trivial_on_rows(group.orders, K, group.dlog_mat[rows])
 
 
 def all_characters(group: UnitGroup) -> list[DirichletChar]:
-    """All phi(Q) characters in lexicographic exponent order, with
-    primitivity flags from one kernel test per prime factor."""
+    """All phi(Q) characters in lexicographic exponent order.  A character is
+    primitive iff each of its local components is: the flags are the
+    AND-outer product of the local tables' masks."""
     grid = list(itertools.product(*[range(m) for m in group.orders]))
-    K = np.array(grid, dtype=np.int64).reshape(len(grid), group.rank)
-    primitive = _primitive_mask(group, K)
+    field = group.modulus.field
+    masks = [_local_table(field, P, e).primitive for P, e in group.modulus.factors]
+    primitive = functools.reduce(np.logical_and.outer, masks).ravel().tolist()
     return [
         DirichletChar(
             group=group,
             exponents=exps,
             index=idx,
-            primitive=bool(primitive[idx]),
+            primitive=primitive[idx],
             principal=not any(exps),
         )
         for idx, exps in enumerate(grid)

@@ -266,26 +266,6 @@ def poly_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
     return a.monic()
 
 
-def ext_gcd(a: FqPoly, b: FqPoly) -> tuple[FqPoly, FqPoly, FqPoly]:
-    """(g, u, v) with monic g = gcd(a, b) = u*a + v*b."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    field = a.field
-    r0, r1 = a, b
-    u0, u1 = FqPoly.one(field), FqPoly.zero(field)
-    v0, v1 = FqPoly.zero(field), FqPoly.one(field)
-    while not r1.is_zero:
-        qt, rm = poly_divmod(r0, r1)
-        r0, r1 = r1, rm
-        u0, u1 = u1, u0 - qt * u1
-        v0, v1 = v1, v0 - qt * v1
-    lead = r0.coeffs[-1]
-    if lead != 1:
-        inv = FqPoly.constant(field, pow(lead, field.q - 2, field.q))
-        r0, u0, v0 = inv * r0, inv * u0, inv * v0
-    return r0, u0, v0
-
-
 def pow_mod(base: FqPoly, exponent: int, modulus: FqPoly) -> FqPoly:
     """base**exponent reduced mod modulus, by square and multiply."""
     if exponent < 0:

@@ -7,8 +7,8 @@ at the shifts of all specs with one product and slices it per spec,
 circle_angle_moments does the same at the circle angles, perron_partial_sum
 evaluates every given coefficient row on the sampled circle by one Horner
 pass, and integral_moment computes the per-character circle integrals once
-for all exponents, sampling |L| on the uniform circle grid by one FFT of the
-scaled coefficient rows.
+for all exponents and once per conjugate pair, sampling |L| on the uniform
+circle grid by one FFT of the scaled coefficient rows.
 
 All sums over characters run in canonical character-index order with
 pairwise summation, so family sweeps are reproducible and parallel runs
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ffmoments.chargroup import DirichletChar, Modulus
+from ffmoments.chargroup import DirichletChar, Modulus, char_index, exponent_rows
 from ffmoments.lfunc import PrimitiveFamily, u_at_shift, u_on_circle, zeta_A
 from ffmoments.ffpoly import enumerate_monic
 
@@ -309,15 +309,24 @@ def integral_moments_per_char(
     family: PrimitiveFamily, quad_points: int = 1024
 ) -> np.ndarray:
     """integral over [0, 2pi] of |L(e^(it)/sqrt(q))| dt per primitive chi,
-    by the periodic trapezoid rule on a uniform grid."""
+    by the periodic trapezoid rule on a uniform grid.  The integral of conj
+    chi is the same, |L(e^(-it)/sqrt(q), conj chi)| = |L(e^(it)/sqrt(q), chi)|,
+    so each conjugate pair is computed once, at its lower canonical index."""
     if quad_points < 256:
         raise ValueError("at least 256 quadrature points are required")
-    q = family.modulus.field.q
+    q, group = family.modulus.field.q, family.group
+    K = exponent_rows(group, family.primitive_chars)
+    index, conj = char_index(group, K), char_index(group, -K % np.array(group.orders))
+    source = np.minimum(np.searchsorted(index, conj), len(index) - 1)
+    copied = (conj < index) & (index[source] == conj)
     # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of
     # the rows c_n q^(-n/2), zero-padded to M > deg Q points by the floor
-    scaled = family.coeffs * q ** (-0.5 * np.arange(family.modulus.degree))
+    scaled = family.coeffs[~copied] * q ** (-0.5 * np.arange(family.modulus.degree))
     mags = np.abs(np.fft.ifft(scaled, n=quad_points, axis=1, norm="forward"))
-    return 2 * np.pi * np.mean(mags, axis=1)
+    out = np.empty(len(index))
+    out[~copied] = 2 * np.pi * np.mean(mags, axis=1)
+    out[copied] = out[source[copied]]
+    return out
 
 
 def integral_moment(

@@ -1,15 +1,20 @@
 """Unit-group structure, Dirichlet characters, primitivity."""
 
+import importlib
 import math
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import ffmoments
+from ffmoments import chargroup, ffpoly
+from ffmoments._backend import scale_mod_many
 from ffmoments.chargroup import (
     UnitGroup,
     _power_blocks,
-    _primitive_mask,
+    _trivial_on_rows,
     all_characters,
     char_index,
     character_values,
@@ -21,18 +26,22 @@ from ffmoments.chargroup import (
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
+    _prime_factors_int,
     enumerate_monic,
     monic_from_index,
     parse_poly,
     poly_divmod,
     poly_gcd,
+    pow_mod,
     residue_from_index,
     residue_index,
 )
+from ffmoments.lfunc import primitive_family
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
+F7 = FieldSpec(7)
 
 
 def modulus(field, text):
@@ -54,6 +63,180 @@ def oracle_kernel_rows(group, which):
         if row is not None:
             rows.append(row)
     return sorted(rows)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the unit group built per modulus in FqPoly arithmetic, and
+# primitivity by the reduction kernel of each prime factor of Q
+# ---------------------------------------------------------------------------
+
+
+def oracle_ext_gcd(a, b):
+    """(g, u, v) with monic g = gcd(a, b) = u*a + v*b."""
+    field = a.field
+    r0, r1 = a, b
+    u0, u1 = FqPoly.one(field), FqPoly.zero(field)
+    v0, v1 = FqPoly.zero(field), FqPoly.one(field)
+    while not r1.is_zero:
+        qt, rm = poly_divmod(r0, r1)
+        r0, r1 = r1, rm
+        u0, u1 = u1, u0 - qt * u1
+        v0, v1 = v1, v0 - qt * v1
+    lead = r0.coeffs[-1]
+    if lead != 1:
+        inv = FqPoly.constant(field, pow(lead, field.q - 2, field.q))
+        r0, u0, v0 = inv * r0, inv * u0, inv * v0
+    return r0, u0, v0
+
+
+def oracle_pgroup_basis(elements, mul, one, p):
+    """Generators and orders presenting a finite abelian p-group as a direct
+    product of cyclics, given the complete element list: greedy
+    maximal-order selection with the classical correction step; the dict of
+    exponent tuples doubles as a directness check."""
+    basis, orders = [], []
+    table = {one: ()}
+    while len(table) < len(elements):
+        best, best_k, best_tail = None, 1, None
+        for h in elements:
+            x, k = h, 1
+            while x not in table:
+                y = x
+                for _ in range(p - 1):
+                    y = mul(y, x)
+                x, k = y, k * p
+            if k > best_k:
+                best, best_k, best_tail = h, k, table[x]
+        h, k = best, best_k
+        for i, c_i in enumerate(best_tail):
+            if c_i % k:
+                raise ArithmeticError("p-group basis correction failed")
+            if c_i:
+                adj, steps = one, (orders[i] - c_i // k) % orders[i]
+                for _ in range(steps):
+                    adj = mul(adj, basis[i])
+                h = mul(h, adj)
+        basis.append(h)
+        orders.append(k)
+        snapshot = list(table.items())
+        table = {res: vec + (0,) for res, vec in snapshot}
+        cur = one
+        for t in range(1, k):
+            cur = mul(cur, h)
+            for res, vec in snapshot:
+                nres = mul(res, cur)
+                if nres in table:
+                    raise ArithmeticError("p-group basis is not direct")
+                table[nres] = vec + (t,)
+    return basis, orders
+
+
+def oracle_component_basis(field, P, e):
+    """Generator/order pairs for (F_q[T]/P^e)^*: the part of order
+    q^deg(P) - 1 by order testing over residues in enumeration order, the
+    (1+P)-part by the generic p-group basis."""
+    q = field.q
+    local = P
+    for _ in range(e - 1):
+        local = local * P
+    dloc = local.degree
+    one = FqPoly.one(field)
+    gens, orders = [], []
+    cyc = q**P.degree - 1
+    ppart = q ** (P.degree * (e - 1))
+    if cyc > 1:
+        fac = _prime_factors_int(cyc)
+        found = None
+        for ridx in range(1, q**dloc):
+            u = residue_from_index(field, dloc, ridx)
+            if poly_gcd(u, P).degree != 0:
+                continue
+            t = pow_mod(u, ppart, local)
+            if all(pow_mod(t, cyc // ell, local) != one for ell in fac):
+                found = t
+                break
+        gens.append(found)
+        orders.append(cyc)
+    if e > 1:
+        elems = []
+        for widx in range(ppart):
+            w = residue_from_index(field, P.degree * (e - 1), widx)
+            elems.append(residue_index((one + P * w) % local, dloc))
+        elems.sort()
+
+        def mul_idx(a, b):
+            pa = residue_from_index(field, dloc, a)
+            pb = residue_from_index(field, dloc, b)
+            return residue_index((pa * pb) % local, dloc)
+
+        pbasis, porders = oracle_pgroup_basis(
+            elems, mul_idx, residue_index(one, dloc), q
+        )
+        gens.extend(residue_from_index(field, dloc, g) for g in pbasis)
+        orders.extend(porders)
+    return local, gens, orders
+
+
+def oracle_unit_group(modulus):
+    """The unit group built per modulus: each factor's basis in FqPoly
+    arithmetic, lifted by the ext_gcd idempotent, then the power loop."""
+    field, Q = modulus.field, modulus.poly
+    q, dQ = field.q, Q.degree
+    one = FqPoly.one(field)
+    gens, orders = [], []
+    for P, e in modulus.factors:
+        local, lgens, lorders = oracle_component_basis(field, P, e)
+        other = poly_divmod(Q, local)[0]
+        if other.degree > 0:
+            _, _, v = oracle_ext_gcd(local, other)  # v*other == 1 mod local
+            lift_unit = (other * v) % Q
+            lgens = [(one + (g - one) * lift_unit) % Q for g in lgens]
+        gens.extend(lgens)
+        orders.extend(lorders)
+    res = np.array([1], dtype=np.int64)
+    vecs = np.zeros((1, 0), dtype=np.int64)
+    for g, m in zip(gens, orders):
+        res = _power_blocks(q, Q.coeffs, res, residue_index(g, dQ), m)
+        exps = np.repeat(np.arange(m, dtype=np.int64), len(vecs))
+        vecs = np.hstack([np.tile(vecs, (m, 1)), exps[:, None]])
+    order = np.argsort(res, kind="stable")
+    return UnitGroup(modulus, tuple(gens), tuple(orders), res[order], vecs[order])
+
+
+def reduction_kernel_rows(group, which):
+    """Rows of the kernel of (A/Q)^* -> (A/(Q/P))^* for the which-th prime
+    factor P of Q: the units 1 + (Q/P) a with deg a < deg P, by one
+    scale_mod_many; the products have degree < deg Q, so adding 1 only
+    changes digit 0."""
+    modulus = group.modulus
+    q, Q = modulus.field.q, modulus.poly
+    P = modulus.factors[which][0]
+    Qp = poly_divmod(Q, P)[0]
+    prods = scale_mod_many(
+        q, Q.coeffs, np.arange(q**P.degree), residue_index(Qp, Q.degree)
+    )
+    low = prods % q
+    rows, unit = group.rows_of(prods - low + (low + 1) % q)
+    return np.sort(rows[unit])
+
+
+def oracle_primitive_mask(group, K):
+    """Per exponent row of K, whether that character is non-trivial on the
+    kernel of reduction to Q/P for every prime P dividing Q."""
+    mask = np.ones(len(K), dtype=bool)
+    for which in range(len(group.modulus.factors)):
+        dlogs = group.dlog_mat[reduction_kernel_rows(group, which)]
+        mask &= ~_trivial_on_rows(group.orders, K, dlogs)
+    return mask
+
+
+def assert_same_group(got, want):
+    assert got.generators == want.generators
+    assert got.orders == want.orders
+    for name in ("residues", "dlog_mat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 # q = 2, 3, 5; squarefree and not, one or several prime factors
@@ -265,14 +448,14 @@ class TestCharacters:
     def test_kernel_rows_match_poly_loop(self, field, text):
         g = unit_group(modulus(field, text))
         for which in range(len(g.modulus.factors)):
-            rows = g.reduction_kernel_rows(which)
+            rows = reduction_kernel_rows(g, which)
             assert rows.tolist() == oracle_kernel_rows(g, which)
 
     def test_is_primitive_matches_flag(self):
         # one character at a time gives the flag the batched test gave
         g = unit_group(modulus(F2, "T^3"))
         for c in all_characters(g):
-            assert _primitive_mask(g, [c.exponents])[0] == c.primitive
+            assert oracle_primitive_mask(g, [c.exponents])[0] == c.primitive
 
 
 class TestCharEval:
@@ -350,3 +533,95 @@ class TestCharEval:
             for i, ridx in enumerate(g.residues):
                 f = FqPoly(F3, [(int(ridx) // 3**k) % 3 for k in range(2)])
                 assert abs(V[i, j] - c(f)) < 1e-12
+
+
+# every monic modulus of these degrees is compared with the oracles
+SWEEP = [(F2, d) for d in range(2, 7)] + [(F3, d) for d in range(2, 5)]
+SWEEP += [(F5, 2), (F5, 3), (F7, 2)]
+# rank 0; a pure p-group; several factors, one of them ramified
+SHAPES = [
+    (F2, "T^2 + T"),
+    (F2, "T^6"),
+    (F3, "T^6"),
+    (F2, "T^12 + T^5 + T^2"),  # T^2 (T^10 + T^3 + 1)
+    (F3, "T^5 + T^3"),  # T^3 (T^2 + 1)
+    (F5, "T^3 + 4*T"),  # T (T + 1) (T + 4)
+]
+
+
+def assert_matches_oracles(m):
+    g = unit_group(m)
+    assert_same_group(g, oracle_unit_group(m))
+    chars = all_characters(g)
+    K = exponent_rows(g, chars)
+    flags = [c.primitive for c in chars]
+    assert flags == oracle_primitive_mask(g, K).tolist()
+    return g
+
+
+class TestLocalTables:
+    @pytest.mark.parametrize(
+        "field,degree", SWEEP, ids=[f"q{f.q}-d{d}" for f, d in SWEEP]
+    )
+    def test_sweep_matches_old_construction(self, field, degree):
+        for idx in range(field.q**degree):
+            assert_matches_oracles(factor_modulus(monic_from_index(field, degree, idx)))
+
+    @pytest.mark.parametrize(
+        "field,text", SHAPES, ids=[f"q{f.q}-{t}" for f, t in SHAPES]
+    )
+    def test_shapes_match_old_construction(self, field, text):
+        g = assert_matches_oracles(modulus(field, text))
+        if text == "T^2 + T":
+            assert g.rank == 0
+        elif text == "T^6":  # (1 + T F_q[T]) mod T^6 is a non-cyclic p-group
+            p_orders = [m for m in g.orders if m % field.q == 0]
+            assert len(p_orders) >= 2 and math.prod(p_orders) == field.q**5
+            assert len(p_orders) == g.rank or field.q > 2
+        else:
+            assert len(g.modulus.factors) > 1
+
+    def test_family_path_makes_no_poly_arithmetic(self, monkeypatch):
+        moduli = [
+            modulus(F3, t) for t in ["T^2", "T^3 + T^2", "T^4 + 2*T^2 + 1", "T^5 + T"]
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("FqPoly arithmetic on the family path")
+
+        monkeypatch.setattr(chargroup, "_LOCAL_TABLES", {})
+        for info in pkgutil.iter_modules(ffmoments.__path__):
+            module = importlib.import_module(f"ffmoments.{info.name}")
+            for name in ("poly_divmod", "poly_mul"):
+                if getattr(module, name, None) is getattr(ffpoly, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for m in moduli:
+            assert primitive_family(m).n_primitive == (
+                primitive_count_inclusion_exclusion(m)
+            )
+        with pytest.raises(AssertionError, match="family path"):
+            FqPoly.one(F3) * FqPoly.variable(F3)
+
+    def test_cleared_memo_gives_identical_groups(self, monkeypatch):
+        moduli = [modulus(F3, t) for t in ["T^3 + T^2", "T^4 + T^3", "T^2"]]
+        warm = [unit_group(m) for m in moduli]
+        monkeypatch.setattr(chargroup, "_LOCAL_TABLES", {})
+        for m, g in zip(moduli, warm):
+            assert_same_group(unit_group(m), g)
+        assert len(chargroup._LOCAL_TABLES) == 3  # T^2, T + 1 and T^3
+
+    def test_memo_arrays_are_read_only(self):
+        unit_group(modulus(F3, "T^3 + T^2"))
+        assert chargroup._LOCAL_TABLES
+        for table in chargroup._LOCAL_TABLES.values():
+            for array in (table.modulus, table.residues, table.primitive):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[-1]
+
+    def test_tampered_group_leaves_shared_factor_intact(self):
+        g = unit_group(modulus(F3, "T^2"))
+        g.residues[:] = g.residues[::-1]
+        g.dlog_mat[:] = 0
+        # T^2 (T + 1) and T^2 again share the local table of T^2
+        for text in ("T^3 + T^2", "T^2"):
+            assert_matches_oracles(modulus(F3, text))
