@@ -31,9 +31,9 @@ from ffmoments._backend import digit_rows, reduction_rows, scale_mod_many
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
+    _irreducible_index_table,
     _prime_factors_int,
-    enumerate_irreducible,
-    poly_divmod,
+    monic_from_index,
     render_poly,
     residue_from_index,
     residue_index,
@@ -65,33 +65,58 @@ class Modulus:
         return render_poly(self.poly)
 
 
+@functools.cache
+def _irreducible_rows(q: int, d: int, top: int) -> np.ndarray:
+    """(N, top + 1, d) digit rows of T^k mod P, k <= top, for the N monic
+    irreducibles P of degree d in index order; read-only."""
+    monics = _irreducible_index_table(q, d)[d] + q**d  # leading 1 as digit d
+    rows = reduction_rows(q, digit_rows(monics, q, d + 1).T, top)
+    rows.setflags(write=False)
+    return rows
+
+
+def _divmod_digits(q: int, num: list[int], den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder digits of num by the monic den, both digit
+    lists with the constant first."""
+    num = list(num)
+    d = len(den) - 1
+    quot = [0] * max(len(num) - d, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = num[k + d]
+        for i, x in enumerate(den):
+            num[k + i] = (num[k + i] - c * x) % q
+    return quot, num[:d]
+
+
 def factor_modulus(Q: FqPoly) -> Modulus:
-    """Factor a monic modulus of degree >= 2 by trial division against the
-    enumerated irreducibles, and fill in the Euler totient."""
+    """Factor a monic modulus of degree >= 2 on digit arrays, and fill in the
+    Euler totient.  Degree by degree, the remainders of the unfactored part R
+    mod every monic irreducible of that degree are one digit product against
+    their stacked rows T^k mod P; each P that leaves remainder zero, in index
+    order, is divided out of R by long division as often as it goes."""
     if not Q.is_monic:
         raise ValueError("modulus must be monic")
     if Q.degree < 2:
         raise ValueError("modulus must have degree >= 2")
     field = Q.field
     q = field.q
-    rem = Q
+    rem = list(Q.coeffs)
     factors: list[tuple[FqPoly, int]] = []
     d = 1
-    while rem.degree >= 1 and d <= Q.degree:
-        for P in enumerate_irreducible(field, d):
+    while d < len(rem):
+        remainders = np.array(rem) @ _irreducible_rows(q, d, len(rem) - 1) % q
+        divisors = _irreducible_index_table(q, d)[d][~np.any(remainders, axis=1)]
+        for index in divisors.tolist():
+            P = monic_from_index(field, d, index)
             e = 0
             while True:
-                quot, r = poly_divmod(rem, P)
-                if not r.is_zero:
+                quot, r = _divmod_digits(q, rem, P.coeffs)
+                if any(r):
                     break
-                rem = quot
-                e += 1
-            if e:
-                factors.append((P, e))
-            if rem.degree < d:
-                break
+                rem, e = quot, e + 1
+            factors.append((P, e))
         d += 1
-    assert rem.degree == 0 and rem.coeffs[0] == 1, "factorization incomplete"
+    assert rem == [1], "factorization incomplete"
     phi = 1
     for P, e in factors:
         dp = P.degree
@@ -432,14 +457,19 @@ def _even_mask(group: UnitGroup, K) -> np.ndarray:
     return _trivial_on_rows(group.orders, K, group.dlog_mat[rows])
 
 
-def all_characters(group: UnitGroup) -> list[DirichletChar]:
-    """All phi(Q) characters in lexicographic exponent order.  A character is
-    primitive iff each of its local components is: the flags are the
-    AND-outer product of the local tables' masks."""
-    grid = list(itertools.product(*[range(m) for m in group.orders]))
+def primitive_mask(group: UnitGroup) -> np.ndarray:
+    """Per character in canonical index order, whether it is primitive.  A
+    character is primitive iff each of its local components is: the mask is
+    the AND-outer product of the local tables' masks."""
     field = group.modulus.field
     masks = [_local_table(field, P, e).primitive for P, e in group.modulus.factors]
-    primitive = functools.reduce(np.logical_and.outer, masks).ravel().tolist()
+    return functools.reduce(np.logical_and.outer, masks).ravel()
+
+
+def all_characters(group: UnitGroup) -> list[DirichletChar]:
+    """All phi(Q) characters in lexicographic exponent order."""
+    grid = list(itertools.product(*[range(m) for m in group.orders]))
+    primitive = primitive_mask(group).tolist()
     return [
         DirichletChar(
             group=group,

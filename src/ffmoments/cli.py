@@ -26,9 +26,9 @@ import numpy as np
 from ffmoments._backend import scale_mod_many
 from ffmoments.chargroup import (
     _even_mask,
+    _exponent_grid,
     char_index,
     character_values,
-    exponent_rows,
     primitive_count_inclusion_exclusion,
 )
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
@@ -164,7 +164,7 @@ def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
 
 
 def _enumerate_result(fam) -> dict:
-    modulus, group, chars = fam.modulus, fam.group, fam.characters
+    modulus, group = fam.modulus, fam.group
     product = FqPoly.one(modulus.field)
     for P, e in modulus.factors:
         for _ in range(e):
@@ -173,10 +173,10 @@ def _enumerate_result(fam) -> dict:
         group.residues
     )
 
-    V = character_values(group, exponent_rows(group, chars))
+    # all phi(Q) characters in canonical order; the principal one is index 0
+    V = character_values(group, _exponent_grid(np.arange(group.order), group.orders))
     col_sums = np.abs(np.sum(V, axis=0))
-    non_principal = [i for i, c in enumerate(chars) if not c.principal]
-    ortho_max = float(np.max(col_sums[non_principal])) if non_principal else 0.0
+    ortho_max = float(np.max(col_sums[1:])) if group.order > 1 else 0.0
 
     # seeded random (unit, unit, character) triples; chi(a b) is read from
     # the value matrix at the row of the product residue.  The columns go
@@ -185,7 +185,7 @@ def _enumerate_result(fam) -> dict:
     n = len(group.residues)
     i, j, c = np.array(
         [
-            (rng.randrange(n), rng.randrange(n), rng.randrange(len(chars)))
+            (rng.randrange(n), rng.randrange(n), rng.randrange(group.order))
             for _ in range(min(200, 4 * n))
         ]
     ).T
@@ -294,14 +294,13 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
     probe_max = 0.0
     if fam.n_primitive:
         for extra in range(modulus.degree, modulus.degree + 3):
-            vals = l_coefficient_probe(fam.group, list(fam.primitive_chars), extra)
+            vals = l_coefficient_probe(fam.group, fam.index, extra)
             probe_max = max(probe_max, float(np.max(np.abs(vals))))
     out["probe_max"] = probe_max
 
     # RH root shape per primitive character, fixed by its parity
-    K = exponent_rows(fam.group, fam.primitive_chars)
+    K, index = fam.exponents, fam.index
     devs = rh_root_deviations(coeffs, _even_mask(fam.group, K), cfg.q)
-    index = np.array([c.index for c in fam.primitive_chars], dtype=np.int64)
     out["root_rows"] = list(zip(index.tolist(), devs.tolist()))
 
     # conjugation symmetry of the coefficient rows: conj chi has exponents
@@ -322,7 +321,7 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
     if not fam.n_primitive:
         return out
 
-    table = PrimePowerTable.build(fam.group, fam.primitive_chars, top)
+    table = PrimePowerTable.build(fam.group, fam.exponents, top)
     out["explicit_max"] = float(np.max(table.explicit_formula_defect(coeffs)))
 
     ts = _t_grid(cfg.q, cfg.t_grid_points)

@@ -36,9 +36,10 @@ from ffmoments.chargroup import (
     DirichletChar,
     Modulus,
     UnitGroup,
-    all_characters,
+    _exponent_grid,
     char_index,
     exponent_rows,
+    primitive_mask,
     unit_group,
 )
 from ffmoments.ffpoly import _irreducible_index_table
@@ -169,14 +170,14 @@ def character_sums(group: UnitGroup, weights) -> np.ndarray:
     return sums.reshape(len(weights), group.order)
 
 
-def l_coefficients(group: UnitGroup, chars: list[DirichletChar]) -> np.ndarray:
-    """Coefficient matrix (len(chars) x deg(Q)) of the L-polynomials:
-    coefficient n sums the characters over the 0/1 layer of the coprime
-    monic residues of degree n, whose indices lie in [q^n, 2 q^n)."""
+def l_coefficients(group: UnitGroup, index) -> np.ndarray:
+    """Coefficient matrix (len(index) x deg(Q)) of the L-polynomials of the
+    characters with these canonical indices: coefficient n sums the
+    characters over the 0/1 layer of the coprime monic residues of degree n,
+    whose indices lie in [q^n, 2 q^n)."""
     low = group.modulus.field.q ** np.arange(group.modulus.degree)[:, None]
     layers = (low <= group.residues) & (group.residues < 2 * low)
-    columns = char_index(group, exponent_rows(group, chars))
-    return np.ascontiguousarray(character_sums(group, layers)[:, columns].T)
+    return np.ascontiguousarray(character_sums(group, layers)[:, index].T)
 
 
 def _unit_rows_of_monics(
@@ -201,15 +202,13 @@ def monic_residue_counts(group: UnitGroup, n: int) -> np.ndarray:
     return np.bincount(rows[unit], minlength=len(group.residues))
 
 
-def l_coefficient_probe(
-    group: UnitGroup, chars: list[DirichletChar], n: int
-) -> np.ndarray:
-    """Coefficient n of each character's Dirichlet series computed by brute
-    reduction of every monic polynomial of degree n; used to check that the
-    coefficients beyond deg(Q)-1 really vanish."""
+def l_coefficient_probe(group: UnitGroup, index, n: int) -> np.ndarray:
+    """Coefficient n of the Dirichlet series of the characters with these
+    canonical indices, computed by brute reduction of every monic polynomial
+    of degree n; used to check that the coefficients beyond deg(Q)-1 really
+    vanish."""
     counts = monic_residue_counts(group, n)
-    columns = char_index(group, exponent_rows(group, chars))
-    return character_sums(group, counts[None, :])[0, columns]
+    return character_sums(group, counts[None, :])[0, index]
 
 
 # ---------------------------------------------------------------------------
@@ -219,32 +218,40 @@ def l_coefficient_probe(
 
 @dataclass
 class PrimitiveFamily:
-    """A modulus together with all its characters, its primitive characters
-    and their L-polynomial coefficients (rows in canonical character
-    order)."""
+    """A modulus with its unit group, its primitive characters as arrays and
+    their L-polynomial coefficients, one row per primitive character in
+    canonical index order."""
 
     modulus: Modulus
     group: UnitGroup
-    characters: tuple[DirichletChar, ...]  # all phi(Q), by canonical index
-    primitive_chars: tuple[DirichletChar, ...]
+    index: np.ndarray  # (n_primitive,) canonical indices, ascending
+    exponents: np.ndarray  # (n_primitive, rank) exponent rows
     coeffs: np.ndarray  # (n_primitive, deg Q)
 
     @property
     def n_primitive(self) -> int:
-        return len(self.primitive_chars)
+        return len(self.index)
+
+    @property
+    def primitive_chars(self) -> tuple[DirichletChar, ...]:
+        """The primitive characters as DirichletChar objects for scalar
+        evaluation, built on each access."""
+        return tuple(
+            DirichletChar(self.group, tuple(k), i, primitive=True, principal=False)
+            for i, k in zip(self.index.tolist(), self.exponents.tolist())
+        )
 
 
 def primitive_family(modulus: Modulus) -> PrimitiveFamily:
-    """The unit group, characters and primitive L-coefficients of Q."""
+    """The unit group, primitive characters and their L-coefficients of Q."""
     group = unit_group(modulus)
-    characters = tuple(all_characters(group))
-    primitive = tuple(c for c in characters if c.primitive)
+    index = np.flatnonzero(primitive_mask(group))
     return PrimitiveFamily(
         modulus=modulus,
         group=group,
-        characters=characters,
-        primitive_chars=primitive,
-        coeffs=l_coefficients(group, list(primitive)),
+        index=index,
+        exponents=_exponent_grid(index, group.orders),
+        coeffs=l_coefficients(group, index),
     )
 
 
@@ -281,7 +288,8 @@ class PrimePowerTable:
     sums: np.ndarray  # (chars, top + 1, top + 1), complex
 
     @classmethod
-    def build(cls, group: UnitGroup, chars, top: int) -> "PrimePowerTable":
+    def build(cls, group: UnitGroup, K: np.ndarray, top: int) -> "PrimePowerTable":
+        """The table of the characters with exponent rows K."""
         irreducibles = _irreducible_index_table(group.modulus.field.q, top)
         counts = np.zeros((top + 1, len(group.residues)))
         for d in range(1, top + 1):
@@ -289,9 +297,8 @@ class PrimePowerTable:
             counts[d] = np.bincount(rows[unit], minlength=len(group.residues))
         prime_sums = character_sums(group, counts)
         # chi(P)^j = chi^j(P), and chi^j has the exponent row j*K mod orders
-        K = exponent_rows(group, chars)
         orders = np.array(group.orders, dtype=np.int64)
-        sums = np.zeros((len(chars), top + 1, top + 1), dtype=np.complex128)
+        sums = np.zeros((len(K), top + 1, top + 1), dtype=np.complex128)
         for j in range(1, top + 1):
             at = char_index(group, j * K % orders)
             sums[:, 1 : top // j + 1, j] = prime_sums[1 : top // j + 1, at].T
@@ -396,7 +403,7 @@ def log_l_bound_pointwise(chi: DirichletChar, t: float, h: int) -> float:
     m = chi.group.modulus.degree - 1
     if not (1 <= h <= m):
         raise ValueError(f"h must satisfy 1 <= h <= {m}, got {h}")
-    table = PrimePowerTable.build(chi.group, [chi], h)
+    table = PrimePowerTable.build(chi.group, exponent_rows(chi.group, [chi]), h)
     return float(table.pointwise([t], h)[0, 0])
 
 
@@ -407,7 +414,7 @@ def log_l_bound_simplified(chi: DirichletChar, t: float, x) -> float:
     log|L| - value as the empirical constant."""
     _require_primitive(chi)
     h = _h_from_x(chi.group.modulus.field.q, x)
-    table = PrimePowerTable.build(chi.group, [chi], h)
+    table = PrimePowerTable.build(chi.group, exponent_rows(chi.group, [chi]), h)
     return float(table.simplified([t], h)[0, 0])
 
 
@@ -417,7 +424,7 @@ def shifted_log_bound(chi: DirichletChar, spec, x) -> float:
     PrimePowerTable.shifted)."""
     _require_primitive(chi)
     h = _h_from_x(chi.group.modulus.field.q, x)
-    table = PrimePowerTable.build(chi.group, [chi], h)
+    table = PrimePowerTable.build(chi.group, exponent_rows(chi.group, [chi]), h)
     return float(table.shifted(spec, h)[0])
 
 

@@ -10,6 +10,12 @@ pass, and integral_moment computes the per-character circle integrals once
 for all exponents and once per conjugate pair, sampling |L| on the uniform
 circle grid by one FFT of the scaled coefficient rows.
 
+What depends only on q, deg Q and the specs or sampling parameters is
+computed once per process by memoised helpers that return read-only
+arrays: the powers of u at the shift points and circle points, the
+Theorem 1.1 base and pair factors, and the Perron circle grid with its
+denominator.
+
 All sums over characters run in canonical character-index order with
 pairwise summation, so family sweeps are reproducible and parallel runs
 reduce to the same bits as serial ones.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ffmoments.chargroup import DirichletChar, Modulus, char_index, exponent_rows
+from ffmoments.chargroup import DirichletChar, Modulus, char_index
 from ffmoments.lfunc import PrimitiveFamily, u_at_shift, u_on_circle, zeta_A
 from ffmoments.ffpoly import enumerate_monic
 
@@ -81,9 +88,29 @@ class ShiftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _abs_values_at(family: PrimitiveFamily, us) -> np.ndarray:
-    """|L(u, chi)| for every primitive chi (rows) and point u (cols)."""
-    powers = np.asarray(us)[None, :] ** np.arange(family.modulus.degree)[:, None]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _shift_powers(q: int, degree: int, ts: tuple[float, ...], circle: bool):
+    """(degree x len(ts)) powers u^n at the shifts t: u = q^(-(1/2 + i t)),
+    or on the critical circle at the angles theta = -t log q (Cor 1.2)."""
+    if circle:
+        lnq = math.log(q)
+        us = [u_on_circle(q, -t * lnq) for t in ts]
+    else:
+        us = [u_at_shift(q, t) for t in ts]
+    us = np.array(us, dtype=np.complex128)
+    return _read_only(us[None, :] ** np.arange(degree)[:, None])
+
+
+def _abs_values_at(family: PrimitiveFamily, specs, circle: bool) -> np.ndarray:
+    """|L(u, chi)| for every primitive chi (rows) and every shift point u of
+    the specs (cols), in spec order."""
+    ts = tuple(t for spec in specs for t in spec.t)
+    powers = _shift_powers(family.modulus.field.q, family.modulus.degree, ts, circle)
     # einsum, not @: numpy sends this small product to a threaded BLAS whose
     # idle threads spin, about doubling the CPU time of a moments sweep
     return np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
@@ -104,54 +131,48 @@ def shifted_moment(family: PrimitiveFamily, specs) -> list[float]:
     one product."""
     if family.n_primitive == 0:
         raise ValueError("modulus has no primitive characters")
-    q = family.modulus.field.q
-    us = np.array(
-        [u_at_shift(q, t) for spec in specs for t in spec.t], dtype=np.complex128
-    )
-    return _spec_moments(_abs_values_at(family, us), specs)
+    return _spec_moments(_abs_values_at(family, specs, circle=False), specs)
 
 
 def circle_angle_moments(family: PrimitiveFamily, specs) -> list[float]:
     """The shifted moments of each spec restated on the critical circle:
     |L| at u = e^(i theta_j)/sqrt(q) with theta_j = -t_j log q, without
     reducing t mod the period (Cor 1.2)."""
-    q = family.modulus.field.q
-    lnq = math.log(q)
-    us = np.array(
-        [u_on_circle(q, -t * lnq) for spec in specs for t in spec.t],
-        dtype=np.complex128,
-    )
-    return _spec_moments(_abs_values_at(family, us), specs)
+    return _spec_moments(_abs_values_at(family, specs, circle=True), specs)
 
 
-def theorem1_rhs_zeta(modulus: Modulus, spec: ShiftSpec) -> float:
-    """phi(Q) (log|Q|)^(sum a_j^2 / 4) * prod over pairs j < l of
-    |zeta_A(1 + i(t_j - t_l) + 1/log|Q|)|^(a_j a_l / 2)."""
-    q = modulus.field.q
-    logq_norm = modulus.log_norm
-    out = modulus.phi * logq_norm ** (spec.sum_a_sq / 4)
-    n = len(spec.a)
-    for j in range(n):
-        for l in range(j + 1, n):
+@functools.cache
+def _theorem1_factors(q: int, degree: int, specs: tuple[ShiftSpec, ...]):
+    """Per spec, the base (log|Q|)^(sum a_j^2 / 4) and, per pair j < l in
+    order, the zeta factor |zeta_A(1 + i(t_j - t_l) + 1/log|Q|)|^(a_j a_l / 2)
+    and the min factor min(log|Q|, 1/theta_bar(log q (t_j - t_l)))^(a_j a_l / 2),
+    a vanishing theta_bar resolving the min to log|Q|.  Specs with fewer
+    pairs are padded with the exact factor 1."""
+    logq_norm = degree * math.log(q)
+    width = max((math.comb(len(spec.a), 2) for spec in specs), default=0)
+    base = np.array([logq_norm ** (spec.sum_a_sq / 4) for spec in specs])
+    zeta, mins = np.ones((2, len(specs), width))
+    for i, spec in enumerate(specs):
+        pairs = itertools.combinations(range(len(spec.a)), 2)
+        for p, (j, l) in enumerate(pairs):
+            power = spec.a[j] * spec.a[l] / 2
             s = 1 + 1.0 / logq_norm + 1j * (spec.t[j] - spec.t[l])
-            out *= abs(zeta_A(q, s)) ** (spec.a[j] * spec.a[l] / 2)
-    return out
-
-
-def theorem1_rhs_min(modulus: Modulus, spec: ShiftSpec) -> float:
-    """Same shape with each zeta factor replaced by
-    min(log|Q|, 1/theta_bar(log q * (t_j - t_l))); a vanishing theta_bar
-    resolves the min to log|Q|."""
-    q = modulus.field.q
-    logq_norm = modulus.log_norm
-    out = modulus.phi * logq_norm ** (spec.sum_a_sq / 4)
-    n = len(spec.a)
-    for j in range(n):
-        for l in range(j + 1, n):
+            zeta[i, p] = abs(zeta_A(q, s)) ** power
             tb = theta_bar(math.log(q) * (spec.t[j] - spec.t[l]))
-            factor = logq_norm if tb == 0 else min(logq_norm, 1.0 / tb)
-            out *= factor ** (spec.a[j] * spec.a[l] / 2)
-    return out
+            mins[i, p] = (logq_norm if tb == 0 else min(logq_norm, 1.0 / tb)) ** power
+    return _read_only(base), _read_only(zeta), _read_only(mins)
+
+
+def theorem1_rhs(modulus: Modulus, specs) -> tuple[list[float], list[float]]:
+    """Per spec, the two Theorem 1.1 bound forms: phi(Q) (log|Q|)^(sum
+    a_j^2 / 4) times, over the pairs j < l, the product of the zeta factors
+    or of the min factors (see _theorem1_factors), multiplied in pair order."""
+    base, zeta, mins = _theorem1_factors(modulus.field.q, modulus.degree, tuple(specs))
+    rhs_zeta, rhs_min = modulus.phi * base, modulus.phi * base
+    for p in range(zeta.shape[1]):
+        rhs_zeta *= zeta[:, p]
+        rhs_min *= mins[:, p]
+    return rhs_zeta.tolist(), rhs_min.tolist()
 
 
 @dataclass(frozen=True)
@@ -181,19 +202,20 @@ def moment_report(family: PrimitiveFamily, specs) -> list[MomentReport]:
     """One report per spec, the moments from one shifted_moment pass."""
     modulus = family.modulus
     lhs = shifted_moment(family, specs) if family.n_primitive else [0.0] * len(specs)
+    name = str(modulus)
     return [
         MomentReport(
             q=modulus.field.q,
-            modulus=str(modulus),
+            modulus=name,
             degree=modulus.degree,
             phi=modulus.phi,
             n_primitive=family.n_primitive,
             spec=spec,
             lhs=value,
-            rhs_zeta=theorem1_rhs_zeta(modulus, spec),
-            rhs_min=theorem1_rhs_min(modulus, spec),
+            rhs_zeta=zeta,
+            rhs_min=low,
         )
-        for spec, value in zip(specs, lhs)
+        for spec, value, zeta, low in zip(specs, lhs, *theorem1_rhs(modulus, specs))
     ]
 
 
@@ -263,6 +285,13 @@ def charsum_moment(family: PrimitiveFamily, m: float, Y) -> CharSumMoment:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _perron_grid(N: int, r: float, M: int):
+    """The M-point circle u of radius r and the denominator (1 - u) u^N."""
+    u = r * np.exp(2j * np.pi * np.arange(M) / M)
+    return _read_only(u), _read_only((1 - u) * u**N)
+
+
 def perron_partial_sum(coeffs: np.ndarray, N: int, r: float, M: int) -> np.ndarray:
     """Numerical evaluation of the contour-integral form of the partial
     coefficient sum sum_{n<=N} c_n, for each coefficient row of L:
@@ -279,11 +308,13 @@ def perron_partial_sum(coeffs: np.ndarray, N: int, r: float, M: int) -> np.ndarr
     dQ = coeffs.shape[1]
     if M < 4 * (dQ + N + 2):
         raise ValueError(f"sample count too small; need M >= {4 * (dQ + N + 2)}")
-    u = r * np.exp(2j * np.pi * np.arange(M) / M)
+    u, denominator = _perron_grid(N, r, M)
     values = np.zeros((len(coeffs), M), dtype=np.complex128)
     for c in coeffs.T[::-1]:
-        values = values * u + c[:, None]
-    return np.mean(values / ((1 - u) * u**N), axis=1)
+        values *= u
+        values += c[:, None]
+    return np.mean(values / denominator, axis=1)
+
 
 
 def perron_aliasing_bound(coeffs: np.ndarray, r: float, M: int) -> np.ndarray:
@@ -314,9 +345,8 @@ def integral_moments_per_char(
     so each conjugate pair is computed once, at its lower canonical index."""
     if quad_points < 256:
         raise ValueError("at least 256 quadrature points are required")
-    q, group = family.modulus.field.q, family.group
-    K = exponent_rows(group, family.primitive_chars)
-    index, conj = char_index(group, K), char_index(group, -K % np.array(group.orders))
+    q, group, index = family.modulus.field.q, family.group, family.index
+    conj = char_index(group, -family.exponents % np.array(group.orders))
     source = np.minimum(np.searchsorted(index, conj), len(index) - 1)
     copied = (conj < index) & (index[source] == conj)
     # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of

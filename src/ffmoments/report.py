@@ -102,10 +102,20 @@ def write_table_csv(path: Path, columns: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+# a flat object in the layout of json.dumps(..., sort_keys=True, indent=1)
+# one level down, once wrapped in "{\n  " and "\n }"; without indent the C
+# encoder runs
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
+
+
 def write_json_rows(path: Path, columns: list[str], rows: list[list]) -> None:
+    """The rows as a JSON list of objects keyed by column, byte for byte
+    json.dumps(payload, sort_keys=True, indent=1), each row encoded alone."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [dict(zip(columns, row)) for row in rows]
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    encode = _ROW_ENCODER.encode
+    items = [encode(dict(zip(columns, row))) for row in rows]
+    body = ",\n ".join("{\n  " + item[1:-1] + "\n }" for item in items)
+    path.write_text("[\n " + body + "\n]" if rows else "[]")
 
 
 # ---------------------------------------------------------------------------

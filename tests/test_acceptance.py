@@ -118,9 +118,7 @@ def test_criterion_2_l_polynomial_structure(q3_family):
             if not fam.n_primitive:
                 continue
             for extra in range(degree, degree + 3):
-                vals = l_coefficient_probe(
-                    fam.group, list(fam.primitive_chars), extra
-                )
+                vals = l_coefficient_probe(fam.group, fam.index, extra)
                 worst_probe = max(worst_probe, float(np.max(np.abs(vals))))
             for L in l_polynomials(fam):
                 n_chars += 1

@@ -4,6 +4,7 @@ import importlib
 import math
 import pkgutil
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from ffmoments.chargroup import (
     primitive_count_inclusion_exclusion,
     unit_group,
 )
+from ffmoments.config import load_config
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
     _prime_factors_int,
+    enumerate_irreducible,
     enumerate_monic,
     monic_from_index,
     parse_poly,
@@ -38,6 +41,7 @@ from ffmoments.ffpoly import (
 )
 from ffmoments.lfunc import primitive_family
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -46,6 +50,34 @@ F7 = FieldSpec(7)
 
 def modulus(field, text):
     return factor_modulus(parse_poly(field, text))
+
+
+def oracle_factor_modulus(Q):
+    """Prime-power factors (in degree, then index order) and Euler totient of
+    Q, by FqPoly trial division against the enumerated irreducibles."""
+    q = Q.field.q
+    rem = Q
+    factors = []
+    d = 1
+    while rem.degree >= 1 and d <= Q.degree:
+        for P in enumerate_irreducible(Q.field, d):
+            e = 0
+            while True:
+                quot, r = poly_divmod(rem, P)
+                if not r.is_zero:
+                    break
+                rem = quot
+                e += 1
+            if e:
+                factors.append((P, e))
+            if rem.degree < d:
+                break
+        d += 1
+    assert rem.degree == 0 and rem.coeffs[0] == 1
+    phi = 1
+    for P, e in factors:
+        phi *= q ** (P.degree * e) - q ** (P.degree * (e - 1))
+    return factors, phi
 
 
 def oracle_kernel_rows(group, which):
@@ -287,6 +319,43 @@ class TestFactorModulus:
             factor_modulus(FqPoly(F3, (1, 1)))  # degree 1
         with pytest.raises(ValueError):
             factor_modulus(FqPoly(F3, (1, 0, 2)))  # not monic
+
+    @pytest.mark.parametrize(
+        "q, d",
+        [
+            pytest.param(q, d, id=f"q{q}-d{d}")
+            for q, top in ((2, 7), (3, 5), (5, 3))
+            for d in range(2, top + 1)
+        ],
+    )
+    def test_matches_trial_division_oracle(self, q, d):
+        field = FieldSpec(q)
+        for idx in range(q**d):
+            Q = monic_from_index(field, d, idx)
+            m = factor_modulus(Q)
+            factors, phi = oracle_factor_modulus(Q)
+            assert m.factors == tuple(factors), str(Q)
+            assert m.phi == phi and m.poly == Q
+
+    def test_modulus_list_makes_no_poly_arithmetic(self, monkeypatch):
+        cfg = load_config(CONFIGS / "moments_q3.json")
+
+        def forbidden(*args):
+            raise AssertionError("FqPoly division or irreducible list")
+
+        for info in pkgutil.iter_modules(ffmoments.__path__):
+            module = importlib.import_module(f"ffmoments.{info.name}")
+            for name in ("poly_divmod", "enumerate_irreducible"):
+                if getattr(module, name, None) is getattr(ffpoly, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert len(cfg.modulus_list()) == 360
+
+    def test_irreducible_rows_are_read_only(self):
+        factor_modulus(parse_poly(F3, "T^4 + T^3 + T + 1"))
+        rows = chargroup._irreducible_rows(3, 2, 4)
+        assert rows.shape == (3, 5, 2)  # T^2 + 1, T^2 + T + 2, T^2 + 2T + 2
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0, 0] = 2
 
 
 class TestEulerPhi:

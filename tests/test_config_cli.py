@@ -15,7 +15,9 @@ import pytest
 from ffmoments import cli
 from ffmoments.anchors import CHECK_ANCHORS
 from ffmoments.chargroup import (
+    DirichletChar,
     UnitGroup,
+    all_characters,
     character_values,
     factor_modulus,
     unit_group,
@@ -24,7 +26,13 @@ from ffmoments.cli import _unit_group_ok, main
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
 from ffmoments.lfunc import primitive_family
-from ffmoments.report import CheckRow, FixtureChecker, below
+from ffmoments.report import (
+    MOMENT_COLUMNS,
+    CheckRow,
+    FixtureChecker,
+    below,
+    write_json_rows,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,6 +170,31 @@ class TestReportRows:
         assert fixtures.check(key, value, rel_tol=0.25) == expected
         row = fixtures.row("Prop 3.3", "s", "p", key, value, rel_tol=0.25)
         assert row == CheckRow("Prop 3.3", "s", "p", value, expected[1], expected[0])
+
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[3, "T^2", 2, 6, 4, "ab12", 1.5, 2.25, 3.0, "", "", 1]],
+            [
+                [2, "T^3 + T + 1", 3, 7, 6, "\u00e9\u2211\U0001d11e", -0.0, 1e-300]
+                + [math.inf, -math.inf, 0.1 + 0.2, 0],
+                [10**20, 'say "hi"', -7, 0, 0, "back\\slash\n\ttab", 5e-324]
+                + [1.7976931348623157e308, "", "", True, None],
+            ],
+        ],
+        ids=["empty", "one-row", "awkward"],
+    )
+    def test_json_rows_match_indented_dumps(self, tmp_path, rows):
+        # each row goes through the C encoder alone; the file must be the
+        # pure-Python indented encoding of the whole table, byte for byte
+        path = tmp_path / "moments.json"
+        write_json_rows(path, MOMENT_COLUMNS, rows)
+        payload = [dict(zip(MOMENT_COLUMNS, row)) for row in rows]
+        expected = json.dumps(payload, sort_keys=True, indent=1)
+        assert path.read_bytes() == expected.encode()
+        assert rows or expected == "[]"
 
 
 def run_cli(*argv) -> int:
@@ -359,6 +392,29 @@ class TestCli:
         for name in names:
             assert (plain / name).read_bytes() == (patched / name).read_bytes()
 
+    def test_all_builds_no_character_objects(self, smoke, monkeypatch):
+        # every command reads the characters of a family as its index and
+        # exponent arrays; no DirichletChar is built, by all_characters or
+        # otherwise
+        cfg, tmp = smoke
+        plain, patched = tmp / "plain", tmp / "patched"
+        assert run_cli("all", "--config", cfg, "--out", str(plain)) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DirichletChar built")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ffmoments") and (
+                getattr(module, "all_characters", None) is all_characters
+            ):
+                monkeypatch.setattr(module, "all_characters", refuse)
+        monkeypatch.setattr(DirichletChar, "__init__", refuse)
+        assert run_cli("all", "--config", cfg, "--out", str(patched)) == 0
+        names = sorted(p.name for p in plain.glob("*.csv")) + ["moments.json"]
+        assert len(names) == 7
+        for name in names:
+            assert (plain / name).read_bytes() == (patched / name).read_bytes()
+
     def test_internal_error_exit_three(self, smoke, monkeypatch, capsys):
         cfg, tmp = smoke
 
@@ -429,7 +485,7 @@ class TestCli:
         assert cli._lfun_result(cfg, tampered, specs, False)["conj_max"] > 1e-10
         # a character whose conjugate is missing from the family
         dropped = dataclasses.replace(
-            fam, primitive_chars=fam.primitive_chars[1:], coeffs=fam.coeffs[1:]
+            fam, index=fam.index[1:], exponents=fam.exponents[1:], coeffs=fam.coeffs[1:]
         )
         assert cli._lfun_result(cfg, dropped, specs, False)["conj_max"] == math.inf
 

@@ -216,7 +216,7 @@ def parity_families():
 
 def l_polynomial(chi):
     """The L-polynomial of one non-principal character, computed alone."""
-    return LPolynomial(chi, l_coefficients(chi.group, [chi])[0])
+    return LPolynomial(chi, l_coefficients(chi.group, [chi.index])[0])
 
 
 def l_polynomials(fam):
@@ -244,18 +244,40 @@ def test_character_sums_match_dense_oracles(q, text, rank):
     group = unit_group(factor_modulus(parse_poly(FieldSpec(q), text)))
     assert group.rank == rank
     chars = all_characters(group)[::-1]
+    index = np.array([c.index for c in chars], dtype=np.int64)
     dQ = group.modulus.degree
     scale = float(q) ** (np.arange(dQ + 3) / 2)
-    err = np.abs(l_coefficients(group, chars) - oracle_l_coefficients(group, chars))
+    err = np.abs(l_coefficients(group, index) - oracle_l_coefficients(group, chars))
     assert np.all(err <= 1e-12 * scale[:dQ])
     for n in (dQ, dQ + 1, dQ + 2):
-        got = l_coefficient_probe(group, chars, n)
+        got = l_coefficient_probe(group, index, n)
         assert np.all(np.abs(got - oracle_probe(group, chars, n)) <= 1e-12 * scale[n])
     top = dQ + 2
-    sums = PrimePowerTable.build(group, chars, top).sums
+    sums = PrimePowerTable.build(group, exponent_rows(group, chars), top).sums
     n = np.outer(np.arange(top + 1), np.arange(top + 1))
     err = np.abs(sums - oracle_prime_power_sums(group, chars, top))
     assert np.all(err <= 1e-12 * float(q) ** (n / 2))
+
+
+def test_family_arrays_match_character_objects():
+    # the family's index and exponent rows are those of the primitive
+    # DirichletChar objects that all_characters builds, in the same order
+    moduli = [(q, text) for q, text, _ in DENSE_PARITY_MODULI] + [
+        (3, "T^4 + T^2"),
+        (2, "T^3 + T^2 + T"),
+    ]
+    for q, text in moduli:
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
+        prim = [c for c in all_characters(fam.group) if c.primitive]
+        assert fam.index.tolist() == [c.index for c in prim]
+        assert fam.exponents.tolist() == [list(c.exponents) for c in prim]
+        assert fam.exponents.shape == (fam.n_primitive, fam.group.rank)
+        assert fam.coeffs.shape == (fam.n_primitive, fam.modulus.degree)
+        built = fam.primitive_chars
+        assert [(c.index, c.exponents) for c in built] == [
+            (c.index, c.exponents) for c in prim
+        ]
+        assert all(c.primitive and not c.principal for c in built)
 
 
 class TestZeta:
@@ -292,7 +314,7 @@ class TestLPolynomial:
         g = unit_group(factor_modulus(parse_poly(F3, "T^2")))
         principal = [c for c in all_characters(g) if c.principal][0]
         for n in (2, 3):
-            probe = l_coefficient_probe(g, [principal], n)
+            probe = l_coefficient_probe(g, [principal.index], n)
             assert abs(probe[0] - 3 ** (n - 2) * 6) < 1e-9
 
     def test_single_matches_batch(self, fam_t2):
@@ -381,7 +403,7 @@ class TestInverseRoots:
         n_even = n_odd = 0
         for fam in parity_families():
             q = fam.modulus.field.q
-            even = _even_mask(fam.group, exponent_rows(fam.group, fam.primitive_chars))
+            even = _even_mask(fam.group, fam.exponents)
             n_even += int(np.sum(even))
             n_odd += int(np.sum(~even))
             assert np.all(rh_root_deviations(fam.coeffs, even, q) < 1e-9)
@@ -393,7 +415,7 @@ class TestInverseRoots:
         # a top coefficient at or below the trim tolerance leaves fewer than
         # deg(Q) - 1 roots; only that row fails
         fam = primitive_family(factor_modulus(parse_poly(F3, "T^3 + 2*T + 1")))
-        even = _even_mask(fam.group, exponent_rows(fam.group, fam.primitive_chars))
+        even = _even_mask(fam.group, fam.exponents)
         for top in (COEFF_TRIM_TOL, 0.0):
             coeffs = fam.coeffs.copy()
             coeffs[1, -1] = top
@@ -421,9 +443,7 @@ class TestDegreeBound:
                 continue
             d = fam.modulus.degree
             for n in range(d, d + 3):
-                vals = l_coefficient_probe(
-                    fam.group, list(fam.primitive_chars), n
-                )
+                vals = l_coefficient_probe(fam.group, fam.index, n)
                 assert float(np.max(np.abs(vals))) < 1e-6
 
     def test_conjugation_symmetry(self, fam_t2):
@@ -452,7 +472,7 @@ class TestPrimePowerTable:
         for fam in parity_families():
             q, dQ = fam.modulus.field.q, fam.modulus.degree
             top = max(dQ - 1, 3)
-            table = PrimePowerTable.build(fam.group, fam.primitive_chars, top)
+            table = PrimePowerTable.build(fam.group, fam.exponents, top)
             for h in range(1, dQ):
                 grid = table.pointwise(self.TS, h)
                 for c, chi in enumerate(fam.primitive_chars):
@@ -519,7 +539,7 @@ class TestPrimePowerTable:
     def test_explicit_formula(self):
         for fam in parity_families():
             top = max(fam.modulus.degree - 1, 3)
-            table = PrimePowerTable.build(fam.group, fam.primitive_chars, top)
+            table = PrimePowerTable.build(fam.group, fam.exponents, top)
             assert float(np.max(table.explicit_formula_defect(fam.coeffs))) < 1e-12
             coeffs = fam.coeffs.copy()
             coeffs[0, -1] += 0.5

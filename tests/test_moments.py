@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from ffmoments import moments
 from ffmoments.chargroup import factor_modulus
 from ffmoments.ffpoly import FieldSpec, monic_from_index, parse_poly
 from ffmoments.lfunc import primitive_family, t_period, u_at_shift, u_on_circle, zeta_A
@@ -24,8 +25,7 @@ from ffmoments.moments import (
     perron_partial_sum,
     prop33_statistic,
     shifted_moment,
-    theorem1_rhs_min,
-    theorem1_rhs_zeta,
+    theorem1_rhs,
     theta_bar,
 )
 
@@ -61,6 +61,54 @@ def oracle_circle_integrals(family, M):
     u = np.exp(2j * np.pi * np.arange(M) / M) / math.sqrt(family.modulus.field.q)
     powers = u[None, :] ** np.arange(family.modulus.degree)[:, None]
     return 2 * np.pi * np.mean(np.abs(family.coeffs @ powers), axis=1)
+
+
+def theorem1_rhs_zeta(modulus, spec):
+    """phi(Q) (log|Q|)^(sum a_j^2 / 4) * prod over pairs j < l of
+    |zeta_A(1 + i(t_j - t_l) + 1/log|Q|)|^(a_j a_l / 2), one spec at a time."""
+    q = modulus.field.q
+    logq_norm = modulus.log_norm
+    out = modulus.phi * logq_norm ** (spec.sum_a_sq / 4)
+    n = len(spec.a)
+    for j in range(n):
+        for l in range(j + 1, n):
+            s = 1 + 1.0 / logq_norm + 1j * (spec.t[j] - spec.t[l])
+            out *= abs(zeta_A(q, s)) ** (spec.a[j] * spec.a[l] / 2)
+    return out
+
+
+def theorem1_rhs_min(modulus, spec):
+    """Same shape with each zeta factor replaced by
+    min(log|Q|, 1/theta_bar(log q * (t_j - t_l))), one spec at a time."""
+    q = modulus.field.q
+    logq_norm = modulus.log_norm
+    out = modulus.phi * logq_norm ** (spec.sum_a_sq / 4)
+    n = len(spec.a)
+    for j in range(n):
+        for l in range(j + 1, n):
+            tb = theta_bar(math.log(q) * (spec.t[j] - spec.t[l]))
+            factor = logq_norm if tb == 0 else min(logq_norm, 1.0 / tb)
+            out *= factor ** (spec.a[j] * spec.a[l] / 2)
+    return out
+
+
+def oracle_spec_moments(family, specs, u_of):
+    """The batched moments with the powers of u built on every call."""
+    us = np.array([u_of(t) for spec in specs for t in spec.t], dtype=np.complex128)
+    powers = us[None, :] ** np.arange(family.modulus.degree)[:, None]
+    mags = np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
+    return moments._spec_moments(mags, specs)
+
+
+def oracle_perron_rows(coeffs, N, r, M):
+    """perron_partial_sum with the circle grid built on every call and an
+    out-of-place Horner pass."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    u = r * np.exp(2j * np.pi * np.arange(M) / M)
+    values = np.zeros((len(coeffs), M), dtype=np.complex128)
+    for c in coeffs.T[::-1]:
+        values = values * u + c[:, None]
+    return np.mean(values / ((1 - u) * u**N), axis=1)
 
 
 def small_families():
@@ -174,13 +222,21 @@ class TestShiftedMoment:
             assert lhs <= bound * (1 + 1e-9)
 
 
+def rhs_zeta(modulus, spec):
+    return theorem1_rhs(modulus, [spec])[0][0]
+
+
+def rhs_min(modulus, spec):
+    return theorem1_rhs(modulus, [spec])[1][0]
+
+
 class TestBoundForms:
     def test_zeta_form_equal_shifts(self, fam_t2):
         m = fam_t2.modulus
         spec = ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))
         zeta0 = abs(zeta_A(3, 1 + 1 / m.log_norm))
         expected = 6 * m.log_norm**0.5 * zeta0**0.5
-        assert abs(theorem1_rhs_zeta(m, spec) - expected) < 1e-12
+        assert abs(rhs_zeta(m, spec) - expected) < 1e-12
         assert zeta0 > 1
         assert abs(zeta0 - 1 / (1 - math.exp(-0.5))) < 1e-12
 
@@ -190,33 +246,27 @@ class TestBoundForms:
         spec = ShiftSpec(a=(1.0,) * 4, t=(0.0,) * 4)
         zeta0 = abs(zeta_A(3, 1 + 1 / m.log_norm))
         expected = 6 * m.log_norm * zeta0**3  # (log|Q|)^{4/4} * zeta0^{6/2}
-        assert abs(theorem1_rhs_zeta(m, spec) - expected) < 1e-10
+        assert abs(rhs_zeta(m, spec) - expected) < 1e-10
 
     def test_min_form_equal_shifts(self, fam_t2):
         m = fam_t2.modulus
         spec = ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))
         expected = 6 * m.log_norm**0.5 * m.log_norm**0.5
-        assert abs(theorem1_rhs_min(m, spec) - expected) < 1e-12
+        assert abs(rhs_min(m, spec) - expected) < 1e-12
 
     def test_min_form_half_period(self, fam_t2):
         m = fam_t2.modulus
         spec = ShiftSpec(a=(1.0, 1.0), t=(0.0, math.pi / math.log(3)))
         expected = 6 * m.log_norm**0.5 * min(m.log_norm, 1 / math.pi) ** 0.5
-        assert abs(theorem1_rhs_min(m, spec) - expected) < 1e-12
+        assert abs(rhs_min(m, spec) - expected) < 1e-12
 
     def test_rhs_periodicity(self, fam_cubic):
         m = fam_cubic.modulus
         period = t_period(3)
         base = ShiftSpec(a=(1.1, 0.9), t=(0.2, 1.4))
         moved = ShiftSpec(a=(1.1, 0.9), t=(0.2 + period, 1.4))
-        assert (
-            abs(theorem1_rhs_min(m, base) - theorem1_rhs_min(m, moved))
-            <= 1e-9 * theorem1_rhs_min(m, base)
-        )
-        assert (
-            abs(theorem1_rhs_zeta(m, base) - theorem1_rhs_zeta(m, moved))
-            <= 1e-9 * theorem1_rhs_zeta(m, base)
-        )
+        assert abs(rhs_min(m, base) - rhs_min(m, moved)) <= 1e-9 * rhs_min(m, base)
+        assert abs(rhs_zeta(m, base) - rhs_zeta(m, moved)) <= 1e-9 * rhs_zeta(m, base)
 
     def test_forms_agree_within_bounded_factor(self, fam_cubic):
         rng = random.Random(9)
@@ -224,8 +274,8 @@ class TestBoundForms:
         for _ in range(50):
             t = tuple(rng.uniform(0, t_period(3)) for _ in range(4))
             spec = ShiftSpec(a=(1.0,) * 4, t=t)
-            rz = theorem1_rhs_zeta(m, spec)
-            rm = theorem1_rhs_min(m, spec)
+            rz = rhs_zeta(m, spec)
+            rm = rhs_min(m, spec)
             ratio = rz / rm
             assert 0.05 < ratio < 20
 
@@ -266,6 +316,82 @@ class TestBatchedMoments:
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^2 + T")))
         [rep] = moment_report(fam, RANDOM_SPECS[:1])
         assert rep.lhs == 0.0 and rep.n_primitive == 0
+
+
+def bitwise(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestMemo:
+    """The per-degree constants are memoised per (q, degree, specs) and per
+    (N, r, M); families of two characteristics at one degree and of several
+    degrees, interleaved in one process, must read the right entries."""
+
+    MODULI = [
+        (2, "T^3 + T + 1"),
+        (3, "T^3 + 2*T + 1"),
+        (2, "T^4 + T + 1"),
+        (3, "T^2 + 1"),
+        (2, "T^3 + T^2 + 1"),
+        (3, "T^3 + T^2 + 2"),
+        (2, "T^2 + T + 1"),
+    ]
+
+    def test_interleaved_families_match_parent_formulas(self):
+        for helper in (moments._shift_powers, moments._theorem1_factors):
+            helper.cache_clear()
+        moments._perron_grid.cache_clear()
+        fams = [
+            primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
+            for q, text in self.MODULI
+        ]
+        for _ in range(2):  # the second round reads every entry back
+            for fam in fams:
+                q, m, dQ = fam.modulus.field.q, fam.modulus, fam.modulus.degree
+                lnq = math.log(q)
+                reports = moment_report(fam, RANDOM_SPECS)
+                at_shift = oracle_spec_moments(
+                    fam, RANDOM_SPECS, lambda t: u_at_shift(q, t)
+                )
+                assert bitwise([r.lhs for r in reports], at_shift)
+                rhs = [(r.rhs_zeta, r.rhs_min) for r in reports]
+                want = [
+                    (theorem1_rhs_zeta(m, spec), theorem1_rhs_min(m, spec))
+                    for spec in RANDOM_SPECS
+                ]
+                assert bitwise(rhs, want)
+                assert all(r.modulus == str(m) for r in reports)
+                on_circle = oracle_spec_moments(
+                    fam, RANDOM_SPECS, lambda t: u_on_circle(q, -t * lnq)
+                )
+                assert bitwise(circle_angle_moments(fam, RANDOM_SPECS), on_circle)
+                for N in range(dQ + 2):
+                    for r in (0.5, 0.3):
+                        M = 64 * (N + dQ)
+                        got = perron_partial_sum(fam.coeffs, N, r, M)
+                        assert bitwise(got, oracle_perron_rows(fam.coeffs, N, r, M))
+
+    def test_memo_arrays_are_read_only(self):
+        fam = primitive_family(factor_modulus(parse_poly(F3, "T^3 + 2*T + 1")))
+        moment_report(fam, RANDOM_SPECS)
+        arrays = [
+            moments._shift_powers(3, 3, (0.0, 0.7), False),
+            moments._shift_powers(3, 3, (0.0, 0.7), True),
+            *moments._theorem1_factors(3, 3, tuple(RANDOM_SPECS)),
+            *moments._perron_grid(2, 0.5, 320),
+        ]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 7
+
+    def test_factor_padding_is_exact(self):
+        # specs of 2 and 4 shifts share one factor matrix; the short ones
+        # are padded with 1.0, which leaves their products unchanged
+        base, zeta, mins = moments._theorem1_factors(3, 3, tuple(RANDOM_SPECS))
+        assert zeta.shape == mins.shape == (len(RANDOM_SPECS), 6)
+        assert np.all(zeta[-2:, 1:] == 1.0) and np.all(mins[-2:, 1:] == 1.0)
+        assert base.shape == (len(RANDOM_SPECS),)
 
 
 class TestCharSum:
