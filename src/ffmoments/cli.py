@@ -27,7 +27,6 @@ from ffmoments._backend import scale_mod_many
 from ffmoments.chargroup import (
     _even_mask,
     _exponent_grid,
-    char_index,
     character_values,
     primitive_count_inclusion_exclusion,
 )
@@ -113,7 +112,7 @@ def _family_results(cfg: ExperimentConfig, args, commands) -> list[dict]:
         for i, m in enumerate(cfg.modulus_list())
     ]
     if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             return list(pool.map(_modulus_task, payloads, chunksize=1))
     return [_modulus_task(p) for p in payloads]
 
@@ -299,17 +298,15 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
     out["probe_max"] = probe_max
 
     # RH root shape per primitive character, fixed by its parity
-    K, index = fam.exponents, fam.index
-    devs = rh_root_deviations(coeffs, _even_mask(fam.group, K), cfg.q)
-    out["root_rows"] = list(zip(index.tolist(), devs.tolist()))
+    devs = rh_root_deviations(coeffs, _even_mask(fam.group, fam.exponents), cfg.q)
+    out["root_rows"] = list(zip(fam.index.tolist(), devs.tolist()))
 
-    # conjugation symmetry of the coefficient rows: conj chi has exponents
-    # -k; a conjugate missing from the family fails the row with inf
-    conj = char_index(fam.group, -K % np.array(fam.group.orders, dtype=np.int64))
-    at = np.minimum(np.searchsorted(index, conj), len(index) - 1)
+    # conjugation symmetry of the coefficient rows; a conjugate missing from
+    # the family fails the row with inf
+    conj_rows, found = fam.conjugate_rows()
     out["conj_max"] = (
-        float(np.max(np.abs(coeffs[at] - np.conj(coeffs)), initial=0.0))
-        if np.array_equal(index[at], conj)
+        float(np.max(np.abs(coeffs[conj_rows] - np.conj(coeffs)), initial=0.0))
+        if found.all()
         else math.inf
     )
 
@@ -399,51 +396,43 @@ def cmd_lfun(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
 
 def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
     modulus = fam.modulus
+    lhs, rhs_zeta, rhs_min = moment_report(fam, specs)
+    ratio_zeta, ratio_min = lhs / rhs_zeta, lhs / rhs_min
     family = dict.fromkeys(("zeta", "min", "prop33"), -math.inf)
     out: dict = {
         "modulus": str(modulus),
         "degree": modulus.degree,
         "n_primitive": fam.n_primitive,
-        "moment_rows": [],
         "family": family,
         "thm13": {},
         "prop41": {},
-        "finite_ok": True,
-        "cor12_dev": 0.0,
         "perron_max_err": 0.0,
     }
-    reports = moment_report(fam, specs)
-    for rep in reports:
-        out["moment_rows"].append(
-            [
-                rep.q,
-                rep.modulus,
-                rep.degree,
-                rep.phi,
-                rep.n_primitive,
-                rep.spec.digest,
-                rep.lhs,
-                rep.rhs_zeta,
-                rep.rhs_min,
-                rep.ratio_zeta if rep.n_primitive else "",
-                rep.ratio_min if rep.n_primitive else "",
-                int(rep.degree == 2),
-            ]
+    head = [modulus.field.q, str(modulus), modulus.degree, modulus.phi, fam.n_primitive]
+    flag = int(modulus.degree == 2)
+    ratios = [ratio_zeta.tolist(), ratio_min.tolist()]
+    if not fam.n_primitive:
+        ratios = [[""] * len(specs)] * 2
+    out["moment_rows"] = [
+        [*head, spec.digest, *cells, flag]
+        for spec, *cells in zip(
+            specs, lhs.tolist(), rhs_zeta.tolist(), rhs_min.tolist(), *ratios
         )
+    ]
     if not fam.n_primitive:
         return out
 
-    for rep in reports:
-        ratios = (rep.ratio_zeta, rep.ratio_min)
-        out["finite_ok"] &= all(math.isfinite(x) and x > 0 for x in ratios)
-        family["zeta"] = max(family["zeta"], rep.ratio_zeta)
-        family["min"] = max(family["min"], rep.ratio_min)
+    both = np.concatenate([ratio_zeta, ratio_min])
+    out["finite_ok"] = bool(np.all(np.isfinite(both) & (both > 0)))
+    family["zeta"] = float(np.max(ratio_zeta, initial=-math.inf))
+    family["min"] = float(np.max(ratio_min, initial=-math.inf))
 
     # restatement on the critical circle: same values via angles
-    for rep, lhs_theta in zip(reports, circle_angle_moments(fam, specs)):
-        if rep.lhs > 0:
-            family["prop33"] = max(family["prop33"], prop33_statistic(fam, rep.lhs))
-            out["cor12_dev"] = max(out["cor12_dev"], abs(lhs_theta - rep.lhs) / rep.lhs)
+    positive = lhs > 0
+    deviation = np.abs(circle_angle_moments(fam, specs) - lhs)[positive] / lhs[positive]
+    out["cor12_dev"] = float(np.max(deviation, initial=0.0))
+    for value in lhs[positive].tolist():
+        family["prop33"] = max(family["prop33"], prop33_statistic(fam, value))
 
     # the samples are drawn first, then evaluated in groups of equal N,
     # since the sample count M depends on N alone
@@ -652,7 +641,10 @@ def _write_metadata(out_dir: Path, command: str, meta: dict, elapsed: float):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     dispatch = {
         "enumerate": (cmd_enumerate, "enumerate.csv", None),
         "lfun": (cmd_lfun, "lfun.csv", None),

@@ -42,7 +42,7 @@ from ffmoments.chargroup import (
     primitive_mask,
     unit_group,
 )
-from ffmoments.ffpoly import _irreducible_index_table
+from ffmoments.ffpoly import _irreducible_index_table, degree_cutoff
 
 COEFF_TRIM_TOL = 1e-9
 
@@ -241,6 +241,15 @@ class PrimitiveFamily:
             for i, k in zip(self.index.tolist(), self.exponents.tolist())
         )
 
+    def conjugate_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per primitive character, the row of its conjugate (exponents -k)
+        and whether that conjugate is in the family; where it is not, the
+        row is only clipped into range."""
+        orders = np.array(self.group.orders, dtype=np.int64)
+        conj = char_index(self.group, -self.exponents % orders)
+        rows = np.minimum(np.searchsorted(self.index, conj), len(self.index) - 1)
+        return rows, self.index[rows] == conj
+
 
 def primitive_family(modulus: Modulus) -> PrimitiveFamily:
     """The unit group, primitive characters and their L-coefficients of Q."""
@@ -266,8 +275,8 @@ def _require_primitive(chi: DirichletChar):
 
 
 def _h_from_x(q: int, x) -> int:
-    h = round(math.log(float(x)) / math.log(q))
-    if h < 1 or q**h != round(float(x)):
+    h = degree_cutoff(q, x)
+    if h < 1:
         raise ValueError(f"{x} is not a positive power of q={q}")
     return h
 

@@ -33,9 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ffmoments.chargroup import DirichletChar, Modulus, char_index
+from ffmoments.chargroup import DirichletChar, Modulus
 from ffmoments.lfunc import PrimitiveFamily, u_at_shift, u_on_circle, zeta_A
-from ffmoments.ffpoly import enumerate_monic
+from ffmoments.ffpoly import degree_cutoff, enumerate_monic
 
 
 def theta_bar(theta: float) -> float:
@@ -116,16 +116,16 @@ def _abs_values_at(family: PrimitiveFamily, specs, circle: bool) -> np.ndarray:
     return np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
 
 
-def _spec_moments(mags: np.ndarray, specs) -> list[float]:
+def _spec_moments(mags: np.ndarray, specs) -> np.ndarray:
     """Per spec, sum over rows of prod_j mags[:, j]^(a_j), where the specs'
     shifts are consecutive column blocks of mags."""
     a = np.array([a for spec in specs for a in spec.a], dtype=np.float64)
     starts = np.cumsum([0] + [len(spec.a) for spec in specs])[:-1]
     prods = np.multiply.reduceat(mags**a, starts, axis=1)
-    return np.sum(np.ascontiguousarray(prods.T), axis=1).tolist()
+    return np.sum(np.ascontiguousarray(prods.T), axis=1)
 
 
-def shifted_moment(family: PrimitiveFamily, specs) -> list[float]:
+def shifted_moment(family: PrimitiveFamily, specs) -> np.ndarray:
     """Per spec, the sum over primitive chi of
     prod_j |L(1/2 + i t_j, chi)|^(a_j); |L| at the shifts of all specs is
     one product."""
@@ -134,7 +134,7 @@ def shifted_moment(family: PrimitiveFamily, specs) -> list[float]:
     return _spec_moments(_abs_values_at(family, specs, circle=False), specs)
 
 
-def circle_angle_moments(family: PrimitiveFamily, specs) -> list[float]:
+def circle_angle_moments(family: PrimitiveFamily, specs) -> np.ndarray:
     """The shifted moments of each spec restated on the critical circle:
     |L| at u = e^(i theta_j)/sqrt(q) with theta_j = -t_j log q, without
     reducing t mod the period (Cor 1.2)."""
@@ -163,7 +163,7 @@ def _theorem1_factors(q: int, degree: int, specs: tuple[ShiftSpec, ...]):
     return _read_only(base), _read_only(zeta), _read_only(mins)
 
 
-def theorem1_rhs(modulus: Modulus, specs) -> tuple[list[float], list[float]]:
+def theorem1_rhs(modulus: Modulus, specs) -> tuple[np.ndarray, np.ndarray]:
     """Per spec, the two Theorem 1.1 bound forms: phi(Q) (log|Q|)^(sum
     a_j^2 / 4) times, over the pairs j < l, the product of the zeta factors
     or of the min factors (see _theorem1_factors), multiplied in pair order."""
@@ -172,51 +172,17 @@ def theorem1_rhs(modulus: Modulus, specs) -> tuple[list[float], list[float]]:
     for p in range(zeta.shape[1]):
         rhs_zeta *= zeta[:, p]
         rhs_min *= mins[:, p]
-    return rhs_zeta.tolist(), rhs_min.tolist()
+    return rhs_zeta, rhs_min
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """One family/spec row of the shifted-moment comparison."""
-
-    q: int
-    modulus: str
-    degree: int
-    phi: int
-    n_primitive: int
-    spec: ShiftSpec
-    lhs: float
-    rhs_zeta: float
-    rhs_min: float
-
-    @property
-    def ratio_zeta(self) -> float:
-        return self.lhs / self.rhs_zeta
-
-    @property
-    def ratio_min(self) -> float:
-        return self.lhs / self.rhs_min
-
-
-def moment_report(family: PrimitiveFamily, specs) -> list[MomentReport]:
-    """One report per spec, the moments from one shifted_moment pass."""
-    modulus = family.modulus
-    lhs = shifted_moment(family, specs) if family.n_primitive else [0.0] * len(specs)
-    name = str(modulus)
-    return [
-        MomentReport(
-            q=modulus.field.q,
-            modulus=name,
-            degree=modulus.degree,
-            phi=modulus.phi,
-            n_primitive=family.n_primitive,
-            spec=spec,
-            lhs=value,
-            rhs_zeta=zeta,
-            rhs_min=low,
-        )
-        for spec, value, zeta, low in zip(specs, lhs, *theorem1_rhs(modulus, specs))
-    ]
+def moment_report(
+    family: PrimitiveFamily, specs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per spec, as float64 columns, the shifted moment lhs (all zeros when
+    the family has no primitive characters) and its two Theorem 1.1 bound
+    forms rhs_zeta and rhs_min."""
+    lhs = shifted_moment(family, specs) if family.n_primitive else np.zeros(len(specs))
+    return (lhs, *theorem1_rhs(family.modulus, specs))
 
 
 def prop33_statistic(family: PrimitiveFamily, lhs: float) -> float:
@@ -231,17 +197,10 @@ def prop33_statistic(family: PrimitiveFamily, lhs: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _y_exponent(q: int, Y) -> int:
-    n = round(math.log(float(Y)) / math.log(q))
-    if n < 0 or q**n != round(float(Y)):
-        raise ValueError(f"{Y} is not a power of q={q}")
-    return n
-
-
 def char_sum(chi: DirichletChar, Y) -> complex:
     """sum over monic f with |f| <= Y of chi(f), by direct enumeration."""
     field = chi.group.modulus.field
-    N = _y_exponent(field.q, Y)
+    N = degree_cutoff(field.q, Y)
     terms = []
     for n in range(N + 1):
         for f in enumerate_monic(field, n):
@@ -253,7 +212,7 @@ def char_sums_from_coeffs(family: PrimitiveFamily, Y) -> np.ndarray:
     """Character sums up to norm Y for every primitive character, as partial
     coefficient sums of the L-polynomials (coefficients beyond deg(Q)-1
     vanish, so the slice is capped there)."""
-    N = _y_exponent(family.modulus.field.q, Y)
+    N = degree_cutoff(family.modulus.field.q, Y)
     hi = min(N + 1, family.modulus.degree)
     return np.sum(family.coeffs[:, :hi], axis=1)
 
@@ -345,17 +304,16 @@ def integral_moments_per_char(
     so each conjugate pair is computed once, at its lower canonical index."""
     if quad_points < 256:
         raise ValueError("at least 256 quadrature points are required")
-    q, group, index = family.modulus.field.q, family.group, family.index
-    conj = char_index(group, -family.exponents % np.array(group.orders))
-    source = np.minimum(np.searchsorted(index, conj), len(index) - 1)
-    copied = (conj < index) & (index[source] == conj)
+    q = family.modulus.field.q
+    rows, found = family.conjugate_rows()
+    copied = found & (rows < np.arange(len(rows)))
     # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of
     # the rows c_n q^(-n/2), zero-padded to M > deg Q points by the floor
     scaled = family.coeffs[~copied] * q ** (-0.5 * np.arange(family.modulus.degree))
     mags = np.abs(np.fft.ifft(scaled, n=quad_points, axis=1, norm="forward"))
-    out = np.empty(len(index))
+    out = np.empty(len(rows))
     out[~copied] = 2 * np.pi * np.mean(mags, axis=1)
-    out[copied] = out[source[copied]]
+    out[copied] = out[rows[copied]]
     return out
 
 

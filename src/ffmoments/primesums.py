@@ -14,17 +14,9 @@ import math
 
 import numpy as np
 
-from ffmoments.ffpoly import FieldSpec, prime_count_exact
+from ffmoments.ffpoly import FieldSpec, degree_cutoff, prime_count_exact
 from ffmoments.lfunc import zeta_A
 from ffmoments.moments import theta_bar
-
-
-def degree_cutoff(q: int, x) -> int:
-    """h with x = q^h; raises unless x is a positive power of q."""
-    h = round(math.log(float(x)) / math.log(q))
-    if h < 0 or q**h != round(float(x)):
-        raise ValueError(f"{x} is not a power of q={q}")
-    return h
 
 
 def _counts(q: int, h: int) -> list[int]:

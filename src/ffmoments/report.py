@@ -3,8 +3,10 @@
 Check rows carry a stable anchor from the committed registry, the measured
 value, and the recorded regression constant they were compared against.
 CSV output is byte-deterministic: rows are emitted in canonical order and
-floats are rendered with repr (shortest round-trip form).  Wall-clock data
-goes to a separate metadata JSON so report files stay rerun-identical.
+cells are written as their values, Python floats, ints and strings, which
+the csv module renders by repr for floats (shortest round-trip form).  Only
+a check's status is formatted.  Wall-clock data goes to a separate metadata
+JSON so report files stay rerun-identical.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ class CheckRow:
 def below(anchor: str, subject: str, params: str, value, bound) -> CheckRow:
     """A row that passes when value < bound; equality and NaN fail."""
     return CheckRow(anchor, subject, params, value, bound, value < bound)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "pass" if x else "fail"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 CHECK_COLUMNS = ["anchor", "subject", "params", "value", "constant", "status"]
@@ -80,17 +74,9 @@ def write_check_csv(path: Path, rows: list[CheckRow]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CHECK_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.anchor,
-                    row.subject,
-                    row.params,
-                    _fmt(row.value),
-                    _fmt(row.constant),
-                    "pass" if row.passed else "fail",
-                ]
-            )
+        for r in rows:
+            cells = [r.anchor, r.subject, r.params, r.value, r.constant]
+            writer.writerow(cells + ["pass" if r.passed else "fail"])
 
 
 def write_table_csv(path: Path, columns: list[str], rows: list[list]) -> None:
@@ -98,8 +84,7 @@ def write_table_csv(path: Path, columns: list[str], rows: list[list]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 # a flat object in the layout of json.dumps(..., sort_keys=True, indent=1)

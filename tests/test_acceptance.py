@@ -271,18 +271,19 @@ def test_criterion_7_shifted_moment_ratios(q3_family, fixtures):
         for fam in fams:
             if not fam.n_primitive:
                 continue
-            for rep in moment_report(fam, specs):
+            lhs, rhs_zeta, rhs_min = moment_report(fam, specs)
+            for ratio_zeta, ratio_min in zip(
+                (lhs / rhs_zeta).tolist(), (lhs / rhs_min).tolist()
+            ):
                 fine = (
-                    math.isfinite(rep.ratio_zeta)
-                    and math.isfinite(rep.ratio_min)
-                    and rep.ratio_zeta > 0
-                    and rep.ratio_min > 0
+                    math.isfinite(ratio_zeta)
+                    and math.isfinite(ratio_min)
+                    and ratio_zeta > 0
+                    and ratio_min > 0
                 )
                 all_finite = all_finite and fine
-                max_zeta[degree] = max(
-                    max_zeta.get(degree, 0.0), rep.ratio_zeta
-                )
-                max_min[degree] = max(max_min.get(degree, 0.0), rep.ratio_min)
+                max_zeta[degree] = max(max_zeta.get(degree, 0.0), ratio_zeta)
+                max_min[degree] = max(max_min.get(degree, 0.0), ratio_min)
 
     msig = cfg.moments_signature()
 

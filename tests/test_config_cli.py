@@ -341,6 +341,55 @@ class TestCli:
                 assert float(row["ratio_zeta"]) > 0
                 assert float(row["ratio_min"]) > 0
 
+    def test_moments_rows_without_primitive_characters(self, tmp_path):
+        cfg = str(CONFIGS / "lfun_q2_d3.json")
+        assert run_cli("moments", "--config", cfg, "--out", str(tmp_path)) == 0
+        rows = read_rows(tmp_path / "moments.csv")
+        payload = json.loads((tmp_path / "moments.json").read_text())
+        assert len(rows) == len(payload) == 24
+        assert sum(row["n_primitive"] == "0" for row in rows) == 10
+        for row, item in zip(rows, payload):
+            if row["n_primitive"] == "0":
+                assert row["lhs"] == "0.0" and item["lhs"] == 0.0
+                assert row["ratio_zeta"] == row["ratio_min"] == ""
+                assert item["ratio_zeta"] == item["ratio_min"] == ""
+                continue
+            for form in ("zeta", "min"):
+                want = repr(float(row["lhs"]) / float(row[f"rhs_{form}"]))
+                assert row[f"ratio_{form}"] == want
+                assert repr(item[f"ratio_{form}"]) == want
+
+    def test_jobs_capped_at_moduli(self, smoke, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg, tmp = smoke
+        assert run_cli("moments", "--config", cfg, "--out", str(tmp), "--jobs", "64") == 0
+        assert sizes == [9]  # the smoke config's moduli
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, smoke, jobs, capsys):
+        cfg, tmp = smoke
+        with pytest.raises(SystemExit) as exc:
+            run_cli("moments", "--config", cfg, "--out", str(tmp), "--jobs", jobs)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_lfun_jobs_byte_identical(self, tmp_path):
         cfg = str(CONFIGS / "lfun_q2_d3.json")
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
