@@ -176,10 +176,11 @@ def _from_digits(q: int, digits) -> np.ndarray:
     return digits @ q ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
-def _one_plus(q: int, local, m, n: int) -> np.ndarray:
-    """Indices of 1 + m a mod P^e for the a of index < n, where deg(m a) <
-    deg P^e: the product needs no reduction, and adding 1 only changes digit 0."""
-    prods = scale_mod_many(q, local, np.arange(n), _from_digits(q, m))
+def _one_plus(q: int, local, m, a) -> np.ndarray:
+    """Indices of 1 + m a mod P^e for the a of the given indices, where
+    deg(m a) < deg P^e: the product needs no reduction, and adding 1 only
+    changes digit 0."""
+    prods = scale_mod_many(q, local, a, _from_digits(q, m))
     low = prods % q
     return prods - low + (low + 1) % q
 
@@ -248,7 +249,10 @@ def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
     r^(q^(k(e-1))), r the first primitive root mod P.  u^(q^(k(e-1))) mod P^e
     depends only on u mod P, and z -> z^q is F_q-linear on the digits, so
     the powers of r mod P lift to P^e by one digit-matrix product.  A local
-    character is primitive iff it is non-trivial on 1 + P^(e-1) a, deg a < k."""
+    character is primitive iff it is non-trivial on 1 + P^(e-1) a, deg a < k.
+    For e = 1 these are all the units, so only the principal character is
+    imprimitive.  For e >= 2 they form a group isomorphic to (F_q[T]/P, +),
+    as 2(e-1) >= e, so testing its k generators 1 + P^(e-1) T^i suffices."""
     k = len(P) - 1
     below = np.ones(1, dtype=np.int64)  # P^(e-1)
     for _ in range(e - 1):
@@ -257,7 +261,7 @@ def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
     frob = reduction_rows(q, local, (d - 1) * q)[::q]  # rows T^(iq) mod P^e
     orders, table = [], np.ones(1, dtype=np.int64)
     if e > 1:
-        elems = np.sort(_one_plus(q, local, P, q ** (d - k)))
+        elems = np.sort(_one_plus(q, local, P, np.arange(q ** (d - k))))
         orders, table = _one_plus_p_basis(q, elems, local, frob)
     c = q**k - 1
     if c > 1:
@@ -268,11 +272,14 @@ def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
         cyclic = _from_digits(q, digit_rows(cyclic, q, k).T @ lift % q)
         table = scale_mod_many(q, local, cyclic.repeat(len(table)), np.tile(table, c))
         orders.insert(0, c)
-    where = np.full(q**d, -1, dtype=np.int64)
-    where[table] = np.arange(len(table))
-    rows = where[_one_plus(q, local, below, q**k)]
-    grid = _exponent_grid(np.arange(len(table)), orders)
-    primitive = ~_trivial_on_rows(orders, grid, grid[rows[rows >= 0]])
+    if e == 1:
+        primitive = np.arange(len(table)) != 0
+    else:
+        where = np.full(q**d, -1, dtype=np.int64)
+        where[table] = np.arange(len(table))
+        gens = where[_one_plus(q, local, below, q ** np.arange(k))]
+        grid = _exponent_grid(np.arange(len(table)), orders)
+        primitive = ~_trivial_on_rows(orders, grid, grid[gens])
     for a in (local, table, primitive):
         a.setflags(write=False)
     return _LocalTable(local, tuple(orders), table, primitive)
@@ -435,25 +442,25 @@ def char_index(group: UnitGroup, K: np.ndarray) -> np.ndarray:
 def _trivial_on_rows(orders, K, dlogs) -> np.ndarray:
     """Per exponent row of K, whether that character of the group with these
     orders is 1 on the units with the given dlog rows: an exact integer
-    test, phases scaled to the lcm L of the orders and summed mod L.  K is
-    taken in chunks so that each phase matrix holds about 2^18 entries."""
+    test, phases scaled to the lcm L of the orders and summed mod L."""
     K = np.asarray(K, dtype=np.int64).reshape(len(K), len(orders))
     if not orders:
         return np.ones(len(K), dtype=bool)
     L = math.lcm(*orders)
     weights = K * (L // np.array(orders, dtype=np.int64))
-    dlogs = np.asarray(dlogs).T
-    step = max(1, (1 << 18) // max(1, dlogs.shape[1]))
-    out = np.empty(len(K), dtype=bool)
-    for s in range(0, len(K), step):
-        out[s : s + step] = ~np.any((weights[s : s + step] @ dlogs) % L, axis=1)
-    return out
+    return ~np.any((weights @ np.asarray(dlogs).T) % L, axis=1)
 
 
 def _even_mask(group: UnitGroup, K) -> np.ndarray:
     """Per exponent row of K, whether that character is 1 on the nonzero
-    constants F_q^*."""
-    rows, _ = group.rows_of(np.arange(1, group.modulus.field.q))
+    constants F_q^*: on their generator, the first primitive root g mod q
+    (g = 1 when q = 2)."""
+    q = group.modulus.field.q
+    ells = _prime_factors_int(q - 1)
+    g = next(
+        g for g in range(1, q) if all(pow(g, (q - 1) // ell, q) != 1 for ell in ells)
+    )
+    rows, _ = group.rows_of([g])
     return _trivial_on_rows(group.orders, K, group.dlog_mat[rows])
 
 

@@ -3,8 +3,10 @@
 Subcommands: enumerate | lfun | moments | primesums | all.  Each consumes a
 versioned JSON config, runs its checks over the configured modulus family,
 and writes deterministic CSV/JSON reports plus a separate metadata file for
-timing and run counts.  Exit codes: 0 all checks passed, 1 at least
-one mathematical check failed, 2 configuration error, 3 internal error (an
+timing and run counts.  enumerate, lfun and moments run one task per
+modulus that returns the modulus's finished check rows; the command adds the
+family and fixture rows.  Exit codes: 0 all checks passed, 1 at least one
+mathematical check failed, 2 configuration error, 3 internal error (an
 uncaught exception; its traceback goes to stderr).
 """
 
@@ -89,12 +91,12 @@ FAMILY_COMMANDS = ("enumerate", "lfun", "moments")
 
 def _modulus_task(payload) -> dict:
     """Build one modulus's family once and run on it the per-modulus work of
-    each requested command; one result dict per command."""
+    each requested command; per command, the modulus's check rows."""
     cfg, specs, modulus, commands, selftest = payload
     fam = primitive_family(modulus)
     out = {}
     if "enumerate" in commands:
-        out["enumerate"] = _enumerate_result(fam)
+        out["enumerate"] = _enumerate_result(cfg, fam)
     if "lfun" in commands:
         out["lfun"] = _lfun_result(cfg, fam, specs, selftest)
     if "moments" in commands:
@@ -162,7 +164,9 @@ def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
     return failures
 
 
-def _enumerate_result(fam) -> dict:
+def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
+    """The plumbing rows of one modulus: factorization, unit group,
+    orthogonality, multiplicativity and the primitive count."""
     modulus, group = fam.modulus, fam.group
     product = FqPoly.one(modulus.field)
     for P, e in modulus.factors:
@@ -195,20 +199,28 @@ def _enumerate_result(fam) -> dict:
     columns = (V[product_rows, c].tolist(), V[i, c].tolist(), V[j, c].tolist())
     mult_err = max(abs(ab - a * b) for ab, a, b in zip(*columns))
 
-    return {
-        "modulus": str(modulus),
-        "factors": " * ".join(
-            f"({P})^{e}" if e > 1 else f"({P})" for P, e in modulus.factors
-        ),
-        "phi": modulus.phi,
-        "orders": ",".join(str(m) for m in group.orders),
-        "factorization_ok": bool(factorization_ok),
-        "unit_group_ok": _unit_group_ok(group),
-        "n_primitive": fam.n_primitive,
-        "sieve_count": primitive_count_inclusion_exclusion(modulus),
-        "ortho_max": ortho_max,
-        "mult_err": mult_err,
-    }
+    factors = " * ".join(
+        f"({P})^{e}" if e > 1 else f"({P})" for P, e in modulus.factors
+    )
+    orders = ",".join(str(m) for m in group.orders)
+    subject = str(modulus)
+    rows = [
+        CheckRow(anchor, subject, params, modulus.phi, "", ok)
+        for anchor, params, ok in [
+            ("plumbing/factorization", factors, factorization_ok),
+            ("plumbing/unit-group", f"orders={orders}", _unit_group_ok(group)),
+        ]
+    ]
+    params, tol = "max |sum chi| over non-principal", cfg.tolerance("orthogonality")
+    rows.append(below("plumbing/orthogonality", subject, params, ortho_max, tol))
+    params = "seeded random unit pairs"
+    rows.append(below("plumbing/multiplicativity", subject, params, mult_err, 1e-12))
+    n, sieve = fam.n_primitive, primitive_count_inclusion_exclusion(modulus)
+    params = "conductor-divisor sieve"
+    rows.append(
+        CheckRow("plumbing/primitive-count", subject, params, n, sieve, n == sieve)
+    )
+    return rows
 
 
 def _unit_group_ok(group) -> bool:
@@ -248,27 +260,7 @@ def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
         CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)
     )
 
-    tol = cfg.tolerance("orthogonality")
-    for res in results:
-        subject = res["modulus"]
-        for anchor, params, ok in [
-            ("plumbing/factorization", res["factors"], res["factorization_ok"]),
-            ("plumbing/unit-group", f"orders={res['orders']}", res["unit_group_ok"]),
-        ]:
-            rows.append(CheckRow(anchor, subject, params, res["phi"], "", ok))
-        params = "max |sum chi| over non-principal"
-        rows.append(
-            below("plumbing/orthogonality", subject, params, res["ortho_max"], tol)
-        )
-        params = "seeded random unit pairs"
-        rows.append(
-            below("plumbing/multiplicativity", subject, params, res["mult_err"], 1e-12)
-        )
-        n, sieve = res["n_primitive"], res["sieve_count"]
-        params = "conductor-divisor sieve"
-        rows.append(
-            CheckRow("plumbing/primitive-count", subject, params, n, sieve, n == sieve)
-        )
+    rows.extend(row for res in results for row in res)
     return rows, {"moduli": len(results)}
 
 
@@ -278,16 +270,19 @@ def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
 
 
 def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
+    """The check rows of one modulus, and its maxima of the log-L bound
+    defects for the family rows."""
     modulus = fam.modulus
-    out: dict = {
-        "modulus": str(modulus),
-        "degree": modulus.degree,
-        "n_primitive": fam.n_primitive,
-        "selftest": bool(selftest),
-    }
+    subject = str(modulus)
+    rows: list[CheckRow] = []
     coeffs = fam.coeffs.copy()
-    if selftest and fam.n_primitive:
-        coeffs[0, -1] += 0.5  # deliberate corruption for harness sanity
+    if selftest:
+        params = "coefficient perturbed by 0.5"
+        rows.append(
+            CheckRow("plumbing/selftest", subject, params, "injected", "", True)
+        )
+        if fam.n_primitive:
+            coeffs[0, -1] += 0.5  # deliberate corruption for harness sanity
 
     # degree bound: probe coefficients just past the polynomial degree
     probe_max = 0.0
@@ -295,82 +290,66 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
         for extra in range(modulus.degree, modulus.degree + 3):
             vals = l_coefficient_probe(fam.group, fam.index, extra)
             probe_max = max(probe_max, float(np.max(np.abs(vals))))
-    out["probe_max"] = probe_max
+    params = f"probe degrees {modulus.degree}..{modulus.degree + 2}"
+    rows.append(
+        below("degree bound", subject, params, probe_max, cfg.tolerance("coeff_zero"))
+    )
 
     # RH root shape per primitive character, fixed by its parity
     devs = rh_root_deviations(coeffs, _even_mask(fam.group, fam.exponents), cfg.q)
-    out["root_rows"] = list(zip(fam.index.tolist(), devs.tolist()))
+    root_tol = cfg.tolerance("root_mag")
+    for chi_index, dev in zip(fam.index.tolist(), devs.tolist()):
+        rows.append(below("RH roots", subject, f"chi#{chi_index}", dev, root_tol))
 
     # conjugation symmetry of the coefficient rows; a conjugate missing from
     # the family fails the row with inf
     conj_rows, found = fam.conjugate_rows()
-    out["conj_max"] = (
+    conj_max = (
         float(np.max(np.abs(coeffs[conj_rows] - np.conj(coeffs)), initial=0.0))
         if found.all()
         else math.inf
     )
+    params = "coeffs(conj chi) vs conj(coeffs)"
+    rows.append(below("conjugation", subject, params, conj_max, 1e-10))
 
     top = max(modulus.degree - 1, *cfg.x_exponents)
-    out["explicit_top"] = top
-    out["explicit_max"] = 0.0
-    out["prop31_min_slack"] = {h: math.inf for h in range(1, modulus.degree)}
-    family = out["family"] = dict.fromkeys(("eq33", "eq34", "prop32"), -math.inf)
-    if not fam.n_primitive:
-        return out
+    explicit_max = 0.0
+    min_slack = dict.fromkeys(range(1, modulus.degree), math.inf)
+    family = dict.fromkeys(("eq33", "eq34", "prop32"), -math.inf)
+    if fam.n_primitive:
+        table = PrimePowerTable.build(fam.group, fam.exponents, top)
+        explicit_max = float(np.max(table.explicit_formula_defect(coeffs)))
 
-    table = PrimePowerTable.build(fam.group, fam.exponents, top)
-    out["explicit_max"] = float(np.max(table.explicit_formula_defect(coeffs)))
+        ts = _t_grid(cfg.q, cfg.t_grid_points)
+        log_abs = log_abs_l_grid(coeffs, cfg.q, ts)
+        # pointwise bound: minimum slack over characters, smoothing lengths, grid
+        for h in min_slack:
+            min_slack[h] = float(np.min(table.pointwise(ts, h) - log_abs))
 
-    ts = _t_grid(cfg.q, cfg.t_grid_points)
-    log_abs = log_abs_l_grid(coeffs, cfg.q, ts)
-    # pointwise bound: minimum slack over characters, smoothing lengths, grid
-    for h in out["prop31_min_slack"]:
-        out["prop31_min_slack"][h] = float(np.min(table.pointwise(ts, h) - log_abs))
+        family["eq33"] = max(
+            float(np.max(log_abs - table.simplified(ts, h))) for h in cfg.x_exponents
+        )
+        ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
+        family["eq34"] = float(np.max(ratios))
 
-    family["eq33"] = max(
-        float(np.max(log_abs - table.simplified(ts, h))) for h in cfg.x_exponents
-    )
-    ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
-    family["eq34"] = float(np.max(ratios))
+        for spec in specs:
+            lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
+            for h in cfg.x_exponents:
+                defect = float(np.max(lhs - table.shifted(spec, h)))
+                family["prop32"] = max(family["prop32"], defect)
 
-    for spec in specs:
-        lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
-        for h in cfg.x_exponents:
-            defect = float(np.max(lhs - table.shifted(spec, h)))
-            family["prop32"] = max(family["prop32"], defect)
-    return out
+    params = f"n=1..{top}, prime powers vs Newton power sums"
+    tol = cfg.tolerance("identity")
+    rows.append(below("explicit formula", subject, params, explicit_max, tol))
+    tol = cfg.tolerance("slack")
+    for h, slack in min_slack.items():
+        params = f"h={h}, min slack over grid"
+        rows.append(CheckRow("Prop 3.1", subject, params, slack, -tol, slack >= -tol))
+    return {"degree": modulus.degree, "family": family, "rows": rows}
 
 
 def cmd_lfun(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
-    rows: list[CheckRow] = []
-    coeff_tol = cfg.tolerance("coeff_zero")
-    root_tol = cfg.tolerance("root_mag")
-    identity_tol = cfg.tolerance("identity")
-    slack_tol = cfg.tolerance("slack")
-    for res in results:
-        subject = res["modulus"]
-        if res["selftest"]:
-            params = "coefficient perturbed by 0.5"
-            rows.append(
-                CheckRow("plumbing/selftest", subject, params, "injected", "", True)
-            )
-        probes = f"probe degrees {res['degree']}..{res['degree'] + 2}"
-        rows.append(below("degree bound", subject, probes, res["probe_max"], coeff_tol))
-        for chi_index, dev in res["root_rows"]:
-            rows.append(below("RH roots", subject, f"chi#{chi_index}", dev, root_tol))
-        params = "coeffs(conj chi) vs conj(coeffs)"
-        rows.append(below("conjugation", subject, params, res["conj_max"], 1e-10))
-        params = f"n=1..{res['explicit_top']}, prime powers vs Newton power sums"
-        value = res["explicit_max"]
-        rows.append(below("explicit formula", subject, params, value, identity_tol))
-        for h, slack in sorted(res["prop31_min_slack"].items()):
-            params = f"h={h}, min slack over grid"
-            rows.append(
-                CheckRow(
-                    "Prop 3.1", subject, params, slack, -slack_tol, slack >= -slack_tol
-                )
-            )
-
+    rows = [row for res in results for row in res["rows"]]
     rel = cfg.tolerance("fixture_rel")
     lsig = cfg.lfun_signature()
     for degree, agg in sorted(_family_max(results, "family").items()):
@@ -395,18 +374,18 @@ def cmd_lfun(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
 
 
 def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
+    """The check rows of one modulus (none without primitive characters),
+    its moments table rows, and what the family rows need."""
     modulus = fam.modulus
     lhs, rhs_zeta, rhs_min = moment_report(fam, specs)
     ratio_zeta, ratio_min = lhs / rhs_zeta, lhs / rhs_min
     family = dict.fromkeys(("zeta", "min", "prop33"), -math.inf)
     out: dict = {
-        "modulus": str(modulus),
         "degree": modulus.degree,
-        "n_primitive": fam.n_primitive,
         "family": family,
         "thm13": {},
         "prop41": {},
-        "perron_max_err": 0.0,
+        "rows": [],
     }
     head = [modulus.field.q, str(modulus), modulus.degree, modulus.phi, fam.n_primitive]
     flag = int(modulus.degree == 2)
@@ -423,14 +402,14 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
         return out
 
     both = np.concatenate([ratio_zeta, ratio_min])
-    out["finite_ok"] = bool(np.all(np.isfinite(both) & (both > 0)))
+    finite_ok = bool(np.all(np.isfinite(both) & (both > 0)))
     family["zeta"] = float(np.max(ratio_zeta, initial=-math.inf))
     family["min"] = float(np.max(ratio_min, initial=-math.inf))
 
     # restatement on the critical circle: same values via angles
     positive = lhs > 0
     deviation = np.abs(circle_angle_moments(fam, specs) - lhs)[positive] / lhs[positive]
-    out["cor12_dev"] = float(np.max(deviation, initial=0.0))
+    cor12_dev = float(np.max(deviation, initial=0.0))
     for value in lhs[positive].tolist():
         family["prop33"] = max(family["prop33"], prop33_statistic(fam, value))
 
@@ -443,12 +422,13 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
         (rng.randrange(fam.n_primitive), rng.randrange(0, modulus.degree + 2))
         for _ in range(cfg.perron.get("samples", 50))
     ]
+    perron_max_err = 0.0
     for N in sorted({n for _, n in draws}):
-        rows = fam.coeffs[[i for i, n in draws if n == N]]
+        sample = fam.coeffs[[i for i, n in draws if n == N]]
         M = factor * (N + modulus.degree)
-        quad = perron_partial_sum(rows, N, r, M)
-        err = np.max(np.abs(quad - np.sum(rows[:, : N + 1], axis=1)))
-        out["perron_max_err"] = max(out["perron_max_err"], float(err))
+        quad = perron_partial_sum(sample, N, r, M)
+        err = np.max(np.abs(quad - np.sum(sample[:, : N + 1], axis=1)))
+        perron_max_err = max(perron_max_err, float(err))
 
     for m in cfg.moment_exponents:
         for yexp in cfg.y_exponents:
@@ -458,26 +438,23 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
         integral_moment(fam, cfg.moment_exponents, cfg.quad_points),
     ):
         out["prop41"][m] = im.ratio
+
+    subject = str(modulus)
+    value = "ok" if finite_ok else "bad"
+    params = "ratios finite and positive"
+    rows = [CheckRow("Thm 1.1 zeta", subject, params, value, "", finite_ok)]
+    params = "contour quadrature vs direct partial sums"
+    tol = cfg.tolerance("identity")
+    rows.append(below("Lemma 2.4", subject, params, perron_max_err, tol))
+    params = "circle-angle restatement, relative deviation"
+    rows.append(below("Cor 1.2", subject, params, cor12_dev, 1e-9))
+    out["rows"] = rows
     return out
 
 
 def cmd_moments(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
-    rows: list[CheckRow] = []
-    ident_tol = cfg.tolerance("identity")
-    moment_rows: list[list] = []
-    for res in results:
-        moment_rows.extend(res["moment_rows"])
-        if res["n_primitive"]:
-            subject, ok = res["modulus"], res["finite_ok"]
-            params = "ratios finite and positive"
-            value = "ok" if ok else "bad"
-            rows.append(CheckRow("Thm 1.1 zeta", subject, params, value, "", ok))
-            params = "contour quadrature vs direct partial sums"
-            value = res["perron_max_err"]
-            rows.append(below("Lemma 2.4", subject, params, value, ident_tol))
-            params = "circle-angle restatement, relative deviation"
-            rows.append(below("Cor 1.2", subject, params, res["cor12_dev"], 1e-9))
-
+    rows = [row for res in results for row in res["rows"]]
+    moment_rows = [row for res in results for row in res["moment_rows"]]
     rel = cfg.tolerance("fixture_rel")
     msig = cfg.moments_signature()
     thm13 = _family_max(results, "thm13")
@@ -615,9 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="update regression fixtures with measured constants",
         )
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument(
-            "--budget", type=int, default=None, help="override max total phi"
-        )
         if name in ("lfun", "all"):
             p.add_argument(
                 "--selftest-perturb",
@@ -653,8 +627,6 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config)
-        if args.budget is not None:
-            cfg.budget["max_phi_total"] = args.budget
         out_dir = Path(args.out if args.out is not None else (cfg.out or "out"))
         started = time.perf_counter()
         fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)

@@ -13,7 +13,6 @@ for q=2, n=2: T^2, T^2+1, T^2+T, T^2+T+1.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -418,9 +417,12 @@ def prime_count_exact(field: FieldSpec, n: int) -> int:
 
 
 def degree_cutoff(q: int, x) -> int:
-    """h >= 0 with x = q^h; raises unless x is such a power of q."""
-    h = round(math.log(float(x)) / math.log(q))
-    if h < 0 or q**h != round(float(x)):
+    """h >= 0 with x = q^h; raises unless x is such a power of q.  Found by
+    exact integer powers, so no float rounding limits the size of x."""
+    h = 0
+    while q**h < x:
+        h += 1
+    if q**h != x:
         raise ValueError(f"{x} is not a power of q={q}")
     return h
 

@@ -14,6 +14,8 @@ from ffmoments import chargroup, ffpoly
 from ffmoments._backend import scale_mod_many
 from ffmoments.chargroup import (
     UnitGroup,
+    _even_mask,
+    _exponent_grid,
     _power_blocks,
     _trivial_on_rows,
     all_characters,
@@ -471,7 +473,7 @@ class TestCharacters:
 
     def test_primitive_counts_match_sieve(self):
         cases = [(F3, t) for t in ["T^2", "T^2 + 1", "T^2 + T", "T^3", "T^3 + T"]]
-        # phi(Q) * |kernel| > 2^18: primitivity is tested in chunks
+        # a degree-10 prime (e = 1) alone and times T^2 (e = 2)
         cases += [(F2, "T^10 + T^3 + 1"), (F2, "T^12 + T^5 + T^2")]
         for field, text in cases:
             m = modulus(field, text)
@@ -525,6 +527,30 @@ class TestCharacters:
         g = unit_group(modulus(F2, "T^3"))
         for c in all_characters(g):
             assert oracle_primitive_mask(g, [c.exponents])[0] == c.primitive
+
+
+    @pytest.mark.parametrize(
+        "q,text",
+        [
+            (2, "T^3 + T"),
+            (3, "T^3 + T^2"),
+            (3, "T^4 + 2*T^2 + 1"),
+            (5, "T^3 + 4*T"),
+            (5, "T^3"),
+            (7, "T^2 + 3*T"),
+            (7, "T^3 + 2"),
+        ],
+    )
+    def test_even_mask_matches_all_constants(self, q, text):
+        # one generator of F_q^* decides what all q - 1 constants decide
+        g = unit_group(modulus(FieldSpec(q), text))
+        K = _exponent_grid(np.arange(g.order), g.orders)
+        rows, units = g.rows_of(np.arange(1, q))
+        assert units.all()
+        oracle = _trivial_on_rows(g.orders, K, g.dlog_mat[rows])
+        even = _even_mask(g, K)
+        assert even.tolist() == oracle.tolist()
+        assert even.all() if q == 2 else 0 < even.sum() < g.order
 
 
 class TestCharEval:

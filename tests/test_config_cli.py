@@ -320,11 +320,13 @@ class TestCli:
         assert any(r["status"] == "fail" for r in rows)
         assert any(r["anchor"] == "plumbing/selftest" for r in rows)
 
-    def test_budget_flag_overrides(self, smoke, capsys):
+    def test_budget_exceeded_exit_two(self, smoke, capsys):
         cfg, tmp = smoke
-        code = run_cli(
-            "enumerate", "--config", cfg, "--out", str(tmp / "b"), "--budget", "3"
-        )
+        d = json.loads(Path(cfg).read_text())
+        d["budget"]["max_phi_total"] = 3
+        small = tmp / "small_budget.json"
+        small.write_text(json.dumps(d))
+        code = run_cli("enumerate", "--config", str(small), "--out", str(tmp / "b"))
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
@@ -511,32 +513,73 @@ class TestCli:
     def test_multiplicativity_check_can_fail(self):
         # two swapped dlog rows keep every column sum, so only the
         # multiplicativity spot check sees them
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
-        assert cli._enumerate_result(fam)["mult_err"] < 1e-12
+
+        def enumerate_rows(fam):
+            return {r.anchor: r for r in cli._enumerate_result(cfg, fam)}
+
+        mult = enumerate_rows(fam)["plumbing/multiplicativity"]
+        assert mult.value < 1e-12 and mult.passed
         g = fam.group
         dlog_mat = g.dlog_mat.copy()
         dlog_mat[[1, 2]] = dlog_mat[[2, 1]]
         swapped = UnitGroup(g.modulus, g.generators, g.orders, g.residues, dlog_mat)
-        res = cli._enumerate_result(dataclasses.replace(fam, group=swapped))
-        assert res["mult_err"] > 1e-12
-        assert res["ortho_max"] < 1e-9
+        rows = enumerate_rows(dataclasses.replace(fam, group=swapped))
+        mult = rows["plumbing/multiplicativity"]
+        assert mult.value > 1e-12 and not mult.passed
+        ortho = rows["plumbing/orthogonality"]
+        assert ortho.value < 1e-9 and ortho.passed
 
     def test_conjugation_check_can_fail(self):
         cfg = load_config(CONFIGS / "smoke_q3_d2.json")
         specs = cfg.resolved_shift_specs()
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
-        assert cli._lfun_result(cfg, fam, specs, False)["conj_max"] < 1e-10
+
+        def conjugation_row(fam):
+            rows = cli._lfun_result(cfg, fam, specs, False)["rows"]
+            (row,) = [r for r in rows if r.anchor == "conjugation"]
+            return row
+
+        row = conjugation_row(fam)
+        assert row.value < 1e-10 and row.passed
         # one row replaced by its own conjugate
         coeffs = fam.coeffs.copy()
-        row = int(np.argmax(np.abs(coeffs[:, 1].imag)))
-        coeffs[row] = np.conj(coeffs[row])
-        tampered = dataclasses.replace(fam, coeffs=coeffs)
-        assert cli._lfun_result(cfg, tampered, specs, False)["conj_max"] > 1e-10
+        i = int(np.argmax(np.abs(coeffs[:, 1].imag)))
+        coeffs[i] = np.conj(coeffs[i])
+        row = conjugation_row(dataclasses.replace(fam, coeffs=coeffs))
+        assert row.value > 1e-10 and not row.passed
         # a character whose conjugate is missing from the family
         dropped = dataclasses.replace(
             fam, index=fam.index[1:], exponents=fam.exponents[1:], coeffs=fam.coeffs[1:]
         )
-        assert cli._lfun_result(cfg, dropped, specs, False)["conj_max"] == math.inf
+        row = conjugation_row(dropped)
+        assert row.value == math.inf and not row.passed
+
+    def test_lfun_rows_without_primitive_characters(self):
+        # T^2 + T at q=2 has no primitive characters: no RH-root rows,
+        # nothing measured by the degree-bound, conjugation and explicit
+        # formula rows (0.0), and Prop 3.1's slack left at inf
+        cfg = load_config(CONFIGS / "lfun_q2_d3.json")
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^2 + T")))
+        assert fam.n_primitive == 0
+        res = cli._lfun_result(cfg, fam, cfg.resolved_shift_specs(), False)
+        assert res["degree"] == 2
+        assert set(res["family"].values()) == {-math.inf}
+        assert {r.subject for r in res["rows"]} == {"T^2 + T"}
+        got = [(r.anchor, r.params, r.value, r.constant, r.passed) for r in res["rows"]]
+        assert got == [
+            ("degree bound", "probe degrees 2..4", 0.0, 1e-6, True),
+            ("conjugation", "coeffs(conj chi) vs conj(coeffs)", 0.0, 1e-10, True),
+            (
+                "explicit formula",
+                "n=1..3, prime powers vs Newton power sums",
+                0.0,
+                1e-8,
+                True,
+            ),
+            ("Prop 3.1", "h=1, min slack over grid", math.inf, -1e-9, True),
+        ]
 
     def test_timing_isolated_from_csv(self, smoke):
         cfg, tmp = smoke

@@ -27,6 +27,12 @@ class TestCutoff:
         assert degree_cutoff(3, 81) == 4
         assert degree_cutoff(2, 1) == 0
 
+    def test_exact_powers_above_float_precision(self):
+        assert degree_cutoff(3, 3**34) == 34
+        assert degree_cutoff(5, 5**23) == 23
+        with pytest.raises(ValueError):
+            degree_cutoff(3, 3**34 + 1)
+
     def test_non_powers_rejected(self):
         with pytest.raises(ValueError):
             degree_cutoff(3, 10)
