@@ -38,6 +38,5 @@ CHECK_ANCHORS = frozenset(
         "plumbing/orthogonality",
         "plumbing/multiplicativity",
         "plumbing/primitive-count",
-        "plumbing/selftest",
     }
 )

@@ -3,9 +3,11 @@
 Subcommands: enumerate | lfun | moments | primesums | all.  Each consumes a
 versioned JSON config, runs its checks over the configured modulus family,
 and writes deterministic CSV/JSON reports plus a separate metadata file for
-timing and run counts.  enumerate, lfun and moments run one task per
-modulus that returns the modulus's finished check rows; the command adds the
-family and fixture rows.  Exit codes: 0 all checks passed, 1 at least one
+timing and run counts.  Each takes exactly --config, --out (the one output
+setting, default ``out``), --record and --jobs.  The check tolerances are
+fixed in this module: no config can loosen them.  enumerate, lfun and
+moments run one task per modulus that returns the modulus's finished check
+rows; the command adds the family and fixture rows.  Exit codes: 0 all checks passed, 1 at least one
 mathematical check failed, 2 configuration error, 3 internal error (an
 uncaught exception; its traceback goes to stderr).
 """
@@ -88,33 +90,32 @@ EXIT_INTERNAL = 3
 # commands whose checks run per modulus, on the modulus's family
 FAMILY_COMMANDS = ("enumerate", "lfun", "moments")
 
+# tolerances shared by several rows; the others are stated at their row
+IDENTITY_TOL = 1e-8  # an identity evaluated in floating point
+FIXTURE_REL_TOL = 0.25  # a family maximum against its recorded fixture
+
 
 def _modulus_task(payload) -> dict:
     """Build one modulus's family once and run on it the per-modulus work of
     each requested command; per command, the modulus's check rows."""
-    cfg, specs, modulus, commands, selftest = payload
+    cfg, specs, modulus, commands = payload
     fam = primitive_family(modulus)
     out = {}
     if "enumerate" in commands:
         out["enumerate"] = _enumerate_result(cfg, fam)
     if "lfun" in commands:
-        out["lfun"] = _lfun_result(cfg, fam, specs, selftest)
+        out["lfun"] = _lfun_result(cfg, fam, specs)
     if "moments" in commands:
         out["moments"] = _moments_result(cfg, fam, specs)
     return out
 
 
-def _family_results(cfg: ExperimentConfig, args, commands) -> list[dict]:
-    """Per modulus of the config, in order, the results of _modulus_task;
-    the selftest perturbation goes to the first modulus only."""
+def _family_results(cfg: ExperimentConfig, jobs: int, commands) -> list[dict]:
+    """Per modulus of the config, in order, the results of _modulus_task."""
     specs = cfg.resolved_shift_specs()
-    selftest = bool(getattr(args, "selftest_perturb", False))
-    payloads = [
-        (cfg, specs, m, commands, selftest and i == 0)
-        for i, m in enumerate(cfg.modulus_list())
-    ]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
+    payloads = [(cfg, specs, m, commands) for m in cfg.modulus_list()]
+    if jobs > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(_modulus_task, payloads, chunksize=1))
     return [_modulus_task(p) for p in payloads]
 
@@ -211,8 +212,8 @@ def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
             ("plumbing/unit-group", f"orders={orders}", _unit_group_ok(group)),
         ]
     ]
-    params, tol = "max |sum chi| over non-principal", cfg.tolerance("orthogonality")
-    rows.append(below("plumbing/orthogonality", subject, params, ortho_max, tol))
+    params = "max |sum chi| over non-principal"
+    rows.append(below("plumbing/orthogonality", subject, params, ortho_max, 1e-9))
     params = "seeded random unit pairs"
     rows.append(below("plumbing/multiplicativity", subject, params, mult_err, 1e-12))
     n, sieve = fam.n_primitive, primitive_count_inclusion_exclusion(modulus)
@@ -269,20 +270,12 @@ def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
 # ---------------------------------------------------------------------------
 
 
-def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
+def _lfun_result(cfg: ExperimentConfig, fam, specs) -> dict:
     """The check rows of one modulus, and its maxima of the log-L bound
     defects for the family rows."""
-    modulus = fam.modulus
+    modulus, coeffs = fam.modulus, fam.coeffs
     subject = str(modulus)
     rows: list[CheckRow] = []
-    coeffs = fam.coeffs.copy()
-    if selftest:
-        params = "coefficient perturbed by 0.5"
-        rows.append(
-            CheckRow("plumbing/selftest", subject, params, "injected", "", True)
-        )
-        if fam.n_primitive:
-            coeffs[0, -1] += 0.5  # deliberate corruption for harness sanity
 
     # degree bound: probe coefficients just past the polynomial degree
     probe_max = 0.0
@@ -291,15 +284,12 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
             vals = l_coefficient_probe(fam.group, fam.index, extra)
             probe_max = max(probe_max, float(np.max(np.abs(vals))))
     params = f"probe degrees {modulus.degree}..{modulus.degree + 2}"
-    rows.append(
-        below("degree bound", subject, params, probe_max, cfg.tolerance("coeff_zero"))
-    )
+    rows.append(below("degree bound", subject, params, probe_max, 1e-6))
 
     # RH root shape per primitive character, fixed by its parity
     devs = rh_root_deviations(coeffs, _even_mask(fam.group, fam.exponents), cfg.q)
-    root_tol = cfg.tolerance("root_mag")
     for chi_index, dev in zip(fam.index.tolist(), devs.tolist()):
-        rows.append(below("RH roots", subject, f"chi#{chi_index}", dev, root_tol))
+        rows.append(below("RH roots", subject, f"chi#{chi_index}", dev, 1e-6))
 
     # conjugation symmetry of the coefficient rows; a conjugate missing from
     # the family fails the row with inf
@@ -339,9 +329,8 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
                 family["prop32"] = max(family["prop32"], defect)
 
     params = f"n=1..{top}, prime powers vs Newton power sums"
-    tol = cfg.tolerance("identity")
-    rows.append(below("explicit formula", subject, params, explicit_max, tol))
-    tol = cfg.tolerance("slack")
+    rows.append(below("explicit formula", subject, params, explicit_max, IDENTITY_TOL))
+    tol = 1e-9
     for h, slack in min_slack.items():
         params = f"h={h}, min slack over grid"
         rows.append(CheckRow("Prop 3.1", subject, params, slack, -tol, slack >= -tol))
@@ -350,7 +339,7 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, selftest: bool) -> dict:
 
 def cmd_lfun(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     rows = [row for res in results for row in res["rows"]]
-    rel = cfg.tolerance("fixture_rel")
+    rel = FIXTURE_REL_TOL
     lsig = cfg.lfun_signature()
     for degree, agg in sorted(_family_max(results, "family").items()):
         if not math.isfinite(agg["eq33"]):
@@ -415,18 +404,17 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
 
     # the samples are drawn first, then evaluated in groups of equal N,
     # since the sample count M depends on N alone
-    rng = random.Random(cfg.perron.get("seed", 1) + modulus.norm)
-    r = cfg.perron.get("radius", 0.5)
-    factor = cfg.perron.get("points_factor", 64)
+    perron = cfg.perron
+    rng = random.Random(perron["seed"] + modulus.norm)
     draws = [
         (rng.randrange(fam.n_primitive), rng.randrange(0, modulus.degree + 2))
-        for _ in range(cfg.perron.get("samples", 50))
+        for _ in range(perron["samples"])
     ]
     perron_max_err = 0.0
     for N in sorted({n for _, n in draws}):
         sample = fam.coeffs[[i for i, n in draws if n == N]]
-        M = factor * (N + modulus.degree)
-        quad = perron_partial_sum(sample, N, r, M)
+        M = perron["points_factor"] * (N + modulus.degree)
+        quad = perron_partial_sum(sample, N, perron["radius"], M)
         err = np.max(np.abs(quad - np.sum(sample[:, : N + 1], axis=1)))
         perron_max_err = max(perron_max_err, float(err))
 
@@ -444,8 +432,7 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
     params = "ratios finite and positive"
     rows = [CheckRow("Thm 1.1 zeta", subject, params, value, "", finite_ok)]
     params = "contour quadrature vs direct partial sums"
-    tol = cfg.tolerance("identity")
-    rows.append(below("Lemma 2.4", subject, params, perron_max_err, tol))
+    rows.append(below("Lemma 2.4", subject, params, perron_max_err, IDENTITY_TOL))
     params = "circle-angle restatement, relative deviation"
     rows.append(below("Cor 1.2", subject, params, cor12_dev, 1e-9))
     out["rows"] = rows
@@ -455,7 +442,7 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
 def cmd_moments(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     rows = [row for res in results for row in res["rows"]]
     moment_rows = [row for res in results for row in res["moment_rows"]]
-    rel = cfg.tolerance("fixture_rel")
+    rel = FIXTURE_REL_TOL
     msig = cfg.moments_signature()
     thm13 = _family_max(results, "thm13")
     prop41 = _family_max(results, "prop41")
@@ -495,7 +482,7 @@ def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
     table_rows: list[list] = []
     ps = cfg.primesums
-    tol = {"abs_tol": cfg.tolerance("fixture_abs")}
+    tol = {"abs_tol": 1e-9}
     h_min, h_max = ps["h_min"], ps["h_max"]
     psig = cfg.primesums_signature()
 
@@ -585,19 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("enumerate", "lfun", "moments", "primesums", "all"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON path")
-        p.add_argument("--out", default=None, help="report output directory")
+        p.add_argument("--out", default="out", help="report output directory")
         p.add_argument(
             "--record",
             action="store_true",
             help="update regression fixtures with measured constants",
         )
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        if name in ("lfun", "all"):
-            p.add_argument(
-                "--selftest-perturb",
-                action="store_true",
-                help="inject a coefficient error to prove the harness can fail",
-            )
     return parser
 
 
@@ -627,14 +608,14 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.out if args.out is not None else (cfg.out or "out"))
+        out_dir = Path(args.out)
         started = time.perf_counter()
         fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
         meta: dict = {}
         all_rows: list[CheckRow] = []
         commands = list(dispatch) if args.command == "all" else [args.command]
         on_family = [c for c in commands if c in FAMILY_COMMANDS]
-        per_modulus = _family_results(cfg, args, on_family) if on_family else []
+        per_modulus = _family_results(cfg, args.jobs, on_family) if on_family else []
         for command in commands:
             cmd, checks, columns = dispatch[command]
             if command in on_family:

@@ -2,6 +2,8 @@
 
 Unknown fields are rejected so that a typo cannot silently disable a check;
 parse-validate of a fully specified document round-trips to the identity.
+The perron, primesums and budget sections may name only some of their
+fields; each is merged over its defaults once, at load, and range-checked.
 Family generators are capped by an explicit budget so a config cannot
 silently request days of compute.
 
@@ -19,7 +21,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ffmoments.chargroup import Modulus, factor_modulus
-from ffmoments.ffpoly import FieldSpec, PolyParseError, monic_from_index, parse_poly
+from ffmoments.ffpoly import (
+    FieldSpec,
+    PolyParseError,
+    _is_prime_int,
+    monic_from_index,
+    parse_poly,
+)
 from ffmoments.lfunc import t_period
 from ffmoments.moments import ShiftSpec
 
@@ -31,20 +39,12 @@ class ConfigError(ValueError):
 
 
 def _require_keys(d: dict, allowed: set[str], where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     extra = set(d) - allowed
     if extra:
         raise ConfigError(f"unknown fields in {where}: {sorted(extra)}")
 
-
-DEFAULT_TOLERANCES = {
-    "identity": 1e-8,
-    "slack": 1e-9,
-    "fixture_rel": 0.25,
-    "fixture_abs": 1e-9,
-    "coeff_zero": 1e-6,
-    "root_mag": 1e-6,
-    "orthogonality": 1e-9,
-}
 
 DEFAULT_BUDGET = {"max_phi_total": 200_000, "max_enum": 1_000_000}
 
@@ -58,6 +58,13 @@ DEFAULT_PRIMESUMS = {
 }
 
 DEFAULT_PERRON = {"samples": 50, "radius": 0.5, "points_factor": 64, "seed": 1}
+
+# the sections a config may name in part: each merges over its defaults
+SECTION_DEFAULTS = {
+    "perron": DEFAULT_PERRON,
+    "primesums": DEFAULT_PRIMESUMS,
+    "budget": DEFAULT_BUDGET,
+}
 
 
 @dataclass
@@ -74,23 +81,24 @@ class ExperimentConfig:
     quad_points: int = 1024
     perron: dict = field(default_factory=lambda: dict(DEFAULT_PERRON))
     primesums: dict = field(default_factory=lambda: dict(DEFAULT_PRIMESUMS))
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     budget: dict = field(default_factory=lambda: dict(DEFAULT_BUDGET))
     fixtures: str | None = None
-    out: str | None = None
 
     # -- serialization -------------------------------------------------
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("configuration must be a JSON object")
         _require_keys(d, {f.name for f in fields(cls)}, "config")
         if d.get("schema") != CONFIG_SCHEMA:
             raise ConfigError(
                 f'config must declare "schema": {CONFIG_SCHEMA}, got {d.get("schema")!r}'
             )
-        cfg = cls(**{k: d[k] for k in d})
+        sections = {}
+        for name, default in SECTION_DEFAULTS.items():
+            given = d.get(name, {})
+            _require_keys(given, set(default), f"config.{name}")
+            sections[name] = {**default, **given}
+        cfg = cls(**{**d, **sections})
         cfg.validate()
         return cfg
 
@@ -129,13 +137,6 @@ class ExperimentConfig:
                     ShiftSpec.from_dict(d)
                 except (ValueError, KeyError) as e:
                     raise ConfigError(f"shift spec {i}: {e}") from None
-        _require_keys(self.tolerances, set(DEFAULT_TOLERANCES), "config.tolerances")
-        for name, value in self.tolerances.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {name} must be strictly positive")
-        _require_keys(self.budget, set(DEFAULT_BUDGET), "config.budget")
-        _require_keys(self.primesums, set(DEFAULT_PRIMESUMS), "config.primesums")
-        _require_keys(self.perron, set(DEFAULT_PERRON), "config.perron")
         if self.t_grid_points < 1:
             raise ConfigError("t_grid_points must be positive")
         if not self.x_exponents or not all(
@@ -144,11 +145,28 @@ class ExperimentConfig:
             raise ConfigError("x_exponents must be a nonempty list of positive integers")
         if self.quad_points < 256:
             raise ConfigError("quad_points must be at least 256")
+        radius, factor = self.perron["radius"], self.perron["points_factor"]
+        if not (isinstance(radius, (int, float)) and 0 < radius < 1):
+            raise ConfigError("perron.radius must lie in (0, 1)")
+        # the Perron quadrature needs M = factor (N + deg Q) >= 4 (deg Q + N + 2)
+        # samples for every N >= 0 and deg Q >= 2
+        if not (isinstance(factor, int) and factor >= 8):
+            raise ConfigError("perron.points_factor must be an integer >= 8")
+        ps = self.primesums
+        if not (
+            isinstance(ps["qs"], list)
+            and ps["qs"]
+            and all(isinstance(q, int) and _is_prime_int(q) for q in ps["qs"])
+        ):
+            raise ConfigError("primesums.qs must be a nonempty list of primes")
+        for name in ("h_min", "tail_h_max", "alpha_points", "f_h_max"):
+            if not (isinstance(ps[name], int) and ps[name] >= 1):
+                raise ConfigError(f"primesums.{name} must be a positive integer")
+        # the Lemma 2.3 slice row compares h_max with h_max // 2 >= h_min
+        if not (isinstance(ps["h_max"], int) and ps["h_max"] >= 2 * ps["h_min"]):
+            raise ConfigError("primesums.h_max must be an integer >= 2 * h_min")
 
     # -- derived quantities ------------------------------------------------
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def modulus_list(self) -> list[Modulus]:
         """The moduli this config addresses, in deterministic order, with the

@@ -160,7 +160,7 @@ class FixtureChecker:
         if abs_tol is not None:
             ok = abs(value - recorded) <= abs_tol
         else:
-            ok = abs(value - recorded) <= (rel_tol or 0.25) * abs(recorded)
+            ok = abs(value - recorded) <= rel_tol * abs(recorded)
         return ok, recorded
 
     def row(self, anchor, subject, params, key, value, **tol) -> CheckRow:

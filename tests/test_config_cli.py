@@ -1,6 +1,7 @@
 """Configuration schema validation and CLI behavior (exit codes,
-determinism, self-test)."""
+determinism, fault injection)."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -22,8 +23,13 @@ from ffmoments.chargroup import (
     factor_modulus,
     unit_group,
 )
-from ffmoments.cli import _unit_group_ok, main
-from ffmoments.config import ConfigError, ExperimentConfig, load_config
+from ffmoments.cli import _unit_group_ok, build_parser, main
+from ffmoments.config import (
+    SECTION_DEFAULTS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+)
 from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
 from ffmoments.lfunc import primitive_family
 from ffmoments.report import (
@@ -35,6 +41,7 @@ from ffmoments.report import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WORKLOADS = CONFIGS.parent / "perfbench" / "workloads"
 
 
 def full_config_dict() -> dict:
@@ -58,18 +65,8 @@ def full_config_dict() -> dict:
             "tail_h_max": 3,
             "f_h_max": 50,
         },
-        "tolerances": {
-            "identity": 1e-8,
-            "slack": 1e-9,
-            "fixture_rel": 0.25,
-            "fixture_abs": 1e-9,
-            "coeff_zero": 1e-6,
-            "root_mag": 1e-6,
-            "orthogonality": 1e-9,
-        },
         "budget": {"max_phi_total": 1000, "max_enum": 729},
         "fixtures": None,
-        "out": None,
     }
 
 
@@ -96,18 +93,48 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schema"):
             ExperimentConfig.from_dict(d)
 
-    def test_tolerances_positive(self):
-        d = full_config_dict()
-        d["tolerances"]["slack"] = 0.0
-        with pytest.raises(ConfigError, match="strictly positive"):
-            ExperimentConfig.from_dict(d)
-
     def test_x_exponents_positive_integers(self):
         for bad in ([], [0], [1, -2], [1.5]):
             d = full_config_dict()
             d["x_exponents"] = bad
             with pytest.raises(ConfigError, match="x_exponents"):
                 ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "section, name, bad",
+        [
+            ("perron", "radius", 0),
+            ("perron", "radius", 1.0),
+            ("perron", "radius", "0.5"),
+            ("perron", "points_factor", 7),
+            ("perron", "points_factor", 8.0),
+            ("primesums", "qs", []),
+            ("primesums", "qs", [3, 4]),
+            ("primesums", "qs", 3),
+            ("primesums", "h_min", 0),
+            ("primesums", "h_max", 3),  # below 2 * h_min = 4
+            ("primesums", "tail_h_max", 0),
+            ("primesums", "alpha_points", 0),
+            ("primesums", "f_h_max", 0),
+        ],
+    )
+    def test_section_values_in_range(self, section, name, bad):
+        d = full_config_dict()
+        d[section][name] = bad
+        with pytest.raises(ConfigError, match=f"{section}.{name} "):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(CONFIGS.glob("*.json")) + sorted(WORKLOADS.glob("*.json")),
+        ids=lambda path: f"{path.parent.name}/{path.name}",
+    )
+    def test_shipped_configs_load(self, path):
+        # every shipped and benchmarked config loads, resolves its shift
+        # specs and stays within its budget
+        cfg = load_config(path)
+        assert cfg.resolved_shift_specs()
+        assert cfg.modulus_list()
 
     def test_family_or_moduli_required(self):
         d = full_config_dict()
@@ -226,17 +253,11 @@ class TestCli:
         assert all(r["status"] == "pass" for r in rows)
 
     def test_all_anchors_registered(self, smoke):
-        # smoke `all` plus the self-test emit every registered anchor, and
-        # only those
+        # smoke `all` emits every registered anchor, and only those
         cfg, tmp = smoke
         out = tmp / "anchor_check"
         assert run_cli("all", "--config", cfg, "--out", str(out)) == 0
-        selftest = tmp / "anchor_selftest"
-        code = run_cli(
-            "lfun", "--config", cfg, "--out", str(selftest), "--selftest-perturb"
-        )
-        assert code == 1
-        emitted = {row["anchor"] for row in read_rows(selftest / "lfun.csv")}
+        emitted = set()
         for name in (
             "enumerate.csv",
             "lfun.csv",
@@ -302,23 +323,107 @@ class TestCli:
         )
         assert code == 2
 
-    def test_cache_field_exit_two(self, tmp_path, capsys):
-        cfg = tmp_path / "cache.json"
-        cfg.write_text(json.dumps({"schema": 1, "q": 3, "moduli": ["T^2"], "cache": "c"}))
+    @pytest.mark.parametrize("name", ["cache", "tolerances", "out"])
+    def test_cache_field_exit_two(self, tmp_path, capsys, name):
+        # fields of earlier schemas: the output directory is --out alone and
+        # the tolerances are fixed
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"schema": 1, "q": 3, "moduli": ["T^2"], name: {}}))
         code = run_cli("enumerate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "unknown fields" in capsys.readouterr().err
 
-    def test_selftest_perturb_fails(self, smoke):
+    @pytest.mark.parametrize(
+        "command, section, partial",
+        [
+            ("enumerate", "budget", {"max_enum": 729}),
+            ("primesums", "primesums", {"qs": [3]}),
+            ("moments", "perron", {"samples": 10}),
+        ],
+    )
+    def test_partial_section_takes_defaults(self, smoke, command, section, partial):
         cfg, tmp = smoke
-        out = tmp / "selftest"
-        code = run_cli(
-            "lfun", "--config", cfg, "--out", str(out), "--selftest-perturb"
-        )
-        assert code == 1
+        d = json.loads(Path(cfg).read_text())
+        reports = []
+        for name, value in [
+            ("full", {**SECTION_DEFAULTS[section], **partial}),
+            ("partial", partial),
+        ]:
+            d[section] = value
+            path, out = tmp / f"{name}.json", tmp / name
+            path.write_text(json.dumps(d))
+            assert run_cli(command, "--config", str(path), "--out", str(out)) == 0
+            (out / "run_metadata.json").unlink()
+            reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert reports[0] == reports[1]
+
+    def test_out_of_range_section_exit_two(self, smoke, capsys):
+        cfg, tmp = smoke
+        d = json.loads(Path(cfg).read_text())
+        d["perron"]["radius"] = 1.5
+        bad = tmp / "radius.json"
+        bad.write_text(json.dumps(d))
+        assert run_cli("moments", "--config", str(bad), "--out", str(tmp / "o")) == 2
+        assert "perron.radius" in capsys.readouterr().err
+
+    def test_least_section_values_run(self, smoke):
+        # the least accepted values raise none of the errors inside the
+        # computation; a quadrature this coarse may fail its Lemma 2.4 rows,
+        # and nothing else
+        cfg, tmp = smoke
+        d = json.loads(Path(cfg).read_text())
+        d["perron"]["points_factor"] = 8
+        d["primesums"].update(h_min=1, h_max=2, tail_h_max=1, alpha_points=1, f_h_max=1)
+        least = tmp / "least.json"
+        least.write_text(json.dumps(d))
+        out = tmp / "least"
+        assert run_cli("primesums", "--config", str(least), "--out", str(out)) == 0
+        assert run_cli("moments", "--config", str(least), "--out", str(out)) in (0, 1)
+        rows = read_rows(out / "moments_checks.csv")
+        assert {r["anchor"] for r in rows if r["status"] == "fail"} <= {"Lemma 2.4"}
+
+    def test_coefficient_perturbation_fails_three_rows(self, smoke, monkeypatch):
+        # 0.5 added to the top L-coefficient of the first primitive character
+        # of the first modulus, T^2: exactly the rows that read that
+        # coefficient fail
+        cfg, tmp = smoke
+        families = []
+
+        def perturbed(modulus):
+            fam = primitive_family(modulus)
+            if not families:
+                coeffs = fam.coeffs.copy()
+                coeffs[0, -1] += 0.5
+                fam = dataclasses.replace(fam, coeffs=coeffs)
+            families.append(fam)
+            return fam
+
+        monkeypatch.setattr(cli, "primitive_family", perturbed)
+        out = tmp / "perturbed"
+        assert run_cli("lfun", "--config", cfg, "--out", str(out)) == 1
         rows = read_rows(out / "lfun.csv")
-        assert any(r["status"] == "fail" for r in rows)
-        assert any(r["anchor"] == "plumbing/selftest" for r in rows)
+        failed = [
+            (r["anchor"], r["subject"], r["params"])
+            for r in rows
+            if r["status"] == "fail"
+        ]
+        assert failed == [
+            ("RH roots", "T^2", "chi#1"),
+            ("conjugation", "T^2", "coeffs(conj chi) vs conj(coeffs)"),
+            ("explicit formula", "T^2", "n=1..1, prime powers vs Newton power sums"),
+        ]
+        assert len(rows) == 75 and len(families) == 9
+
+    def test_subcommands_take_four_options(self):
+        # a new flag is a new option to test and document
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {"enumerate", "lfun", "moments", "primesums", "all"}
+        for p in sub.choices.values():
+            flags = {flag for action in p._actions for flag in action.option_strings}
+            assert flags == {"-h", "--help", "--config", "--out", "--record", "--jobs"}
 
     def test_budget_exceeded_exit_two(self, smoke, capsys):
         cfg, tmp = smoke
@@ -537,7 +642,7 @@ class TestCli:
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
 
         def conjugation_row(fam):
-            rows = cli._lfun_result(cfg, fam, specs, False)["rows"]
+            rows = cli._lfun_result(cfg, fam, specs)["rows"]
             (row,) = [r for r in rows if r.anchor == "conjugation"]
             return row
 
@@ -563,7 +668,7 @@ class TestCli:
         cfg = load_config(CONFIGS / "lfun_q2_d3.json")
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^2 + T")))
         assert fam.n_primitive == 0
-        res = cli._lfun_result(cfg, fam, cfg.resolved_shift_specs(), False)
+        res = cli._lfun_result(cfg, fam, cfg.resolved_shift_specs())
         assert res["degree"] == 2
         assert set(res["family"].values()) == {-math.inf}
         assert {r.subject for r in res["rows"]} == {"T^2 + T"}
