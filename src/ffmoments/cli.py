@@ -480,7 +480,7 @@ def cmd_moments(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
 
 def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
     rows: list[CheckRow] = []
-    table_rows: list[list] = []
+    table_rows: list[tuple] = []
     ps = cfg.primesums
     tol = {"abs_tol": 1e-9}
     h_min, h_max = ps["h_min"], ps["h_max"]
@@ -489,20 +489,20 @@ def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
     pooled = {"zeta": -math.inf, "min": -math.inf}
     slice_max = {"half": -math.inf, "full": -math.inf}
     for q in ps["qs"]:
-        lnq = math.log(q)
+        log_x = np.arange(h_max + 1) * math.log(q)  # log q^h at each cutoff h
         subject = f"q={q}"
 
-        eq22 = max(abs(logp_sum(q, q**h) - h * lnq) for h in range(1, h_max + 1))
+        # the empty sum at h = 0 has defect 0
+        eq22 = float(np.max(np.abs(logp_sum(q, h_max) - log_x)))
         params, key = f"sup defect, h<= {h_max}", f"primesums/eq22_sup/{psig}/q{q}"
         rows.append(
             fixtures.row("log-weighted prime sum", subject, params, key, eq22, **tol)
         )
 
-        b_hat = recip_sum(q, q**h_max) - math.log(h_max * lnq)
-        resid_sup = max(
-            abs(recip_sum(q, q**h) - math.log(h * lnq) - b_hat) * (h * lnq)
-            for h in range(h_min, h_max + 1)
-        )
+        # the constant b is fitted at h_max, the residual taken over h_min..h_max
+        recip, log_x = recip_sum(q, h_max)[h_min:], log_x[h_min:]
+        b_hat = float(recip[-1] - math.log(log_x[-1]))
+        resid_sup = float(np.max(np.abs(recip - np.log(log_x) - b_hat) * log_x))
         for params, short, value in [
             (f"fitted b at h={h_max}", "eq23_b", b_hat),
             ("sup residual * log x", "eq23_residual_sup", resid_sup),
@@ -512,12 +512,12 @@ def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
                 fixtures.row("reciprocal prime sum", subject, params, key, value, **tol)
             )
 
-        rows_q, sup_zeta, sup_min, per_h = mertens_grid_sweep(
+        columns, sup_zeta, sup_min, per_h = mertens_grid_sweep(
             q, h_min, h_max, ps["alpha_points"]
         )
-        table_rows.extend(rows_q)
-        slice_max["half"] = max(slice_max["half"], per_h[h_max // 2])
-        slice_max["full"] = max(slice_max["full"], per_h[h_max])
+        table_rows.extend(zip(*(column.tolist() for column in columns)))
+        slice_max["half"] = max(slice_max["half"], float(per_h[h_max // 2 - h_min]))
+        slice_max["full"] = max(slice_max["full"], float(per_h[-1]))
         pooled["zeta"] = max(pooled["zeta"], sup_zeta)
         pooled["min"] = max(pooled["min"], sup_min)
         for name, value in (("zeta", sup_zeta), ("min", sup_min)):
@@ -525,14 +525,12 @@ def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
             key = f"primesums/lemma23_{name}_sup/{psig}/q{q}"
             rows.append(fixtures.row("Lemma 2.3", subject, params, key, value, **tol))
 
-        tail = max(prime_power_tail(q, q**h) for h in range(1, ps["tail_h_max"] + 1))
+        tail = float(np.max(prime_power_tail(q, ps["tail_h_max"])))
         params = f"sup over h <= {ps['tail_h_max']}"
         key = f"primesums/tail_sup/{psig}/q{q}"
         rows.append(fixtures.row("prime power tail", subject, params, key, tail, **tol))
-        rem_bounds = [
-            tail_remainder_bound(q, q**4, trunc) for trunc in range(8, 33, 4)
-        ]
-        monotone = all(a >= b for a, b in zip(rem_bounds, rem_bounds[1:]))
+        rem_bounds = tail_remainder_bound(4, np.arange(8, 33, 4))
+        monotone = bool(np.all(np.diff(rem_bounds) <= 0))
         params = "remainder bound monotone in truncation"
         value = "decreasing" if monotone else "not monotone"
         rows.append(CheckRow("prime power tail", subject, params, value, "", monotone))

@@ -2,8 +2,9 @@
 
 Unknown fields are rejected so that a typo cannot silently disable a check;
 parse-validate of a fully specified document round-trips to the identity.
-The perron, primesums and budget sections may name only some of their
-fields; each is merged over its defaults once, at load, and range-checked.
+The perron, primesums and budget sections and the shift_specs.random
+generator may name only some of their fields; each is merged over its
+defaults once, at load, and every value is type- and range-checked there.
 Family generators are capped by an explicit budget so a config cannot
 silently request days of compute.
 
@@ -38,6 +39,11 @@ class ConfigError(ValueError):
     """Raised on malformed or invalid experiment configuration."""
 
 
+def _is_int(value, least=None) -> bool:
+    """value is an integer, and at least ``least`` when that is given."""
+    return isinstance(value, int) and (least is None or value >= least)
+
+
 def _require_keys(d: dict, allowed: set[str], where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -58,6 +64,8 @@ DEFAULT_PRIMESUMS = {
 }
 
 DEFAULT_PERRON = {"samples": 50, "radius": 0.5, "points_factor": 64, "seed": 1}
+
+DEFAULT_RANDOM_SPECS = {"count": 20, "half_k": 2, "a_min": 0.5, "a_max": 2.0, "seed": 0}
 
 # the sections a config may name in part: each merges over its defaults
 SECTION_DEFAULTS = {
@@ -98,6 +106,15 @@ class ExperimentConfig:
             given = d.get(name, {})
             _require_keys(given, set(default), f"config.{name}")
             sections[name] = {**default, **given}
+        specs = d.get("shift_specs")
+        if isinstance(specs, dict):
+            _require_keys(specs, {"random"}, "config.shift_specs")
+            if "random" not in specs:
+                raise ConfigError("shift_specs must hold random")
+            given = specs["random"]
+            where = "config.shift_specs.random"
+            _require_keys(given, set(DEFAULT_RANDOM_SPECS), where)
+            sections["shift_specs"] = {"random": {**DEFAULT_RANDOM_SPECS, **given}}
         cfg = cls(**{**d, **sections})
         cfg.validate()
         return cfg
@@ -123,35 +140,56 @@ class ExperimentConfig:
         if self.family is None and self.moduli is None:
             raise ConfigError("either a family range or explicit moduli is required")
         if isinstance(self.shift_specs, dict):
-            _require_keys(
-                self.shift_specs, {"random"}, "config.shift_specs"
-            )
-            _require_keys(
-                self.shift_specs["random"],
-                {"count", "half_k", "a_min", "a_max", "seed"},
-                "config.shift_specs.random",
-            )
+            r = self.shift_specs["random"]
+            for name in ("count", "half_k"):
+                if not _is_int(r[name], 1):
+                    raise ConfigError(
+                        f"shift_specs.random.{name} must be a positive integer"
+                    )
+            a_min, a_max = r["a_min"], r["a_max"]
+            numbers = all(isinstance(a, (int, float)) for a in (a_min, a_max))
+            if not (numbers and 0 < a_min <= a_max):
+                raise ConfigError(
+                    "shift_specs.random.a_min and a_max must satisfy 0 < a_min <= a_max"
+                )
+            if not _is_int(r["seed"]):
+                raise ConfigError("shift_specs.random.seed must be an integer")
         elif self.shift_specs is not None:
             for i, d in enumerate(self.shift_specs):
                 try:
                     ShiftSpec.from_dict(d)
                 except (ValueError, KeyError) as e:
                     raise ConfigError(f"shift spec {i}: {e}") from None
-        if self.t_grid_points < 1:
-            raise ConfigError("t_grid_points must be positive")
+        if not _is_int(self.t_grid_points, 1):
+            raise ConfigError("t_grid_points must be an integer >= 1")
         if not self.x_exponents or not all(
             isinstance(h, int) and h >= 1 for h in self.x_exponents
         ):
             raise ConfigError("x_exponents must be a nonempty list of positive integers")
-        if self.quad_points < 256:
-            raise ConfigError("quad_points must be at least 256")
+        if not _is_int(self.quad_points, 256):
+            raise ConfigError("quad_points must be an integer >= 256")
+        exponents = self.moment_exponents
+        if not (
+            isinstance(exponents, list)
+            and all(isinstance(m, (int, float)) and m >= 0 for m in exponents)
+        ):
+            raise ConfigError("moment_exponents must be a list of numbers >= 0")
+        if not (
+            isinstance(self.y_exponents, list)
+            and all(_is_int(y, 0) for y in self.y_exponents)
+        ):
+            raise ConfigError("y_exponents must be a list of integers >= 0")
         radius, factor = self.perron["radius"], self.perron["points_factor"]
         if not (isinstance(radius, (int, float)) and 0 < radius < 1):
             raise ConfigError("perron.radius must lie in (0, 1)")
         # the Perron quadrature needs M = factor (N + deg Q) >= 4 (deg Q + N + 2)
         # samples for every N >= 0 and deg Q >= 2
-        if not (isinstance(factor, int) and factor >= 8):
+        if not _is_int(factor, 8):
             raise ConfigError("perron.points_factor must be an integer >= 8")
+        if not _is_int(self.perron["samples"], 1):
+            raise ConfigError("perron.samples must be an integer >= 1")
+        if not _is_int(self.perron["seed"]):
+            raise ConfigError("perron.seed must be an integer")
         ps = self.primesums
         if not (
             isinstance(ps["qs"], list)
@@ -160,10 +198,10 @@ class ExperimentConfig:
         ):
             raise ConfigError("primesums.qs must be a nonempty list of primes")
         for name in ("h_min", "tail_h_max", "alpha_points", "f_h_max"):
-            if not (isinstance(ps[name], int) and ps[name] >= 1):
+            if not _is_int(ps[name], 1):
                 raise ConfigError(f"primesums.{name} must be a positive integer")
         # the Lemma 2.3 slice row compares h_max with h_max // 2 >= h_min
-        if not (isinstance(ps["h_max"], int) and ps["h_max"] >= 2 * ps["h_min"]):
+        if not _is_int(ps["h_max"], 2 * ps["h_min"]):
             raise ConfigError("primesums.h_max must be an integer >= 2 * h_min")
 
     # -- derived quantities ------------------------------------------------
@@ -238,17 +276,14 @@ class ExperimentConfig:
         if self.shift_specs is None:
             return [ShiftSpec(a=(1.0, 1.0), t=(0.0, 0.0))]
         if isinstance(self.shift_specs, dict):
-            params = self.shift_specs["random"]
-            rng = random.Random(params.get("seed", 0))
-            count = params.get("count", 20)
-            half_k = params.get("half_k", 2)
-            a_min = params.get("a_min", 0.5)
-            a_max = params.get("a_max", 2.0)
+            r = self.shift_specs["random"]
+            rng = random.Random(r["seed"])
             period = t_period(self.q)
             out = []
-            for _ in range(count):
-                a = tuple(rng.uniform(a_min, a_max) for _ in range(2 * half_k))
-                t = tuple(rng.uniform(0.0, period) for _ in range(2 * half_k))
+            size = 2 * r["half_k"]
+            for _ in range(r["count"]):
+                a = tuple(rng.uniform(r["a_min"], r["a_max"]) for _ in range(size))
+                t = tuple(rng.uniform(0.0, period) for _ in range(size))
                 out.append(ShiftSpec(a=a, t=t))
             return out
         return [ShiftSpec.from_dict(d) for d in self.shift_specs]

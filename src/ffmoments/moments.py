@@ -38,10 +38,11 @@ from ffmoments.lfunc import PrimitiveFamily, u_at_shift, u_on_circle, zeta_A
 from ffmoments.ffpoly import degree_cutoff, enumerate_monic
 
 
-def theta_bar(theta: float) -> float:
-    """Distance from theta to the nearest integer multiple of 2*pi."""
-    r = theta % (2 * math.pi)
-    return min(r, 2 * math.pi - r)
+def theta_bar(theta):
+    """Distance from theta to the nearest integer multiple of 2*pi,
+    elementwise on arrays."""
+    r = np.mod(theta, 2 * math.pi)
+    return np.minimum(r, 2 * math.pi - r)
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def _theorem1_factors(q: int, degree: int, specs: tuple[ShiftSpec, ...]):
             power = spec.a[j] * spec.a[l] / 2
             s = 1 + 1.0 / logq_norm + 1j * (spec.t[j] - spec.t[l])
             zeta[i, p] = abs(zeta_A(q, s)) ** power
-            tb = theta_bar(math.log(q) * (spec.t[j] - spec.t[l]))
+            tb = float(theta_bar(math.log(q) * (spec.t[j] - spec.t[l])))
             mins[i, p] = (logq_norm if tb == 0 else min(logq_norm, 1.0 / tb)) ** power
     return _read_only(base), _read_only(zeta), _read_only(mins)
 

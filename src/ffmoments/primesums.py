@@ -1,11 +1,17 @@
 """Exact prime sums over F_q[T] and their closed-form comparisons.
 
-Everything here is a finite sum over prime degrees n <= log_q x, with the
-per-degree prime count taken from the exact counting formula, so all values
-are exact up to floating-point rounding.  The classical estimates these sums
-are compared against carry unspecified bounded remainders; the sweep
-machinery records the observed sup-defects as regression constants instead
-of asserting universal bounds.
+Every sum here runs over the prime degrees n against one weight vector per
+q, w[n] = pi(n) / q^n, with pi(n) from the exact counting formula, so all
+values are exact up to floating-point rounding.  The sum up to x = q^h of
+w[n] times a degree factor (1 for the reciprocal sum, n log q for the
+log-weighted sum, cos(alpha n log q) for the cosine sum) is the cumulative
+sum over n read at h: one cumsum gives every cutoff h at once, and for the
+cosine sum every point of the (h, alpha) grid.  The smoothing tail weights
+w[n] by e^(-n/h), which depends on both n and h, so it is one masked sum
+per row of an (h, n) array.  The classical estimates these sums are
+compared against carry unspecified bounded remainders; the sweeps record
+the observed sup-defects as regression constants instead of asserting
+universal bounds.
 """
 
 from __future__ import annotations
@@ -14,154 +20,107 @@ import math
 
 import numpy as np
 
-from ffmoments.ffpoly import FieldSpec, degree_cutoff, prime_count_exact
-from ffmoments.lfunc import zeta_A
+from ffmoments.ffpoly import FieldSpec, prime_count_exact
 from ffmoments.moments import theta_bar
 
+# the prime-power tail beyond x = q^h is summed up to degree TAIL_MULTIPLE * h
+TAIL_MULTIPLE = 4
 
-def _counts(q: int, h: int) -> list[int]:
+
+def _prime_weights(q: int, n_max: int) -> np.ndarray:
+    """w[n] = pi(n) / q^n for n = 0..n_max; w[0] = 0, no prime has degree 0."""
+    if n_max < 0:
+        raise ValueError("cutoff degree must be at least 0")
     f = FieldSpec(q)
-    return [prime_count_exact(f, n) for n in range(1, h + 1)]
+    counts = [prime_count_exact(f, n) / q**n for n in range(1, n_max + 1)]
+    return np.array([0.0, *counts])
 
 
-def logp_sum(q: int, x) -> float:
-    """sum over |P| <= x of log|P| / |P|, exactly:
-    sum_{n<=h} pi(n) n log q / q^n."""
-    h = degree_cutoff(q, x)
-    lnq = math.log(q)
-    terms = [c * n * lnq / q**n for n, c in enumerate(_counts(q, h), start=1)]
-    return float(np.sum(np.array(terms))) if terms else 0.0
+def logp_sum(q: int, h_max: int) -> np.ndarray:
+    """sum over |P| <= q^h of log|P| / |P| = sum_{n<=h} pi(n) n log q / q^n,
+    for every cutoff h = 0..h_max (index h)."""
+    return np.cumsum(_prime_weights(q, h_max) * np.arange(h_max + 1) * math.log(q))
 
 
-def recip_sum(q: int, x) -> float:
-    """sum over |P| <= x of 1/|P|, exactly: sum_{n<=h} pi(n) / q^n."""
-    h = degree_cutoff(q, x)
-    if h < 1:
-        raise ValueError("cutoff must be at least q")
-    terms = [c / q**n for n, c in enumerate(_counts(q, h), start=1)]
-    return float(np.sum(np.array(terms)))
-
-
-def mertens_cos_sum(q: int, x, alpha: float) -> float:
-    """sum over |P| <= x of cos(alpha log|P|) / |P|, exactly:
-    sum_{n<=h} cos(alpha n log q) pi(n) / q^n."""
-    h = degree_cutoff(q, x)
-    if h < 1:
-        raise ValueError("cutoff must be at least q")
-    lnq = math.log(q)
-    terms = [
-        math.cos(alpha * n * lnq) * c / q**n
-        for n, c in enumerate(_counts(q, h), start=1)
-    ]
-    return float(np.sum(np.array(terms)))
-
-
-def F_sum(h: int, theta: float) -> float:
-    """Partial cosine sum F(h, theta) = sum_{n=1}^{h} cos(n theta) / n."""
-    if h < 1:
-        raise ValueError("F requires h >= 1")
-    n = np.arange(1, h + 1, dtype=np.float64)
-    return float(np.sum(np.cos(n * theta) / n))
+def recip_sum(q: int, h_max: int) -> np.ndarray:
+    """sum over |P| <= q^h of 1/|P| = sum_{n<=h} pi(n) / q^n, for every
+    cutoff h = 0..h_max (index h)."""
+    return np.cumsum(_prime_weights(q, h_max))
 
 
 def F_sum_cumulative(h_max: int, thetas: np.ndarray) -> np.ndarray:
-    """F(h, theta) for all h = 1..h_max at once; rows indexed by h-1."""
+    """F(h, theta) = sum_{n=1}^{h} cos(n theta) / n for all h = 1..h_max at
+    once; rows indexed by h-1."""
     if h_max < 1:
         raise ValueError("F requires h >= 1")
     n = np.arange(1, h_max + 1, dtype=np.float64)[:, None]
     return np.cumsum(np.cos(n * np.asarray(thetas)[None, :]) / n, axis=0)
 
 
-def log_min_estimate(q: int, x, alpha: float) -> float:
-    """log min(log x, 1/theta_bar(alpha log q)), the structural comparison
-    value for the cosine prime sum (theta_bar(0) resolves the min to log x)."""
-    h = degree_cutoff(q, x)
-    logx = h * math.log(q)
-    tb = theta_bar(alpha * math.log(q))
-    inner = logx if tb == 0 else min(logx, 1.0 / tb)
-    return math.log(inner)
+def _log_min(length, tbar):
+    """log min(length, 1/tbar), elementwise; a vanishing tbar resolves the
+    min to length."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.minimum(length, 1.0 / tbar))
 
 
-def zeta_log_estimate(q: int, x, alpha: float) -> float:
-    """log |zeta_A(1 + 1/log x + i alpha)| via the closed form."""
-    h = degree_cutoff(q, x)
-    if h < 1:
-        raise ValueError("cutoff must be at least q")
-    s = 1 + 1.0 / (h * math.log(q)) + 1j * alpha
-    return math.log(abs(zeta_A(q, s)))
-
-
-def prime_power_tail(q: int, x, truncation_multiple: int = 4) -> float:
+def prime_power_tail(q: int, h_max: int) -> np.ndarray:
     """The smoothing defect
-    sum_{|P|<=x} (1/|P| - 1/|P|^(1+1/log x)) + sum_{|P|>x} 1/|P|^(1+1/log x),
-    with the infinite tail truncated at degree truncation_multiple * h."""
-    h = degree_cutoff(q, x)
-    if h < 1:
-        raise ValueError("cutoff must be at least q")
-    f = FieldSpec(q)
-    head = [
-        prime_count_exact(f, n) * (q**-n - q**-n * math.exp(-n / h))
-        for n in range(1, h + 1)
-    ]
-    tail = [
-        prime_count_exact(f, n) * q**-n * math.exp(-n / h)
-        for n in range(h + 1, truncation_multiple * h + 1)
-    ]
-    return float(np.sum(np.array(head + tail)))
+    sum_{|P|<=x} (1/|P| - 1/|P|^(1+1/log x)) + sum_{|P|>x} 1/|P|^(1+1/log x)
+    for every cutoff x = q^h, h = 1..h_max (index h-1), with the infinite
+    tail truncated at degree TAIL_MULTIPLE * h.  At degree n the smoothing
+    factor |P|^(-1/log x) is e^(-n/h)."""
+    n = np.arange(TAIL_MULTIPLE * h_max + 1)
+    h = np.arange(1, h_max + 1)[:, None]
+    smooth = np.exp(-n / h)
+    terms = np.where(n <= h, 1 - smooth, smooth) * (n <= TAIL_MULTIPLE * h)
+    return np.sum(_prime_weights(q, n[-1]) * terms, axis=1)
 
 
 def mertens_grid_sweep(
     q: int, h_min: int, h_max: int, alpha_points: int
-) -> tuple[list[list], float, float, dict[int, float]]:
-    """Cosine prime sum vs its two estimates over the standard grid: h from
-    h_min..h_max and alpha_points values of alpha covering exactly one
-    period [0, 2*pi/log q).
+) -> tuple[list[np.ndarray], float, float, np.ndarray]:
+    """The cosine prime sum sum_{|P|<=x} cos(alpha log|P|) / |P| against its
+    zeta form log|zeta_A(1 + 1/log x + i alpha)| = -log|1 - e^(-1/h - i alpha
+    log q)| and its min form log min(log x, 1/theta_bar(alpha log q)), over
+    the grid x = q^h for h = h_min..h_max and alpha_points values of alpha
+    covering exactly one period [0, 2*pi/log q).
 
-    Returns (rows, sup |defect vs zeta form|, sup |defect vs min form|,
-    per-h max of both defects).  Shared by the CLI suite and the acceptance
+    Returns the grid as the eight flat columns of PRIMESUM_COLUMNS (q, h,
+    alpha, the sum, the zeta and min estimates and the sum's defect against
+    each), h-major; the sup of each |defect|; and per h = h_min..h_max (index
+    h - h_min) the max of both.  Shared by the CLI suite and the acceptance
     tests so the committed sup constants reproduce bit-for-bit.
     """
     lnq = math.log(q)
-    period = 2 * math.pi / lnq
-    alphas = [i * period / alpha_points for i in range(alpha_points)]
-    rows: list[list] = []
-    sup_zeta = -math.inf
-    sup_min = -math.inf
-    per_h: dict[int, float] = {}
-    for h in range(h_min, h_max + 1):
-        x = q**h
-        for alpha in alphas:
-            s = mertens_cos_sum(q, x, alpha)
-            e1 = zeta_log_estimate(q, x, alpha)
-            e2 = log_min_estimate(q, x, alpha)
-            d1, d2 = s - e1, s - e2
-            rows.append([q, h, alpha, s, e1, e2, d1, d2])
-            sup_zeta = max(sup_zeta, abs(d1))
-            sup_min = max(sup_min, abs(d2))
-            per_h[h] = max(per_h.get(h, -math.inf), abs(d1), abs(d2))
-    return rows, sup_zeta, sup_min, per_h
+    alphas = np.arange(alpha_points) * (2 * math.pi / lnq) / alpha_points
+    cosines = np.cos(np.outer(np.arange(h_max + 1), alphas) * lnq)
+    sums = np.cumsum(_prime_weights(q, h_max)[:, None] * cosines, axis=0)[h_min:]
+    h = np.arange(h_min, h_max + 1)[:, None]
+    zeta = -np.log(np.abs(1 - np.exp(-1.0 / h - 1j * lnq * alphas)))
+    log_min = _log_min(h * lnq, theta_bar(alphas * lnq))
+    d_zeta, d_min = sums - zeta, sums - log_min
+    grid = np.broadcast_arrays(q, h, alphas, sums, zeta, log_min, d_zeta, d_min)
+    sup = np.abs([d_zeta, d_min])
+    sup_zeta, sup_min = float(np.max(sup[0])), float(np.max(sup[1]))
+    return [a.ravel() for a in grid], sup_zeta, sup_min, np.max(sup, axis=(0, 2))
 
 
 def fsum_defect_sup(h_max: int, theta_points: int) -> float:
     """sup over h <= h_max and a uniform theta grid on [0, 2*pi) of
     |F(h, theta) - log min(h, 1/theta_bar(theta))|."""
-    thetas = np.array(
-        [2 * math.pi * i / theta_points for i in range(theta_points)]
-    )
+    thetas = 2 * math.pi * np.arange(theta_points) / theta_points
     F = F_sum_cumulative(h_max, thetas)
     hs = np.arange(1, h_max + 1, dtype=np.float64)[:, None]
-    tbar = np.array([theta_bar(t) for t in thetas])
-    inv = np.where(tbar > 0, 1.0 / np.where(tbar > 0, tbar, 1.0), np.inf)
-    target = np.log(np.minimum(hs, inv[None, :]))
-    return float(np.max(np.abs(F - target)))
+    return float(np.max(np.abs(F - _log_min(hs, theta_bar(thetas)))))
 
 
-def tail_remainder_bound(q: int, x, truncation_degree: int) -> float:
-    """Geometric bound on the part of the prime-power tail dropped beyond
-    truncation_degree: sum_{n > N} pi(n) q^(-n) e^(-n/h) <= sum e^(-n/h)/n."""
-    h = degree_cutoff(q, x)
+def tail_remainder_bound(h: int, truncation_degree):
+    """Geometric bound on the part of the prime-power tail at x = q^h dropped
+    beyond truncation_degree (elementwise on arrays):
+    sum_{n > N} pi(n) q^(-n) e^(-n/h) <= sum e^(-n/h)/n."""
     N = truncation_degree
-    if N < h:
+    if np.min(N) < h:
         raise ValueError("truncation must not cut into the head")
     r = math.exp(-1.0 / h)
     # pi(n) q^-n <= 1/n <= 1/(N+1) for n > N; geometric series in r

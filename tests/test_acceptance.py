@@ -239,8 +239,8 @@ def test_criterion_6_mertens_regression(fixtures):
         _, sup_zeta, sup_min, per_h = mertens_grid_sweep(q, 2, 12, 64)
         pooled_zeta = max(pooled_zeta, sup_zeta)
         pooled_min = max(pooled_min, sup_min)
-        slice_half = max(slice_half, per_h[6])
-        slice_full = max(slice_full, per_h[12])
+        slice_half = max(slice_half, per_h[6 - 2])
+        slice_full = max(slice_full, per_h[12 - 2])
     finite = math.isfinite(pooled_zeta) and math.isfinite(pooled_min)
     zeta_ok = (
         abs(pooled_zeta - fixtures[f"primesums/lemma23_zeta_sup/{psig}"]) <= 1e-9

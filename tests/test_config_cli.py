@@ -70,6 +70,44 @@ def full_config_dict() -> dict:
     }
 
 
+# (section, field, value) that must not load; a dotted section is a path of
+# objects, an empty one the top level
+OUT_OF_RANGE = [
+    ("perron", "radius", 0),
+    ("perron", "radius", 1.0),
+    ("perron", "radius", "0.5"),
+    ("perron", "points_factor", 7),
+    ("perron", "points_factor", 8.0),
+    ("primesums", "qs", []),
+    ("primesums", "qs", [3, 4]),
+    ("primesums", "qs", 3),
+    ("primesums", "h_min", 0),
+    ("primesums", "h_max", 3),  # below 2 * h_min = 4
+    ("primesums", "tail_h_max", 0),
+    ("primesums", "alpha_points", 0),
+    ("primesums", "f_h_max", 0),
+    ("perron", "samples", -1),
+    ("perron", "seed", "a"),
+    ("", "shift_specs", {}),
+    ("shift_specs.random", "count", "3"),
+    ("", "t_grid_points", "8"),
+    ("", "moment_exponents", "x"),
+    ("", "quad_points", 512.5),
+    ("", "y_exponents", [-1]),
+]
+
+
+def set_field(d: dict, section: str, name: str, value):
+    """Set d[section][name], making the objects along a dotted section that
+    d does not hold as objects."""
+    node = d
+    for key in filter(None, section.split(".")):
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[name] = value
+
+
 class TestConfig:
     def test_round_trip_identity(self):
         d = full_config_dict()
@@ -100,28 +138,12 @@ class TestConfig:
             with pytest.raises(ConfigError, match="x_exponents"):
                 ExperimentConfig.from_dict(d)
 
-    @pytest.mark.parametrize(
-        "section, name, bad",
-        [
-            ("perron", "radius", 0),
-            ("perron", "radius", 1.0),
-            ("perron", "radius", "0.5"),
-            ("perron", "points_factor", 7),
-            ("perron", "points_factor", 8.0),
-            ("primesums", "qs", []),
-            ("primesums", "qs", [3, 4]),
-            ("primesums", "qs", 3),
-            ("primesums", "h_min", 0),
-            ("primesums", "h_max", 3),  # below 2 * h_min = 4
-            ("primesums", "tail_h_max", 0),
-            ("primesums", "alpha_points", 0),
-            ("primesums", "f_h_max", 0),
-        ],
-    )
+    @pytest.mark.parametrize("section, name, bad", OUT_OF_RANGE)
     def test_section_values_in_range(self, section, name, bad):
         d = full_config_dict()
-        d[section][name] = bad
-        with pytest.raises(ConfigError, match=f"{section}.{name} "):
+        set_field(d, section, name, bad)
+        field = f"{section}.{name}" if section else name
+        with pytest.raises(ConfigError, match=f"{field} "):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize(
@@ -358,13 +380,17 @@ class TestCli:
         assert reports[0] == reports[1]
 
     def test_out_of_range_section_exit_two(self, smoke, capsys):
+        # a value that fails validation at load exits 2 and names its field
         cfg, tmp = smoke
-        d = json.loads(Path(cfg).read_text())
-        d["perron"]["radius"] = 1.5
-        bad = tmp / "radius.json"
-        bad.write_text(json.dumps(d))
-        assert run_cli("moments", "--config", str(bad), "--out", str(tmp / "o")) == 2
-        assert "perron.radius" in capsys.readouterr().err
+        path = tmp / "bad.json"
+        for section, name, bad in [("perron", "radius", 1.5), *OUT_OF_RANGE]:
+            d = json.loads(Path(cfg).read_text())
+            set_field(d, section, name, bad)
+            path.write_text(json.dumps(d))
+            code = run_cli("moments", "--config", str(path), "--out", str(tmp / "o"))
+            assert code == 2
+            field = f"{section}.{name}" if section else name
+            assert f"{field} " in capsys.readouterr().err
 
     def test_least_section_values_run(self, smoke):
         # the least accepted values raise none of the errors inside the
