@@ -7,15 +7,20 @@ timing and run counts.  Each takes exactly --config, --out (the one output
 setting, default ``out``), --record and --jobs.  The check tolerances are
 fixed in this module: no config can loosen them.  enumerate, lfun and
 moments run one task per modulus that returns the modulus's finished check
-rows; the command adds the family and fixture rows.  Exit codes: 0 all checks passed, 1 at least one
-mathematical check failed, 2 configuration error, 3 internal error (an
-uncaught exception; its traceback goes to stderr).
+rows and its family entries, each a value with the anchor, params and
+fixture key of its family row.  One reducer, ``_family_rows``, takes the
+maximum of each key over the moduli and makes its fixture row; ``main``
+puts the command's own rows (enumerate's field rows, all of primesums)
+first.  Exit codes: 0 all checks passed, 1 at least one mathematical check
+failed, 2 configuration error, 3 internal error (an uncaught exception; its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import random
@@ -62,6 +67,8 @@ from ffmoments.moments import (
     prop33_statistic,
 )
 from ffmoments.primesums import (
+    TAIL_MULTIPLE,
+    dropped_tail,
     fsum_defect_sup,
     logp_sum,
     mertens_grid_sweep,
@@ -97,43 +104,50 @@ FIXTURE_REL_TOL = 0.25  # a family maximum against its recorded fixture
 
 def _modulus_task(payload) -> dict:
     """Build one modulus's family once and run on it the per-modulus work of
-    each requested command; per command, the modulus's check rows."""
-    cfg, specs, modulus, commands = payload
+    each requested command; per command, the modulus's check rows and its
+    family entries."""
+    cfg, specs, signatures, modulus, commands = payload
     fam = primitive_family(modulus)
     out = {}
     if "enumerate" in commands:
-        out["enumerate"] = _enumerate_result(cfg, fam)
+        rows = _enumerate_result(cfg, fam)
+        out["enumerate"] = {"degree": modulus.degree, "rows": rows, "family": []}
     if "lfun" in commands:
-        out["lfun"] = _lfun_result(cfg, fam, specs)
+        out["lfun"] = _lfun_result(cfg, fam, specs, signatures["lfun"])
     if "moments" in commands:
-        out["moments"] = _moments_result(cfg, fam, specs)
+        out["moments"] = _moments_result(cfg, fam, specs, signatures["moments"])
     return out
 
 
 def _family_results(cfg: ExperimentConfig, jobs: int, commands) -> list[dict]:
     """Per modulus of the config, in order, the results of _modulus_task."""
     specs = cfg.resolved_shift_specs()
-    payloads = [(cfg, specs, m, commands) for m in cfg.modulus_list()]
+    signatures = {"lfun": cfg.lfun_signature(), "moments": cfg.moments_signature()}
+    payloads = [(cfg, specs, signatures, m, commands) for m in cfg.modulus_list()]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(_modulus_task, payloads, chunksize=1))
     return [_modulus_task(p) for p in payloads]
 
 
+def _family_rows(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
+    """One fixture row per family entry key: the maximum of its values over
+    the moduli, by ascending degree, then in the order the entries came."""
+    maxima: dict[str, list] = {}
+    for res in sorted(results, key=lambda res: res["degree"]):
+        subject = f"q={cfg.q}, d(Q)={res['degree']}"
+        for anchor, params, key, value in res["family"]:
+            entry = maxima.setdefault(key, [anchor, subject, params, -math.inf])
+            entry[3] = max(entry[3], value)
+    return [
+        fixtures.row(anchor, subject, params, key, value, rel_tol=FIXTURE_REL_TOL)
+        for key, (anchor, subject, params, value) in maxima.items()
+    ]
+
+
 def _t_grid(q: int, points: int) -> list[float]:
     period = t_period(q)
     return [i * period / points for i in range(points)]
-
-
-def _family_max(results: list[dict], name: str) -> dict[int, dict]:
-    """Per modulus degree, the maximum over the moduli of each entry of the
-    per-modulus dict ``res[name]``."""
-    out: dict[int, dict] = {}
-    for res in results:
-        agg = out.setdefault(res["degree"], {})
-        for key, value in res[name].items():
-            agg[key] = max(agg.get(key, -math.inf), value)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +252,9 @@ def _unit_group_ok(group) -> bool:
     )
 
 
-def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
+def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:
+    """The rows of the field itself: Lemma 2.2's prime counts and the ring
+    axioms."""
     rows: list[CheckRow] = []
     field = FieldSpec(cfg.q)
     subject = f"q={cfg.q}"
@@ -260,9 +276,7 @@ def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     rows.append(
         CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)
     )
-
-    rows.extend(row for res in results for row in res)
-    return rows, {"moduli": len(results)}
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +284,10 @@ def cmd_enumerate(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
 # ---------------------------------------------------------------------------
 
 
-def _lfun_result(cfg: ExperimentConfig, fam, specs) -> dict:
-    """The check rows of one modulus, and its maxima of the log-L bound
-    defects for the family rows."""
+def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
+    """The check rows of one modulus, and its family entries: the log-L bound
+    defects, each with the anchor, params and fixture key of its family row
+    (none without primitive characters)."""
     modulus, coeffs = fam.modulus, fam.coeffs
     subject = str(modulus)
     rows: list[CheckRow] = []
@@ -305,7 +320,7 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs) -> dict:
     top = max(modulus.degree - 1, *cfg.x_exponents)
     explicit_max = 0.0
     min_slack = dict.fromkeys(range(1, modulus.degree), math.inf)
-    family = dict.fromkeys(("eq33", "eq34", "prop32"), -math.inf)
+    family = []
     if fam.n_primitive:
         table = PrimePowerTable.build(fam.group, fam.exponents, top)
         explicit_max = float(np.max(table.explicit_formula_defect(coeffs)))
@@ -316,17 +331,21 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs) -> dict:
         for h in min_slack:
             min_slack[h] = float(np.min(table.pointwise(ts, h) - log_abs))
 
-        family["eq33"] = max(
+        def entry(anchor, params, short, value):
+            key = f"lfun/{short}_sup/{signature}/q{cfg.q}_d{modulus.degree}"
+            family.append((anchor, params, key, value))
+
+        eq33 = max(
             float(np.max(log_abs - table.simplified(ts, h))) for h in cfg.x_exponents
         )
-        ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
-        family["eq34"] = float(np.max(ratios))
-
+        entry("simplified log-L bound", "family sup defect", "eq33", eq33)
         for spec in specs:
             lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
             for h in cfg.x_exponents:
                 defect = float(np.max(lhs - table.shifted(spec, h)))
-                family["prop32"] = max(family["prop32"], defect)
+                entry("Prop 3.2", "family sup defect", "prop32", defect)
+        ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
+        entry("single-L bound", "family sup ratio", "eq34", float(np.max(ratios)))
 
     params = f"n=1..{top}, prime powers vs Newton power sums"
     rows.append(below("explicit formula", subject, params, explicit_max, IDENTITY_TOL))
@@ -337,45 +356,20 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs) -> dict:
     return {"degree": modulus.degree, "family": family, "rows": rows}
 
 
-def cmd_lfun(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
-    rows = [row for res in results for row in res["rows"]]
-    rel = FIXTURE_REL_TOL
-    lsig = cfg.lfun_signature()
-    for degree, agg in sorted(_family_max(results, "family").items()):
-        if not math.isfinite(agg["eq33"]):
-            continue  # no primitive characters at this degree
-        subject = f"q={cfg.q}, d(Q)={degree}"
-        for short, anchor, params in [
-            ("eq33", "simplified log-L bound", "family sup defect"),
-            ("prop32", "Prop 3.2", "family sup defect"),
-            ("eq34", "single-L bound", "family sup ratio"),
-        ]:
-            key = f"lfun/{short}_sup/{lsig}/q{cfg.q}_d{degree}"
-            rows.append(
-                fixtures.row(anchor, subject, params, key, agg[short], rel_tol=rel)
-            )
-    return rows, {"moduli": len(results)}
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
 
 
-def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
-    """The check rows of one modulus (none without primitive characters),
-    its moments table rows, and what the family rows need."""
+def _moments_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
+    """The check rows of one modulus, its moments table rows and its family
+    entries: the moment ratios and statistics, each with the anchor, params
+    and fixture key of its family row (no rows or entries without primitive
+    characters)."""
     modulus = fam.modulus
     lhs, rhs_zeta, rhs_min = moment_report(fam, specs)
     ratio_zeta, ratio_min = lhs / rhs_zeta, lhs / rhs_min
-    family = dict.fromkeys(("zeta", "min", "prop33"), -math.inf)
-    out: dict = {
-        "degree": modulus.degree,
-        "family": family,
-        "thm13": {},
-        "prop41": {},
-        "rows": [],
-    }
+    out: dict = {"degree": modulus.degree, "family": [], "rows": []}
     head = [modulus.field.q, str(modulus), modulus.degree, modulus.phi, fam.n_primitive]
     flag = int(modulus.degree == 2)
     ratios = [ratio_zeta.tolist(), ratio_min.tolist()]
@@ -390,17 +384,26 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
     if not fam.n_primitive:
         return out
 
+    def entry(anchor, params, key, value):
+        out["family"].append((anchor, params, f"moments/{key}", value))
+
+    qd = f"q{cfg.q}_d{modulus.degree}"
     both = np.concatenate([ratio_zeta, ratio_min])
     finite_ok = bool(np.all(np.isfinite(both) & (both > 0)))
-    family["zeta"] = float(np.max(ratio_zeta, initial=-math.inf))
-    family["min"] = float(np.max(ratio_min, initial=-math.inf))
+    zeta_max = float(np.max(ratio_zeta, initial=-math.inf))
+    entry("Thm 1.1 zeta", "family max", f"thm11_zeta_max/{signature}/{qd}", zeta_max)
+    min_max = float(np.max(ratio_min, initial=-math.inf))
+    entry("Thm 1.1 min", "family max", f"thm11_min_max/{signature}/{qd}", min_max)
 
     # restatement on the critical circle: same values via angles
     positive = lhs > 0
     deviation = np.abs(circle_angle_moments(fam, specs) - lhs)[positive] / lhs[positive]
     cor12_dev = float(np.max(deviation, initial=0.0))
-    for value in lhs[positive].tolist():
-        family["prop33"] = max(family["prop33"], prop33_statistic(fam, value))
+    # the statistic increases with lhs, so its maximum is at the largest lhs
+    prop33 = -math.inf
+    if positive.any():
+        prop33 = prop33_statistic(fam, float(np.max(lhs[positive])))
+    entry("Prop 3.3", "family max", f"prop33_max/{signature}/{qd}", prop33)
 
     # the samples are drawn first, then evaluated in groups of equal N,
     # since the sample count M depends on N alone
@@ -418,14 +421,14 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
         err = np.max(np.abs(quad - np.sum(sample[:, : N + 1], axis=1)))
         perron_max_err = max(perron_max_err, float(err))
 
-    for m in cfg.moment_exponents:
-        for yexp in cfg.y_exponents:
-            out["thm13"][m, yexp] = charsum_moment(fam, m, cfg.q**yexp).ratio
-    for m, im in zip(
-        cfg.moment_exponents,
-        integral_moment(fam, cfg.moment_exponents, cfg.quad_points),
-    ):
-        out["prop41"][m] = im.ratio
+    for m, yexp in sorted(itertools.product(cfg.moment_exponents, cfg.y_exponents)):
+        params = f"m={m}, Y=q^{yexp}" + ("" if m > 2 else " (outside stated range)")
+        value = charsum_moment(fam, m, cfg.q**yexp).ratio
+        entry("Thm 1.3", params, f"thm13_max/{qd}_m{m}_y{yexp}", value)
+    moments = integral_moment(fam, cfg.moment_exponents, cfg.quad_points)
+    for m, im in sorted(zip(cfg.moment_exponents, moments), key=lambda p: p[0]):
+        key = f"prop41_max/{qd}_m{m}_quad{cfg.quad_points}"
+        entry("Prop 4.1", f"m={m}", key, im.ratio)
 
     subject = str(modulus)
     value = "ok" if finite_ok else "bad"
@@ -437,40 +440,6 @@ def _moments_result(cfg: ExperimentConfig, fam, specs) -> dict:
     rows.append(below("Cor 1.2", subject, params, cor12_dev, 1e-9))
     out["rows"] = rows
     return out
-
-
-def cmd_moments(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
-    rows = [row for res in results for row in res["rows"]]
-    moment_rows = [row for res in results for row in res["moment_rows"]]
-    rel = FIXTURE_REL_TOL
-    msig = cfg.moments_signature()
-    thm13 = _family_max(results, "thm13")
-    prop41 = _family_max(results, "prop41")
-    for degree, agg in sorted(_family_max(results, "family").items()):
-        if not math.isfinite(agg["zeta"]):
-            continue
-        subject = f"q={cfg.q}, d(Q)={degree}"
-        for short, anchor, name in [
-            ("thm11_zeta_max", "Thm 1.1 zeta", "zeta"),
-            ("thm11_min_max", "Thm 1.1 min", "min"),
-            ("prop33_max", "Prop 3.3", "prop33"),
-        ]:
-            key = f"moments/{short}/{msig}/q{cfg.q}_d{degree}"
-            rows.append(
-                fixtures.row(anchor, subject, "family max", key, agg[name], rel_tol=rel)
-            )
-        for (m, yexp), value in sorted(thm13[degree].items()):
-            params = f"m={m}, Y=q^{yexp}" + ("" if m > 2 else " (outside stated range)")
-            key = f"moments/thm13_max/q{cfg.q}_d{degree}_m{m}_y{yexp}"
-            rows.append(
-                fixtures.row("Thm 1.3", subject, params, key, value, rel_tol=rel)
-            )
-        for m, value in sorted(prop41[degree].items()):
-            key = f"moments/prop41_max/q{cfg.q}_d{degree}_m{m}_quad{cfg.quad_points}"
-            rows.append(
-                fixtures.row("Prop 4.1", subject, f"m={m}", key, value, rel_tol=rel)
-            )
-    return rows, {"moduli": len(results)}, moment_rows
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +498,11 @@ def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
         params = f"sup over h <= {ps['tail_h_max']}"
         key = f"primesums/tail_sup/{psig}/q{q}"
         rows.append(fixtures.row("prime power tail", subject, params, key, tail, **tol))
-        rem_bounds = tail_remainder_bound(4, np.arange(8, 33, 4))
-        monotone = bool(np.all(np.diff(rem_bounds) <= 0))
-        params = "remainder bound monotone in truncation"
-        value = "decreasing" if monotone else "not monotone"
-        rows.append(CheckRow("prime power tail", subject, params, value, "", monotone))
+        hs = np.arange(1, ps["tail_h_max"] + 1)
+        bounds = tail_remainder_bound(hs, TAIL_MULTIPLE * hs)
+        ratio = float(np.max(dropped_tail(q, ps["tail_h_max"]) / bounds))
+        params = f"dropped tail / remainder bound, h <= {ps['tail_h_max']}"
+        rows.append(below("prime power tail", subject, params, ratio, 1.0))
 
     for name in ("zeta", "min"):
         params = f"sup |cos sum - {name} estimate|"
@@ -551,7 +520,7 @@ def cmd_primesums(cfg: ExperimentConfig, fixtures: FixtureChecker):
     subject, params = f"h <= {ps['f_h_max']}", "sup |F - log min(h, 1/theta_bar)|"
     key = f"primesums/fsum_sup/{psig}"
     rows.append(fixtures.row("F partial sum", subject, params, key, f_sup, **tol))
-    return rows, {}, table_rows
+    return rows, table_rows
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +567,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    dispatch = {
-        "enumerate": (cmd_enumerate, "enumerate.csv", None),
-        "lfun": (cmd_lfun, "lfun.csv", None),
-        "moments": (cmd_moments, "moments_checks.csv", MOMENT_COLUMNS),
-        "primesums": (cmd_primesums, "primesums_checks.csv", PRIMESUM_COLUMNS),
+    reports = {
+        "enumerate": ("enumerate.csv", None),
+        "lfun": ("lfun.csv", None),
+        "moments": ("moments_checks.csv", MOMENT_COLUMNS),
+        "primesums": ("primesums_checks.csv", PRIMESUM_COLUMNS),
     }
     try:
         cfg = load_config(args.config)
@@ -611,21 +580,26 @@ def main(argv=None) -> int:
         fixtures = FixtureChecker(load_fixtures(cfg.fixtures), args.record)
         meta: dict = {}
         all_rows: list[CheckRow] = []
-        commands = list(dispatch) if args.command == "all" else [args.command]
+        commands = list(reports) if args.command == "all" else [args.command]
         on_family = [c for c in commands if c in FAMILY_COMMANDS]
         per_modulus = _family_results(cfg, args.jobs, on_family) if on_family else []
         for command in commands:
-            cmd, checks, columns = dispatch[command]
-            if command in on_family:
-                results = [res[command] for res in per_modulus]
-                rows, meta[command], *tables = cmd(cfg, fixtures, results)
+            checks, columns = reports[command]
+            if command == "primesums":
+                rows, table = cmd_primesums(cfg, fixtures)
+                meta[command] = {}
             else:
-                rows, meta[command], *tables = cmd(cfg, fixtures)
+                results = [res[command] for res in per_modulus]
+                rows = cmd_enumerate(cfg) if command == "enumerate" else []
+                rows += [row for res in results for row in res["rows"]]
+                rows += _family_rows(cfg, fixtures, results)
+                table = [row for res in results for row in res.get("moment_rows", ())]
+                meta[command] = {"moduli": len(results)}
             write_check_csv(out_dir / checks, rows)
             if columns:
-                write_table_csv(out_dir / f"{command}.csv", columns, tables[0])
+                write_table_csv(out_dir / f"{command}.csv", columns, table)
             if command == "moments":
-                write_json_rows(out_dir / "moments.json", columns, tables[0])
+                write_json_rows(out_dir / "moments.json", columns, table)
             all_rows.extend(rows)
         if fixtures.updated:
             save_fixtures(fixtures.fixtures, cfg.fixtures)

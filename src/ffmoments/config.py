@@ -122,6 +122,8 @@ class ExperimentConfig:
     # -- validation ------------------------------------------------------
 
     def validate(self):
+        if not _is_int(self.q):
+            raise ConfigError("q must be an integer")
         try:
             FieldSpec(self.q)
         except ValueError as e:
@@ -133,10 +135,11 @@ class ExperimentConfig:
             lo, hi = self.family.get("min_degree"), self.family.get("max_degree")
             if not (isinstance(lo, int) and isinstance(hi, int) and 2 <= lo <= hi):
                 raise ConfigError("family degrees must be integers with 2 <= min <= max")
-        if self.moduli is not None and not all(
-            isinstance(s, str) for s in self.moduli
+        moduli = self.moduli
+        if moduli is not None and not (
+            isinstance(moduli, list) and all(isinstance(s, str) for s in moduli)
         ):
-            raise ConfigError("moduli must be polynomial strings")
+            raise ConfigError("moduli must be a list of polynomial strings")
         if self.family is None and self.moduli is None:
             raise ConfigError("either a family range or explicit moduli is required")
         if isinstance(self.shift_specs, dict):
@@ -155,6 +158,8 @@ class ExperimentConfig:
             if not _is_int(r["seed"]):
                 raise ConfigError("shift_specs.random.seed must be an integer")
         elif self.shift_specs is not None:
+            if not isinstance(self.shift_specs, list):
+                raise ConfigError("shift_specs must be an object or a list")
             for i, d in enumerate(self.shift_specs):
                 try:
                     ShiftSpec.from_dict(d)
@@ -162,8 +167,10 @@ class ExperimentConfig:
                     raise ConfigError(f"shift spec {i}: {e}") from None
         if not _is_int(self.t_grid_points, 1):
             raise ConfigError("t_grid_points must be an integer >= 1")
-        if not self.x_exponents or not all(
-            isinstance(h, int) and h >= 1 for h in self.x_exponents
+        if not (
+            isinstance(self.x_exponents, list)
+            and self.x_exponents
+            and all(_is_int(h, 1) for h in self.x_exponents)
         ):
             raise ConfigError("x_exponents must be a nonempty list of positive integers")
         if not _is_int(self.quad_points, 256):
@@ -203,6 +210,9 @@ class ExperimentConfig:
         # the Lemma 2.3 slice row compares h_max with h_max // 2 >= h_min
         if not _is_int(ps["h_max"], 2 * ps["h_min"]):
             raise ConfigError("primesums.h_max must be an integer >= 2 * h_min")
+        for name, value in self.budget.items():
+            if not _is_int(value, 1):
+                raise ConfigError(f"budget.{name} must be a positive integer")
 
     # -- derived quantities ------------------------------------------------
 

@@ -77,6 +77,18 @@ def prime_power_tail(q: int, h_max: int) -> np.ndarray:
     return np.sum(_prime_weights(q, n[-1]) * terms, axis=1)
 
 
+def dropped_tail(q: int, h_max: int) -> np.ndarray:
+    """The part of the tail sum_{n > N} pi(n) q^(-n) e^(-n/h) that
+    prime_power_tail drops beyond N = TAIL_MULTIPLE * h, for every cutoff
+    h = 1..h_max (index h-1).  It is summed out to degree 10 TAIL_MULTIPLE
+    h_max, beyond which what is left is at most e^(-36) times
+    tail_remainder_bound(h, N)."""
+    n = np.arange(10 * TAIL_MULTIPLE * h_max + 1)
+    h = np.arange(1, h_max + 1)[:, None]
+    terms = np.exp(-n / h) * (n > TAIL_MULTIPLE * h)
+    return np.sum(_prime_weights(q, n[-1]) * terms, axis=1)
+
+
 def mertens_grid_sweep(
     q: int, h_min: int, h_max: int, alpha_points: int
 ) -> tuple[list[np.ndarray], float, float, np.ndarray]:
@@ -115,13 +127,13 @@ def fsum_defect_sup(h_max: int, theta_points: int) -> float:
     return float(np.max(np.abs(F - _log_min(hs, theta_bar(thetas)))))
 
 
-def tail_remainder_bound(h: int, truncation_degree):
+def tail_remainder_bound(h, truncation_degree):
     """Geometric bound on the part of the prime-power tail at x = q^h dropped
     beyond truncation_degree (elementwise on arrays):
     sum_{n > N} pi(n) q^(-n) e^(-n/h) <= sum e^(-n/h)/n."""
     N = truncation_degree
-    if np.min(N) < h:
+    if np.any(N < h):
         raise ValueError("truncation must not cut into the head")
-    r = math.exp(-1.0 / h)
+    r = np.exp(-1.0 / h)
     # pi(n) q^-n <= 1/n <= 1/(N+1) for n > N; geometric series in r
     return r ** (N + 1) / ((N + 1) * (1 - r))

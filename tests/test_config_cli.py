@@ -94,6 +94,12 @@ OUT_OF_RANGE = [
     ("", "moment_exponents", "x"),
     ("", "quad_points", 512.5),
     ("", "y_exponents", [-1]),
+    ("", "q", "3"),
+    ("", "moduli", 5),
+    ("", "shift_specs", 5),
+    ("", "x_exponents", 3),
+    ("budget", "max_phi_total", "1000"),
+    ("budget", "max_enum", "729"),
 ]
 
 
@@ -538,6 +544,58 @@ class TestCli:
         meta = json.loads((serial / "run_metadata.json").read_text())
         assert len(explicit) == meta["lfun"]["moduli"] == 12
 
+    def test_family_rows_ordered_by_degree_then_anchor(self, smoke):
+        # a config listing a degree-3 modulus first and its exponents in
+        # reverse reports the family rows of its sorted twin, in the same
+        # order; only its per-modulus rows follow the listed moduli
+        cfg, tmp = smoke
+        d = json.loads(Path(cfg).read_text())
+        del d["family"]
+        codes, checks = [], {}
+        for name, moduli, exponents, ys in [
+            ("listed", ["T^3 + 2*T + 1", "T^2 + 1", "T^2 + T + 2"], [3.0, 2.5], [2, 1]),
+            ("sorted", ["T^2 + 1", "T^2 + T + 2", "T^3 + 2*T + 1"], [2.5, 3.0], [1, 2]),
+        ]:
+            d.update(moduli=moduli, moment_exponents=exponents, y_exponents=ys)
+            path, out = tmp / f"{name}.json", tmp / name
+            path.write_text(json.dumps(d))
+            codes.append(run_cli("moments", "--config", str(path), "--out", str(out)))
+            checks[name] = out / "moments_checks.csv"
+        assert codes[0] == codes[1]
+        listed, ordered = (read_rows(checks[name]) for name in ("listed", "sorted"))
+        assert sorted(map(str, listed)) == sorted(map(str, ordered))
+        family = [row for row in ordered if row["subject"].startswith("q=")]
+        assert family == [row for row in listed if row["subject"].startswith("q=")]
+        assert [row["subject"] for row in family] == ["q=3, d(Q)=2"] * 9 + [
+            "q=3, d(Q)=3"
+        ] * 9
+        assert [(row["anchor"], row["params"]) for row in family[:9]] == [
+            ("Thm 1.1 zeta", "family max"),
+            ("Thm 1.1 min", "family max"),
+            ("Prop 3.3", "family max"),
+            ("Thm 1.3", "m=2.5, Y=q^1"),
+            ("Thm 1.3", "m=2.5, Y=q^2"),
+            ("Thm 1.3", "m=3.0, Y=q^1"),
+            ("Thm 1.3", "m=3.0, Y=q^2"),
+            ("Prop 4.1", "m=2.5"),
+            ("Prop 4.1", "m=3.0"),
+        ]
+
+    def test_all_metadata_per_command(self, smoke):
+        # `all` records the moduli count of each family command and nothing
+        # for primesums
+        cfg, tmp = smoke
+        assert run_cli("all", "--config", cfg, "--out", str(tmp)) == 0
+        meta = json.loads((tmp / "run_metadata.json").read_text())
+        commands = ("enumerate", "lfun", "moments", "primesums")
+        assert set(meta) == {"command", "started", "elapsed_ms", *commands}
+        assert {c: meta[c] for c in commands} == {
+            "enumerate": {"moduli": 9},
+            "lfun": {"moduli": 9},
+            "moments": {"moduli": 9},
+            "primesums": {},
+        }
+
     def test_moments_jobs_byte_identical(self, tmp_path):
         # moduli travel to the workers factored, so they must pickle
         cfg = str(CONFIGS / "smoke_q3_d2.json")
@@ -668,7 +726,7 @@ class TestCli:
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
 
         def conjugation_row(fam):
-            rows = cli._lfun_result(cfg, fam, specs)["rows"]
+            rows = cli._lfun_result(cfg, fam, specs, cfg.lfun_signature())["rows"]
             (row,) = [r for r in rows if r.anchor == "conjugation"]
             return row
 
@@ -694,9 +752,10 @@ class TestCli:
         cfg = load_config(CONFIGS / "lfun_q2_d3.json")
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^2 + T")))
         assert fam.n_primitive == 0
-        res = cli._lfun_result(cfg, fam, cfg.resolved_shift_specs())
+        specs, signature = cfg.resolved_shift_specs(), cfg.lfun_signature()
+        res = cli._lfun_result(cfg, fam, specs, signature)
         assert res["degree"] == 2
-        assert set(res["family"].values()) == {-math.inf}
+        assert res["family"] == []
         assert {r.subject for r in res["rows"]} == {"T^2 + T"}
         got = [(r.anchor, r.params, r.value, r.constant, r.passed) for r in res["rows"]]
         assert got == [

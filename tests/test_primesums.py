@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffmoments import primesums
+from ffmoments import cli, primesums
 from ffmoments.cli import cmd_primesums
 from ffmoments.config import load_config
 from ffmoments.ffpoly import FieldSpec, degree_cutoff, prime_count_exact
@@ -19,6 +19,7 @@ from ffmoments.lfunc import zeta_A
 from ffmoments.moments import theta_bar
 from ffmoments.primesums import (
     F_sum_cumulative,
+    dropped_tail,
     fsum_defect_sup,
     logp_sum,
     mertens_grid_sweep,
@@ -275,6 +276,15 @@ class TestPrimePowerTail:
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
         assert np.array_equal(tail_remainder_bound(4, np.arange(16, 49, 4)), bounds)
 
+    def test_dropped_part_against_oracle(self):
+        # summed twice as deep, the dropped part moves by no more than rounding
+        for q in (2, 3, 5):
+            c = counts(q, 800)
+            for h, got in enumerate(dropped_tail(q, 10), start=1):
+                degrees = range(4 * h + 1, 801)
+                terms = [c[n - 1] / q**n * math.exp(-n / h) for n in degrees]
+                assert abs(got - math.fsum(terms)) <= 1e-15 * got
+
     def test_remainder_below_reported_value_scale(self):
         # observed max ratio over this grid is ~0.5% of the value
         for q in (2, 3, 5):
@@ -339,5 +349,32 @@ def test_primes_counted_once_per_degree_and_sum(monkeypatch):
 
     monkeypatch.setattr(primesums, "prime_count_exact", counted)
     cmd_primesums(load_config(CONFIGS / "primesums_all.json"), FixtureChecker({}, True))
-    # per q: degrees 1..12 for each of the three sums, 1..40 for the tail
-    assert len(calls) == 3 * (3 * 12 + 40)
+    # per q: degrees 1..12 for each of the three sums, 1..40 for the tail,
+    # 1..400 for the part of it dropped beyond degree 4h
+    assert len(calls) == 3 * (3 * 12 + 40 + 400)
+
+
+def tail_bound_rows(cfg):
+    rows, _ = cmd_primesums(cfg, FixtureChecker({}, True))
+    return [row for row in rows if row.params.startswith("dropped tail")]
+
+
+def test_tail_bound_row_can_fail(monkeypatch):
+    # one row per q compares the dropped tail with its remainder bound; a
+    # bound taken two degrees too deep, or doubled weights, fails every row
+    cfg = load_config(CONFIGS / "primesums_all.json")
+    rows = tail_bound_rows(cfg)
+    assert [row.subject for row in rows] == ["q=2", "q=3", "q=5"]
+    assert len({row.value for row in rows}) == 3
+    assert all(0.8 < row.value < 1 and row.passed for row in rows)
+
+    bound = cli.tail_remainder_bound
+    monkeypatch.setattr(cli, "tail_remainder_bound", lambda h, N: bound(h, N + 2))
+    rows = tail_bound_rows(cfg)
+    assert len(rows) == 3 and not any(row.passed for row in rows)
+    monkeypatch.undo()
+
+    weights = primesums._prime_weights
+    monkeypatch.setattr(primesums, "_prime_weights", lambda q, n: 2 * weights(q, n))
+    rows = tail_bound_rows(cfg)
+    assert len(rows) == 3 and not any(row.passed for row in rows)
