@@ -16,6 +16,8 @@ encoded residues by residues mod Q.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # products per sieve array operation; bounds the sieve's working memory
@@ -126,5 +128,14 @@ def scale_mod_many(
     prod = np.zeros((2 * d - 1, len(rows)), dtype=np.int64)
     for i in range(d):
         prod[i : i + d] += C[i] * R
-    low = (reduction_rows(q, mod_digits, 2 * d - 2).T @ prod) % q
+    low = (_product_rows(q, tuple(np.asarray(mod_digits).tolist())) @ prod) % q
     return q ** np.arange(d, dtype=np.int64) @ low
+
+
+@functools.cache
+def _product_rows(q: int, mod_digits: tuple[int, ...]) -> np.ndarray:
+    """(d, 2d - 1) digits of T^k mod F, k <= 2d - 2, one column per k: the
+    reduction of a product of two residues; read-only."""
+    rows = reduction_rows(q, mod_digits, 2 * len(mod_digits) - 4).T
+    rows.setflags(write=False)
+    return rows

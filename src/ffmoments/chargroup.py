@@ -35,7 +35,6 @@ from ffmoments.ffpoly import (
     _prime_factors_int,
     monic_from_index,
     render_poly,
-    residue_from_index,
     residue_index,
 )
 
@@ -195,23 +194,6 @@ def _power_blocks(q: int, mod_digits, table, g: int, m: int) -> np.ndarray:
     return out
 
 
-def _primitive_root(q: int, P: np.ndarray) -> int:
-    """The first index in [1, q^k) of a primitive root mod the prime P of
-    degree k: every candidate, raised to c/l for every prime l | c = q^k - 1,
-    is a row of one square-and-multiply mod P; each step multiplies only the
-    rows whose exponent has that bit set, and squares each candidate once."""
-    c = q ** (len(P) - 1) - 1
-    ells = np.array(_prime_factors_int(c), dtype=np.int64)
-    exps = np.repeat(c // ells, c)  # row l c + j: candidate j + 1 to c / ells[l]
-    result, acc = np.ones_like(exps), np.arange(1, c + 1, dtype=np.int64)
-    for bit in range(int(exps.max()).bit_length()):
-        sel = np.flatnonzero(exps >> bit & 1)
-        rows, by = np.append(result[sel], acc), np.append(acc[sel % c], acc)
-        both = scale_mod_many(q, P, rows, by)
-        result[sel], acc = both[: len(sel)], both[len(sel) :]
-    return 1 + int(np.argmax(np.all((result != 1).reshape(len(ells), c), axis=0)))
-
-
 def _one_plus_p_basis(q: int, elems, local, frob):
     """Orders and C-order table of the (1+P)-part of (F_q[T]/P^e)^* from its
     sorted elements: greedy maximal-order selection (the first element of
@@ -246,7 +228,10 @@ def _one_plus_p_basis(q: int, elems, local, frob):
 
 def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
     """The cyclic part of order c = q^k - 1 (k = deg P) is generated by
-    r^(q^(k(e-1))), r the first primitive root mod P.  u^(q^(k(e-1))) mod P^e
+    r^(q^(k(e-1))), r the first primitive root mod P in index order: the
+    first candidate whose powers r^0..r^(c-1) mod P are 1 only at r^0, which
+    then are the cyclic table.  A constant's order divides q - 1 < c, so for
+    k >= 2 the search starts at T.  u^(q^(k(e-1))) mod P^e
     depends only on u mod P, and z -> z^q is F_q-linear on the digits, so
     the powers of r mod P lift to P^e by one digit-matrix product.  A local
     character is primitive iff it is non-trivial on 1 + P^(e-1) a, deg a < k.
@@ -265,7 +250,10 @@ def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
         orders, table = _one_plus_p_basis(q, elems, local, frob)
     c = q**k - 1
     if c > 1:
-        cyclic = _power_blocks(q, P, np.ones(1, np.int64), _primitive_root(q, P), c)
+        for r in itertools.count(q if k > 1 else 1):
+            cyclic = _power_blocks(q, P, np.ones(1, np.int64), r, c)
+            if np.count_nonzero(cyclic == 1) == 1:
+                break
         lift = np.eye(k, d, dtype=np.int64)
         for _ in range(d - k):
             lift = lift @ frob % q
@@ -299,13 +287,13 @@ class UnitGroup:
     def __init__(
         self,
         modulus: Modulus,
-        generators: tuple[FqPoly, ...],
+        generators: np.ndarray,
         orders: tuple[int, ...],
         residues: np.ndarray,
         dlog_mat: np.ndarray,
     ):
         self.modulus = modulus
-        self.generators = generators
+        self.generators = generators  # residue indices, int64
         self.orders = orders
         self.residues = residues  # sorted unit residue indices, int64
         self.dlog_mat = dlog_mat  # (phi, r) exponent rows aligned to residues
@@ -392,7 +380,7 @@ def unit_group(modulus: Modulus) -> UnitGroup:
     res = _from_digits(q, digits % q)
     orders = tuple(m for t in tables for m in t.orders)
     order = np.argsort(res, kind="stable")
-    gens = tuple(residue_from_index(field, dQ, int(res[s])) for s in _strides(orders))
+    gens = res[_strides(orders)]  # the units at the unit exponent vectors
     group = UnitGroup(modulus, gens, orders, res[order], _exponent_grid(order, orders))
     group.verify_bijection()
     return group

@@ -10,10 +10,13 @@ moments run one task per modulus that returns the modulus's finished check
 rows and its family entries, each a value with the anchor, params and
 fixture key of its family row.  One reducer, ``_family_rows``, takes the
 maximum of each key over the moduli and makes its fixture row; ``main``
-puts the command's own rows (enumerate's field rows, all of primesums)
-first.  Exit codes: 0 all checks passed, 1 at least one mathematical check
-failed, 2 configuration error, 3 internal error (an uncaught exception; its
-traceback goes to stderr).
+puts the command's own rows (enumerate's Lemma 2.2 rows, all of primesums)
+first.  enumerate's plumbing rows check the residue kernel the unit groups
+are built on, ``scale_mod_many``, against long division, and each
+generator's order on its powers from ``_power_blocks``.  Exit codes: 0 all
+checks passed, 1 at least one mathematical check failed, 2 configuration
+error, 3 internal error (an uncaught exception; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -32,21 +35,20 @@ from pathlib import Path
 
 import numpy as np
 
-from ffmoments._backend import scale_mod_many
+from ffmoments._backend import digit_rows, scale_mod_many
 from ffmoments.chargroup import (
+    _divmod_digits,
     _even_mask,
     _exponent_grid,
+    _from_digits,
+    _power_blocks,
     character_values,
     primitive_count_inclusion_exclusion,
 )
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
 from ffmoments.ffpoly import (
     FieldSpec,
-    FqPoly,
-    _prime_factors_int,
     irreducible_count_enumerated,
-    poly_divmod,
-    pow_mod,
     prime_count_exact,
 )
 from ffmoments.lfunc import (
@@ -100,6 +102,7 @@ FAMILY_COMMANDS = ("enumerate", "lfun", "moments")
 # tolerances shared by several rows; the others are stated at their row
 IDENTITY_TOL = 1e-8  # an identity evaluated in floating point
 FIXTURE_REL_TOL = 0.25  # a family maximum against its recorded fixture
+CHARACTER_COLUMNS = 256  # at most, in enumerate's dense character matrix
 
 
 def _modulus_task(payload) -> dict:
@@ -155,61 +158,61 @@ def _t_grid(q: int, points: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _ring_spotcheck(q: int, seed: int = 2024, trials: int = 50) -> int:
-    """Number of ring-axiom failures over seeded random triples (want 0)."""
-    field = FieldSpec(q)
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        polys = []
-        for _ in range(3):
-            deg = rng.randrange(0, 6)
-            polys.append(FqPoly(field, [rng.randrange(q) for _ in range(deg + 1)]))
-        a, b, c = polys
-        if (a * b) * c != a * (b * c):
-            failures += 1
-        if a * (b + c) != a * b + a * c:
-            failures += 1
-        if not b.is_zero:
-            quot, rem = poly_divmod(a, b)
-            if b * quot + rem != a or (
-                not rem.is_zero and rem.degree >= b.degree
-            ):
-                failures += 1
-    return failures
+def _ring_failures(modulus) -> int:
+    """Failures of the residue kernel over 25 seeded triples (a, b, c) mod Q
+    (want 0): each product scale_mod_many forms, ab, ac and a(b + c), against
+    the long division by Q of the np.convolve product of the digits, and
+    a(b + c) against ab + ac added digit-wise."""
+    q, Q = modulus.field.q, modulus.poly.coeffs
+    d, trials = len(Q) - 1, 25
+    rng = random.Random(str(modulus))
+    draws = [rng.randrange(q**d) for _ in range(3 * trials)]
+    a, b, c = digit_rows(draws, q, d).T.reshape(3, trials, d)
+    left, right = np.tile(a, (3, 1)), np.concatenate([b, c, (b + c) % q])
+    prods = scale_mod_many(q, Q, _from_digits(q, left), _from_digits(q, right))
+    convolved = np.array([np.convolve(x, y) for x, y in zip(left, right)]).T % q
+    _, rem = _divmod_digits(q, convolved, Q)  # one digit row per power of T
+    ab, ac, abc = digit_rows(prods, q, d).reshape(d, 3, trials).swapaxes(0, 1)
+    wrong = np.count_nonzero(prods != _from_digits(q, np.array(rem).T))
+    return int(wrong + np.count_nonzero(np.any((ab + ac) % q != abc, axis=0)))
 
 
 def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
-    """The plumbing rows of one modulus: factorization, unit group,
-    orthogonality, multiplicativity and the primitive count."""
+    """The plumbing rows of one modulus: the residue kernel's ring axioms,
+    factorization, unit group, orthogonality, multiplicativity and the
+    primitive count."""
     modulus, group = fam.modulus, fam.group
-    product = FqPoly.one(modulus.field)
+    q = modulus.field.q
+    product = np.ones(1, dtype=np.int64)
     for P, e in modulus.factors:
         for _ in range(e):
-            product = product * P
-    factorization_ok = product == modulus.poly and modulus.phi == len(
-        group.residues
-    )
+            product = np.convolve(product, P.coeffs) % q
+    factorization_ok = product.tolist() == list(modulus.poly.coeffs)
+    factorization_ok &= modulus.phi == len(group.residues)
 
-    # all phi(Q) characters in canonical order; the principal one is index 0
-    V = character_values(group, _exponent_grid(np.arange(group.order), group.orders))
+    # the characters in canonical order, the principal one at index 0: all
+    # of them, or a seeded sorted sample of CHARACTER_COLUMNS
+    rng = random.Random(1000 + modulus.norm)
+    cols = np.arange(group.order)
+    if group.order > CHARACTER_COLUMNS:
+        cols = np.array(sorted(rng.sample(range(group.order), CHARACTER_COLUMNS)))
+    V = character_values(group, _exponent_grid(cols, group.orders))
     col_sums = np.abs(np.sum(V, axis=0))
-    ortho_max = float(np.max(col_sums[1:])) if group.order > 1 else 0.0
+    ortho_max = float(np.max(col_sums[cols != 0], initial=0.0))
 
     # seeded random (unit, unit, character) triples; chi(a b) is read from
     # the value matrix at the row of the product residue.  The columns go
     # through Python complex arithmetic, whose rounding the report records.
-    rng = random.Random(1000 + modulus.norm)
     n = len(group.residues)
     i, j, c = np.array(
         [
-            (rng.randrange(n), rng.randrange(n), rng.randrange(group.order))
+            (rng.randrange(n), rng.randrange(n), rng.randrange(len(cols)))
             for _ in range(min(200, 4 * n))
         ]
     ).T
     units = group.residues
     product_rows, _ = group.rows_of(
-        scale_mod_many(modulus.field.q, modulus.poly.coeffs, units[i], units[j])
+        scale_mod_many(q, modulus.poly.coeffs, units[i], units[j])
     )
     columns = (V[product_rows, c].tolist(), V[i, c].tolist(), V[j, c].tolist())
     mult_err = max(abs(ab - a * b) for ab, a, b in zip(*columns))
@@ -219,7 +222,10 @@ def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
     )
     orders = ",".join(str(m) for m in group.orders)
     subject = str(modulus)
-    rows = [
+    failures = _ring_failures(modulus)
+    params = "seeded residue triples: products vs long division, distributivity"
+    rows = [CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)]
+    rows += [
         CheckRow(anchor, subject, params, modulus.phi, "", ok)
         for anchor, params, ok in [
             ("plumbing/factorization", factors, factorization_ok),
@@ -239,22 +245,18 @@ def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
 
 
 def _unit_group_ok(group) -> bool:
-    """The orders multiply to phi(Q) and each generator has exactly its
-    stated order m: g^m = 1 and g^(m/l) != 1 for every prime l | m."""
-    Q = group.modulus.poly
-    one = FqPoly.one(Q.field)
-    if math.prod(group.orders) != group.modulus.phi:
-        return False
-    return all(
-        pow_mod(g, m, Q) == one
-        and all(pow_mod(g, m // ell, Q) != one for ell in _prime_factors_int(m))
-        for g, m in zip(group.generators, group.orders)
+    """The orders multiply to phi(Q) and each generator g has exactly its
+    stated order m: of g^0..g^m mod Q, only g^0 and g^m are 1."""
+    q, Q = group.modulus.field.q, group.modulus.poly.coeffs
+    one = np.ones(1, dtype=np.int64)
+    return math.prod(group.orders) == group.modulus.phi and all(
+        np.flatnonzero(_power_blocks(q, Q, one, g, m + 1) == 1).tolist() == [0, m]
+        for g, m in zip(group.generators.tolist(), group.orders)
     )
 
 
 def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:
-    """The rows of the field itself: Lemma 2.2's prime counts and the ring
-    axioms."""
+    """The rows of the field itself: Lemma 2.2's prime counts."""
     rows: list[CheckRow] = []
     field = FieldSpec(cfg.q)
     subject = f"q={cfg.q}"
@@ -270,12 +272,6 @@ def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:
         rows.append(
             CheckRow("Lemma 2.2", subject, f"n={deg}", enumerated, exact, passed)
         )
-
-    failures = _ring_spotcheck(cfg.q)
-    params = "random triples, seed 2024"
-    rows.append(
-        CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)
-    )
     return rows
 
 

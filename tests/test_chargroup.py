@@ -234,7 +234,8 @@ def oracle_unit_group(modulus):
         exps = np.repeat(np.arange(m, dtype=np.int64), len(vecs))
         vecs = np.hstack([np.tile(vecs, (m, 1)), exps[:, None]])
     order = np.argsort(res, kind="stable")
-    return UnitGroup(modulus, tuple(gens), tuple(orders), res[order], vecs[order])
+    gens = np.array([residue_index(g, dQ) for g in gens], dtype=np.int64)
+    return UnitGroup(modulus, gens, tuple(orders), res[order], vecs[order])
 
 
 def reduction_kernel_rows(group, which):
@@ -264,8 +265,26 @@ def oracle_primitive_mask(group, K):
     return mask
 
 
+def oracle_primitive_root(q: int, P: np.ndarray) -> int:
+    """The first index in [1, q^k) of a primitive root mod the prime P of
+    degree k: every candidate, raised to c/l for every prime l | c = q^k - 1,
+    is a row of one square-and-multiply mod P; each step multiplies only the
+    rows whose exponent has that bit set, and squares each candidate once."""
+    c = q ** (len(P) - 1) - 1
+    ells = np.array(_prime_factors_int(c), dtype=np.int64)
+    exps = np.repeat(c // ells, c)  # row l c + j: candidate j + 1 to c / ells[l]
+    result, acc = np.ones_like(exps), np.arange(1, c + 1, dtype=np.int64)
+    for bit in range(int(exps.max()).bit_length()):
+        sel = np.flatnonzero(exps >> bit & 1)
+        rows, by = np.append(result[sel], acc), np.append(acc[sel % c], acc)
+        both = scale_mod_many(q, P, rows, by)
+        result[sel], acc = both[: len(sel)], both[len(sel) :]
+    return 1 + int(np.argmax(np.all((result != 1).reshape(len(ells), c), axis=0)))
+
+
 def assert_same_group(got, want):
-    assert got.generators == want.generators
+    assert got.generators.dtype == want.generators.dtype == np.int64
+    assert got.generators.tolist() == want.generators.tolist()
     assert got.orders == want.orders
     for name in ("residues", "dlog_mat"):
         a, b = getattr(got, name), getattr(want, name)
@@ -675,6 +694,21 @@ class TestLocalTables:
             assert len(p_orders) == g.rank or field.q > 2
         else:
             assert len(g.modulus.factors) > 1
+
+    @pytest.mark.parametrize(
+        "field,top", [(F2, 8), (F3, 5), (F5, 3), (F7, 3)], ids=["q2", "q3", "q5", "q7"]
+    )
+    def test_primitive_root_matches_square_and_multiply(self, field, top):
+        # for e = 1 the table is r^0, r^1, ..., so r is its residue at index 1
+        q = field.q
+        for d in range(1, top + 1):
+            for P in enumerate_irreducible(field, d):
+                if q**d == 2:
+                    continue  # T and T + 1 at q = 2: the cyclic part is trivial
+                table = chargroup._build_local_table(q, np.array(P.coeffs), 1)
+                assert table.orders == (q**d - 1,)
+                root = oracle_primitive_root(q, np.array(P.coeffs))
+                assert int(table.residues[1]) == root, str(P)
 
     def test_family_path_makes_no_poly_arithmetic(self, monkeypatch):
         moduli = [

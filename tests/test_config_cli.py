@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ffmoments import cli
+from ffmoments import _backend, cli
+from ffmoments._backend import scale_mod_many
 from ffmoments.anchors import CHECK_ANCHORS
 from ffmoments.chargroup import (
     DirichletChar,
@@ -30,7 +31,7 @@ from ffmoments.config import (
     ExperimentConfig,
     load_config,
 )
-from ffmoments.ffpoly import FieldSpec, parse_poly, pow_mod
+from ffmoments.ffpoly import FieldSpec, parse_poly
 from ffmoments.lfunc import primitive_family
 from ffmoments.report import (
     MOMENT_COLUMNS,
@@ -676,11 +677,91 @@ class TestCli:
         )
         assert _unit_group_ok(fake)
         # a generator of too small an order
-        g = group.generators[0]
-        square = pow_mod(g, 2, group.modulus.poly)
-        assert not _unit_group_ok(replace_attrs(fake, generators=(square,)))
+        g = group.generators
+        square = scale_mod_many(3, group.modulus.poly.coeffs, g, g)
+        assert not _unit_group_ok(replace_attrs(fake, generators=square))
         # orders that do not multiply to phi(Q)
         assert not _unit_group_ok(replace_attrs(fake, orders=(4,)))
+
+    def test_ring_row_fails_on_perturbed_reduction_row(self, monkeypatch):
+        # a wrong row T^d mod Q in the residue kernel's reduction fails the
+        # ring row, which checks the kernel against long division
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+        reduction_rows = _backend.reduction_rows
+
+        def perturbed(q, mod_digits, top):
+            rows = reduction_rows(q, mod_digits, top).copy()
+            d = rows.shape[-1]
+            rows[..., d, 0] = (rows[..., d, 0] + 1) % q
+            return rows
+
+        def ring_row(fam):
+            return {r.anchor: r for r in cli._enumerate_result(cfg, fam)}[
+                "plumbing/ring"
+            ]
+
+        for q, text in ((3, "T^2 + 1"), (5, "T^3 + T")):
+            fam = primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
+            row = ring_row(fam)
+            assert row.value == 0 and row.passed
+            _backend._product_rows.cache_clear()
+            monkeypatch.setattr(_backend, "reduction_rows", perturbed)
+            try:
+                row = ring_row(fam)
+            finally:
+                monkeypatch.undo()
+                _backend._product_rows.cache_clear()
+            assert row.value > 0 and not row.passed, (q, text)
+
+    def test_enumerate_samples_character_columns(self, tmp_path, monkeypatch):
+        # phi = 511 > 256: the value matrix holds a seeded sample of columns
+        text = "T^9 + T^4 + 1"
+        path = tmp_path / "prime9.json"
+        budget = {"max_phi_total": 1000, "max_enum": 512}
+        path.write_text(
+            json.dumps({"schema": 1, "q": 2, "moduli": [text], "budget": budget})
+        )
+        widths = []
+
+        def recording(group, K):
+            widths.append(len(K))
+            return character_values(group, K)
+
+        monkeypatch.setattr(cli, "character_values", recording)
+        out = tmp_path / "out"
+        assert run_cli("enumerate", "--config", str(path), "--out", str(out)) == 0
+        assert widths == [cli.CHARACTER_COLUMNS]
+        rows = {r["anchor"]: r for r in read_rows(out / "enumerate.csv")}
+        assert rows["plumbing/unit-group"]["params"] == "orders=511"
+        # a dlog column shifted by one fails a row that reads the sample
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), text)))
+        g = fam.group
+        dlog_mat = (g.dlog_mat + 1) % g.orders[0]
+        shifted = UnitGroup(g.modulus, g.generators, g.orders, g.residues, dlog_mat)
+        cfg = load_config(path)
+        rows = cli._enumerate_result(cfg, dataclasses.replace(fam, group=shifted))
+        rows = {r.anchor: r for r in rows}
+        ortho, mult = rows["plumbing/orthogonality"], rows["plumbing/multiplicativity"]
+        assert not (ortho.passed and mult.passed)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            pytest.param(
+                path,
+                id=path.stem,
+                marks=pytest.mark.xfail(
+                    path.stem == "primesums_all",
+                    reason="4 Thm 1.3 and 2 Prop 4.1 rows fail: their fixture "
+                    "keys carry no sweep signature (open FOUND in CHANGES.md)",
+                    strict=True,
+                ),
+            )
+            for path in sorted(CONFIGS.glob("*.json"))
+        ],
+    )
+    def test_shipped_config_all_exits_zero(self, path, tmp_path):
+        assert run_cli("all", "--config", str(path), "--out", str(tmp_path)) == 0
 
     def test_all_matches_single_commands(self, smoke):
         # `all` builds each family once, serially or in workers, and writes

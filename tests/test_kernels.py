@@ -129,3 +129,24 @@ def test_reduction_rows_match_division(q, text, top):
         T_k = FqPoly(field, [0] * k + [1])
         expected = poly_divmod(T_k, F)[1]
         assert [int(c) for c in rows[k]] == [expected.coeff(i) for i in range(F.degree)]
+
+
+def test_product_rows_memo_keyed_by_q_and_modulus():
+    # one coefficient tuple at two q, passed as a tuple and as an array: each
+    # product matches FqPoly arithmetic, and the memo holds one read-only
+    # entry per (q, coefficients)
+    _backend._product_rows.cache_clear()
+    for q in (3, 5, 3):
+        field = FieldSpec(q)
+        mod, c = parse_poly(field, "T^2 + 2"), parse_poly(field, "T + 1")
+        want = [
+            residue_index((residue_from_index(field, 2, r) * c) % mod, 2)
+            for r in range(q**2)
+        ]
+        for digits in (mod.coeffs, np.array(mod.coeffs)):
+            got = scale_mod_many(q, digits, np.arange(q**2), residue_index(c, 2))
+            assert got.tolist() == want
+    assert _backend._product_rows.cache_info().currsize == 2
+    rows = _backend._product_rows(3, (2, 0, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
