@@ -53,8 +53,8 @@ from ffmoments.ffpoly import (
 )
 from ffmoments.lfunc import (
     PrimePowerTable,
+    abs_l_at,
     l_coefficient_probe,
-    log_abs_l_grid,
     loglog_norm,
     primitive_family,
     rh_root_deviations,
@@ -67,6 +67,7 @@ from ffmoments.moments import (
     moment_report,
     perron_partial_sum,
     prop33_statistic,
+    spec_columns,
 )
 from ffmoments.primesums import (
     TAIL_MULTIPLE,
@@ -146,11 +147,6 @@ def _family_rows(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
         fixtures.row(anchor, subject, params, key, value, rel_tol=FIXTURE_REL_TOL)
         for key, (anchor, subject, params, value) in maxima.items()
     ]
-
-
-def _t_grid(q: int, points: int) -> list[float]:
-    period = t_period(q)
-    return [i * period / points for i in range(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +293,13 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
     params = f"probe degrees {modulus.degree}..{modulus.degree + 2}"
     rows.append(below("degree bound", subject, params, probe_max, 1e-6))
 
-    # RH root shape per primitive character, fixed by its parity
-    devs = rh_root_deviations(coeffs, _even_mask(fam.group, fam.exponents), cfg.q)
-    for chi_index, dev in zip(fam.index.tolist(), devs.tolist()):
-        rows.append(below("RH roots", subject, f"chi#{chi_index}", dev, 1e-6))
+    # RH root shape per primitive character, fixed by its parity; one row: the
+    # largest deviation, at the first character attaining it
+    if fam.n_primitive:
+        devs = rh_root_deviations(coeffs, _even_mask(fam.group, fam.exponents), cfg.q)
+        i = int(np.argmax(devs))
+        params, dev = f"largest at chi#{fam.index[i]}", float(devs[i])
+        rows.append(below("RH roots", subject, params, dev, 1e-6))
 
     # conjugation symmetry of the coefficient rows; a conjugate missing from
     # the family fails the row with inf
@@ -321,27 +320,33 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
         table = PrimePowerTable.build(fam.group, fam.exponents, top)
         explicit_max = float(np.max(table.explicit_formula_defect(coeffs)))
 
-        ts = _t_grid(cfg.q, cfg.t_grid_points)
-        log_abs = log_abs_l_grid(coeffs, cfg.q, ts)
+        # log|L| and the simplified bound at the t-grid, then at the shifts
+        # of every spec, each spec a column block; -inf at an on-circle zero
+        shifts, a, starts = spec_columns(specs)
+        period, n = t_period(cfg.q), cfg.t_grid_points
+        grid = [i * period / n for i in range(n)]
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(abs_l_at(coeffs, cfg.q, grid + shifts))
         # pointwise bound: minimum slack over characters, smoothing lengths, grid
         for h in min_slack:
-            min_slack[h] = float(np.min(table.pointwise(ts, h) - log_abs))
+            min_slack[h] = float(np.min(table.pointwise(grid, h) - log_abs[:, :n]))
 
-        def entry(anchor, params, short, value):
-            key = f"lfun/{short}_sup/{signature}/q{cfg.q}_d{modulus.degree}"
-            family.append((anchor, params, key, value))
-
-        eq33 = max(
-            float(np.max(log_abs - table.simplified(ts, h))) for h in cfg.x_exponents
-        )
-        entry("simplified log-L bound", "family sup defect", "eq33", eq33)
-        for spec in specs:
-            lhs = log_abs_l_grid(coeffs, cfg.q, spec.t) @ np.asarray(spec.a)
-            for h in cfg.x_exponents:
-                defect = float(np.max(lhs - table.shifted(spec, h)))
-                entry("Prop 3.2", "family sup defect", "prop32", defect)
-        ratios = log_abs / (modulus.log_norm / loglog_norm(modulus))
-        entry("single-L bound", "family sup ratio", "eq34", float(np.max(ratios)))
+        # Prop 3.2's bound is the a-weighted simplified bound at a spec's
+        # shifts plus 10 log|Q|/log x
+        eq33 = prop32 = -math.inf
+        for h in cfg.x_exponents:
+            defects = log_abs - table.simplified(grid + shifts, h)
+            eq33 = max(eq33, float(np.max(defects[:, :n])))
+            weighted = np.add.reduceat(defects[:, n:] * a, starts, axis=1)
+            prop32 = max(prop32, float(np.max(weighted)) - 10 * modulus.degree / h)
+        scale = modulus.log_norm / loglog_norm(modulus)
+        eq34 = float(np.max(log_abs[:, :n])) / scale
+        key, sup = f"{signature}/{cfg.family_key(modulus.degree)}", "family sup defect"
+        family = [
+            ("simplified log-L bound", sup, f"lfun/eq33_sup/{key}", eq33),
+            ("Prop 3.2", sup, f"lfun/prop32_sup/{key}", prop32),
+            ("single-L bound", "family sup ratio", f"lfun/eq34_sup/{key}", eq34),
+        ]
 
     params = f"n=1..{top}, prime powers vs Newton power sums"
     rows.append(below("explicit formula", subject, params, explicit_max, IDENTITY_TOL))
@@ -383,7 +388,7 @@ def _moments_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
     def entry(anchor, params, key, value):
         out["family"].append((anchor, params, f"moments/{key}", value))
 
-    qd = f"q{cfg.q}_d{modulus.degree}"
+    qd = cfg.family_key(modulus.degree)
     both = np.concatenate([ratio_zeta, ratio_min])
     finite_ok = bool(np.all(np.isfinite(both) & (both > 0)))
     zeta_max = float(np.max(ratio_zeta, initial=-math.inf))

@@ -10,7 +10,7 @@ silently request days of compute.
 
 Regression-fixture keys embed a signature of the sweep definition they were
 recorded under, so a constant recorded for one grid is never compared
-against a run with a different grid.
+against a run with a different grid, nor one family of moduli with another.
 """
 
 from __future__ import annotations
@@ -280,6 +280,12 @@ class ExperimentConfig:
 
     def primesums_signature(self) -> str:
         return self._signature(self.primesums)
+
+    def family_key(self, degree: int) -> str:
+        """q{q}_d{degree} in the family fixture keys, then, with explicit
+        moduli, a signature of their list: another family's maxima differ."""
+        listed = "" if self.moduli is None else f"_{self._signature(self.moduli)}"
+        return f"q{self.q}_d{degree}{listed}"
 
     def resolved_shift_specs(self) -> list[ShiftSpec]:
         """Explicit shift specs, expanding the seeded random generator form."""

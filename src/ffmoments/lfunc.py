@@ -20,12 +20,13 @@ unit residue, one layer per degree d; character_sums turns the layers into
 S[chi, d, 1], and S[chi, d, j] = S[chi^j, d, 1].  Each bound is then a
 weight vector over n, and its values on a whole t-grid are one
 (characters x n) @ (n x t) product with the phases e^(-i t n log q);
-log|L| on the grid is likewise coeffs @ u(t)^n.
+|L| there is coeffs @ u(t)^n, the powers memoised per process (abs_l_at).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -340,16 +341,6 @@ class PrimePowerTable:
         m = self.modulus.degree - 1
         return m / h + (w @ self._phases(ts)).real / h
 
-    def _simplified_weights(self, h: int) -> np.ndarray:
-        lnq = math.log(self.modulus.field.q)
-        sexp = 0.5 + 1.0 / (h * lnq)
-        w = np.zeros((len(self.sums), self.top + 1), dtype=np.complex128)
-        for d in range(1, h):
-            w[:, d] += self.sums[:, d, 1] * ((h - d) / h / math.exp(d * lnq * sexp))
-        for d in range(1, h // 2 + 1):
-            w[:, 2 * d] += 0.5 * self.sums[:, d, 2] / math.exp(d * lnq)
-        return w
-
     def simplified(self, ts, h: int) -> np.ndarray:
         """The smoothed two-sum bound value at cutoff x = q^h (h <= top),
         without its bounded remainder, per character and shift:
@@ -357,22 +348,14 @@ class PrimePowerTable:
             Re[ sum_{|P|<=x} chi(P)/|P|^(1/2+it+1/log x) * log(x/|P|)/log x
               + (1/2) sum_{|P|<=sqrt(x)} chi(P^2)/|P|^(1+2it) ] + log|Q|/log x.
         """
-        w = self._simplified_weights(h)
+        lnq = math.log(self.modulus.field.q)
+        sexp = 0.5 + 1.0 / (h * lnq)
+        w = np.zeros((len(self.sums), self.top + 1), dtype=np.complex128)
+        for d in range(1, h):
+            w[:, d] += self.sums[:, d, 1] * ((h - d) / h / math.exp(d * lnq * sexp))
+        for d in range(1, h // 2 + 1):
+            w[:, 2 * d] += 0.5 * self.sums[:, d, 2] / math.exp(d * lnq)
         return (w @ self._phases(ts)).real + self.modulus.degree / h
-
-    def shifted(self, spec, h: int) -> np.ndarray:
-        """Prop 3.2 bound value (without its bounded remainder) for
-        sum_j a_j log |L(1/2 + i t_j, chi)| at x = q^h, per character:
-
-            2 Re sum_{|P|<=x} h(P) chi(P)/|P|^(1/2+1/log x) * log(x/|P|)/log x
-            + Re sum_{|P|<=sqrt(x)} h(P^2) chi(P^2)/|P| + a log|Q|/log x,
-
-        with a = a_1 + ... + a_2k + 10 and h(f) = (1/2) sum_j a_j |f|^(-i t_j);
-        the prime sums are sum_j a_j times those of the simplified bound."""
-        w = self._simplified_weights(h)
-        a = np.asarray(spec.a, dtype=np.float64)
-        a_total = sum(spec.a) + 10.0
-        return (w @ self._phases(spec.t)).real @ a + a_total * self.modulus.degree / h
 
     def explicit_formula_defect(self, coeffs: np.ndarray) -> np.ndarray:
         """Per character, max over 1 <= n <= top of
@@ -395,14 +378,28 @@ class PrimePowerTable:
         return np.max(np.abs(prime_side + p)[:, 1:], axis=1)
 
 
-def log_abs_l_grid(coeffs: np.ndarray, q: int, ts) -> np.ndarray:
-    """log |L(1/2 + i t, chi)| for each coefficient row and shift, with t
-    reduced mod the period first; -inf at an on-circle zero."""
-    t_red = np.asarray(ts, dtype=np.float64) % t_period(q)
-    u = q**-0.5 * np.exp(-1j * t_red * math.log(q))
-    powers = u[None, :] ** np.arange(coeffs.shape[1])[:, None]
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(coeffs @ powers))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _shift_powers(q: int, degree: int, ts: tuple[float, ...], circle: bool):
+    """(degree x len(ts)) powers u^n at the shifts t: u = q^(-(1/2 + i t))
+    with t reduced mod the period, or on the critical circle at the angles
+    theta = -t log q, unreduced (Cor 1.2)."""
+    lnq = math.log(q)
+    us = [u_on_circle(q, -t * lnq) if circle else u_at_shift(q, t) for t in ts]
+    return _read_only(np.array(us)[None, :] ** np.arange(degree)[:, None])
+
+
+def abs_l_at(coeffs: np.ndarray, q: int, ts, circle: bool = False) -> np.ndarray:
+    """|L(u, chi)| for each coefficient row (rows) at each shift t (cols),
+    the one evaluator of lfun and the moments (see _shift_powers for u)."""
+    powers = _shift_powers(q, coeffs.shape[1], tuple(ts), circle)
+    # einsum, not @: numpy sends this small product to a threaded BLAS whose
+    # idle threads spin, about doubling the CPU time of a moments sweep
+    return np.abs(np.einsum("cn,ns->cs", coeffs, powers))
 
 
 def log_l_bound_pointwise(chi: DirichletChar, t: float, h: int) -> float:
@@ -428,13 +425,14 @@ def log_l_bound_simplified(chi: DirichletChar, t: float, x) -> float:
 
 
 def shifted_log_bound(chi: DirichletChar, spec, x) -> float:
-    """Upper-bound value (without its bounded remainder) for the weighted sum
-    sum_j a_j log |L(1/2 + i t_j, chi)| at x = q^h (see
-    PrimePowerTable.shifted)."""
+    """Prop 3.2 upper-bound value (without its bounded remainder) for the
+    weighted sum sum_j a_j log |L(1/2 + i t_j, chi)| at x = q^h: the
+    a-weighted simplified bound at the shifts t_j, plus 10 log|Q|/log x."""
     _require_primitive(chi)
     h = _h_from_x(chi.group.modulus.field.q, x)
     table = PrimePowerTable.build(chi.group, exponent_rows(chi.group, [chi]), h)
-    return float(table.shifted(spec, h)[0])
+    bound = table.simplified(spec.t, h)[0] @ np.asarray(spec.a)
+    return float(bound + 10.0 * chi.group.modulus.degree / h)
 
 
 def loglog_norm(modulus: Modulus) -> float:

@@ -8,13 +8,13 @@ circle_angle_moments does the same at the circle angles, perron_partial_sum
 evaluates every given coefficient row on the sampled circle by one Horner
 pass, and integral_moment computes the per-character circle integrals once
 for all exponents and once per conjugate pair, sampling |L| on the uniform
-circle grid by one FFT of the scaled coefficient rows.
+circle grid by one FFT per block of CIRCLE_ROWS scaled coefficient rows.
 
 What depends only on q, deg Q and the specs or sampling parameters is
 computed once per process by memoised helpers that return read-only
-arrays: the powers of u at the shift points and circle points, the
-Theorem 1.1 base and pair factors, and the Perron circle grid with its
-denominator.
+arrays: the Theorem 1.1 base and pair factors, the Perron circle grid with
+its denominator, and, in lfunc (abs_l_at, shared with lfun's log|L|), the
+powers of u at the shift points and circle points.
 
 All sums over characters run in canonical character-index order with
 pairwise summation, so family sweeps are reproducible and parallel runs
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ffmoments.chargroup import DirichletChar, Modulus
-from ffmoments.lfunc import PrimitiveFamily, u_at_shift, u_on_circle, zeta_A
+from ffmoments.lfunc import PrimitiveFamily, _read_only, abs_l_at, zeta_A
 from ffmoments.ffpoly import degree_cutoff, enumerate_monic
 
 
@@ -89,39 +89,19 @@ class ShiftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@functools.cache
-def _shift_powers(q: int, degree: int, ts: tuple[float, ...], circle: bool):
-    """(degree x len(ts)) powers u^n at the shifts t: u = q^(-(1/2 + i t)),
-    or on the critical circle at the angles theta = -t log q (Cor 1.2)."""
-    if circle:
-        lnq = math.log(q)
-        us = [u_on_circle(q, -t * lnq) for t in ts]
-    else:
-        us = [u_at_shift(q, t) for t in ts]
-    us = np.array(us, dtype=np.complex128)
-    return _read_only(us[None, :] ** np.arange(degree)[:, None])
-
-
-def _abs_values_at(family: PrimitiveFamily, specs, circle: bool) -> np.ndarray:
-    """|L(u, chi)| for every primitive chi (rows) and every shift point u of
-    the specs (cols), in spec order."""
-    ts = tuple(t for spec in specs for t in spec.t)
-    powers = _shift_powers(family.modulus.field.q, family.modulus.degree, ts, circle)
-    # einsum, not @: numpy sends this small product to a threaded BLAS whose
-    # idle threads spin, about doubling the CPU time of a moments sweep
-    return np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
-
-
-def _spec_moments(mags: np.ndarray, specs) -> np.ndarray:
-    """Per spec, sum over rows of prod_j mags[:, j]^(a_j), where the specs'
-    shifts are consecutive column blocks of mags."""
+def spec_columns(specs) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The shifts t_j and exponents a_j of all specs in order, one column
+    each, and the column where each spec's block starts."""
+    ts = [t for spec in specs for t in spec.t]
     a = np.array([a for spec in specs for a in spec.a], dtype=np.float64)
-    starts = np.cumsum([0] + [len(spec.a) for spec in specs])[:-1]
+    return ts, a, np.cumsum([0] + [len(spec.a) for spec in specs])[:-1]
+
+
+def _spec_moments(family: PrimitiveFamily, specs, circle: bool) -> np.ndarray:
+    """Per spec, the sum over primitive chi of prod_j |L(u_j, chi)|^(a_j) at
+    its shift points u_j (see lfunc.abs_l_at), all specs in one product."""
+    ts, a, starts = spec_columns(specs)
+    mags = abs_l_at(family.coeffs, family.modulus.field.q, ts, circle)
     prods = np.multiply.reduceat(mags**a, starts, axis=1)
     return np.sum(np.ascontiguousarray(prods.T), axis=1)
 
@@ -132,14 +112,14 @@ def shifted_moment(family: PrimitiveFamily, specs) -> np.ndarray:
     one product."""
     if family.n_primitive == 0:
         raise ValueError("modulus has no primitive characters")
-    return _spec_moments(_abs_values_at(family, specs, circle=False), specs)
+    return _spec_moments(family, specs, circle=False)
 
 
 def circle_angle_moments(family: PrimitiveFamily, specs) -> np.ndarray:
     """The shifted moments of each spec restated on the critical circle:
     |L| at u = e^(i theta_j)/sqrt(q) with theta_j = -t_j log q, without
     reducing t mod the period (Cor 1.2)."""
-    return _spec_moments(_abs_values_at(family, specs, circle=True), specs)
+    return _spec_moments(family, specs, circle=True)
 
 
 @functools.cache
@@ -296,6 +276,11 @@ class IntegralMoment(NamedTuple):
     integrals: np.ndarray
 
 
+# characters per FFT of the circle integral, which bounds its memory; each
+# row's transform and mean are independent, so the block size changes no bit
+CIRCLE_ROWS = 300
+
+
 def integral_moments_per_char(
     family: PrimitiveFamily, quad_points: int = 1024
 ) -> np.ndarray:
@@ -311,9 +296,13 @@ def integral_moments_per_char(
     # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of
     # the rows c_n q^(-n/2), zero-padded to M > deg Q points by the floor
     scaled = family.coeffs[~copied] * q ** (-0.5 * np.arange(family.modulus.degree))
-    mags = np.abs(np.fft.ifft(scaled, n=quad_points, axis=1, norm="forward"))
+    means = np.empty(len(scaled))
+    for lo in range(0, len(scaled), CIRCLE_ROWS):
+        block = scaled[lo : lo + CIRCLE_ROWS]
+        mags = np.abs(np.fft.ifft(block, n=quad_points, axis=1, norm="forward"))
+        means[lo : lo + CIRCLE_ROWS] = np.mean(mags, axis=1)
     out = np.empty(len(rows))
-    out[~copied] = 2 * np.pi * np.mean(mags, axis=1)
+    out[~copied] = 2 * np.pi * means
     out[copied] = out[rows[copied]]
     return out
 

@@ -418,7 +418,7 @@ class TestCli:
     def test_coefficient_perturbation_fails_three_rows(self, smoke, monkeypatch):
         # 0.5 added to the top L-coefficient of the first primitive character
         # of the first modulus, T^2: exactly the rows that read that
-        # coefficient fail
+        # coefficient fail, and T^2's one RH roots row names that character
         cfg, tmp = smoke
         families = []
 
@@ -441,11 +441,12 @@ class TestCli:
             if r["status"] == "fail"
         ]
         assert failed == [
-            ("RH roots", "T^2", "chi#1"),
+            ("RH roots", "T^2", "largest at chi#1"),
             ("conjugation", "T^2", "coeffs(conj chi) vs conj(coeffs)"),
             ("explicit formula", "T^2", "n=1..1, prime powers vs Newton power sums"),
         ]
-        assert len(rows) == 75 and len(families) == 9
+        assert len(rows) == 48 and len(families) == 9
+        assert sum(r["anchor"] == "RH roots" for r in rows) == 9
 
     def test_subcommands_take_four_options(self):
         # a new flag is a new option to test and document
@@ -745,20 +746,7 @@ class TestCli:
         assert not (ortho.passed and mult.passed)
 
     @pytest.mark.parametrize(
-        "path",
-        [
-            pytest.param(
-                path,
-                id=path.stem,
-                marks=pytest.mark.xfail(
-                    path.stem == "primesums_all",
-                    reason="4 Thm 1.3 and 2 Prop 4.1 rows fail: their fixture "
-                    "keys carry no sweep signature (open FOUND in CHANGES.md)",
-                    strict=True,
-                ),
-            )
-            for path in sorted(CONFIGS.glob("*.json"))
-        ],
+        "path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
     )
     def test_shipped_config_all_exits_zero(self, path, tmp_path):
         assert run_cli("all", "--config", str(path), "--out", str(tmp_path)) == 0

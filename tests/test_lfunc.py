@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ffmoments import cli
 from ffmoments.chargroup import (
     _even_mask,
     all_characters,
@@ -15,6 +17,7 @@ from ffmoments.chargroup import (
     factor_modulus,
     unit_group,
 )
+from ffmoments.config import load_config
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
@@ -31,12 +34,12 @@ from ffmoments.lfunc import (
     LPolynomial,
     PrimePowerTable,
     ZetaPoleError,
+    abs_l_at,
     l_coefficient_probe,
     l_coefficients,
     log_abs_l,
     log_l_bound_pointwise,
     log_l_bound_simplified,
-    log_abs_l_grid,
     loglog_norm,
     monic_residue_counts,
     _unit_rows_of_monics,
@@ -52,6 +55,7 @@ from ffmoments.moments import ShiftSpec
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -478,9 +482,12 @@ class TestPrimePowerTable:
                 for c, chi in enumerate(fam.primitive_chars):
                     for k, t in enumerate(self.TS):
                         worst = max(worst, abs(grid[c, k] - oracle_pointwise(chi, t, h)))
+            a = np.asarray(self.SPEC.a)
             for h in (1, 2, 3):
                 grid = table.simplified(self.TS, h)
-                shifted = table.shifted(self.SPEC, h)
+                # Prop 3.2: the a-weighted simplified bound at the spec's
+                # shifts, plus 10 log|Q|/log x
+                shifted = table.simplified(self.SPEC.t, h) @ a + 10 * dQ / h
                 for c, chi in enumerate(fam.primitive_chars):
                     for k, t in enumerate(self.TS):
                         expected = oracle_simplified(chi, t, q**h)
@@ -531,7 +538,7 @@ class TestPrimePowerTable:
 
     def test_log_abs_grid_matches_horner(self, fam_t2):
         ts = (0.0, 0.51, 2.3, 7.0)
-        grid = log_abs_l_grid(fam_t2.coeffs, 3, ts)
+        grid = np.log(abs_l_at(fam_t2.coeffs, 3, ts))
         for c, L in enumerate(l_polynomials(fam_t2)):
             for k, t in enumerate(ts):
                 assert abs(grid[c, k] - log_abs_l(L, t)) <= 1e-12
@@ -545,6 +552,40 @@ class TestPrimePowerTable:
             coeffs[0, -1] += 0.5
             defect = table.explicit_formula_defect(coeffs)
             assert defect[0] >= 0.5 and float(np.max(defect[1:], initial=0.0)) < 1e-12
+
+
+class TestLfunFamilyPass:
+    """cli._lfun_result takes log|L| and the simplified bound once per h, at
+    the t-grid followed by every spec's shifts; its eq33 and Prop 3.2
+    entries equal the per-spec formulas, evaluated here by the scalar
+    oracles one character, shift and cutoff at a time."""
+
+    @pytest.mark.parametrize("name", ["smoke_q3_d2", "lfun_q2_d3"])
+    def test_entries_match_per_spec_oracles(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        specs, signature = cfg.resolved_shift_specs(), cfg.lfun_signature()
+        n = cfg.t_grid_points
+        ts = [i * t_period(cfg.q) / n for i in range(n)]
+        checked = 0
+        for modulus in cfg.modulus_list():
+            fam = primitive_family(modulus)
+            if not fam.n_primitive:
+                continue
+            res = cli._lfun_result(cfg, fam, specs, signature)
+            got = {anchor: value for anchor, _, _, value in res["family"]}
+            eq33 = prop32 = -math.inf
+            for chi, L in zip(fam.primitive_chars, l_polynomials(fam)):
+                for h in cfg.x_exponents:
+                    x = cfg.q**h
+                    for t in ts:
+                        eq33 = max(eq33, log_abs_l(L, t) - oracle_simplified(chi, t, x))
+                    for spec in specs:
+                        lhs = sum(a * log_abs_l(L, t) for a, t in zip(spec.a, spec.t))
+                        prop32 = max(prop32, lhs - oracle_shifted(chi, spec, x))
+            assert abs(got["simplified log-L bound"] - eq33) <= 1e-12
+            assert abs(got["Prop 3.2"] - prop32) <= 1e-12 * max(1.0, abs(prop32))
+            checked += 1
+        assert checked >= 5
 
 
 class TestPointwiseBound:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from ffmoments import moments
+from ffmoments import lfunc, moments
 from ffmoments.chargroup import factor_modulus
 from ffmoments.ffpoly import FieldSpec, monic_from_index, parse_poly
 from ffmoments.lfunc import primitive_family, t_period, u_at_shift, u_on_circle, zeta_A
@@ -97,7 +97,9 @@ def oracle_spec_moments(family, specs, u_of):
     us = np.array([u_of(t) for spec in specs for t in spec.t], dtype=np.complex128)
     powers = us[None, :] ** np.arange(family.modulus.degree)[:, None]
     mags = np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
-    return moments._spec_moments(mags, specs)
+    _, a, starts = moments.spec_columns(specs)
+    prods = np.multiply.reduceat(mags**a, starts, axis=1)
+    return np.sum(np.ascontiguousarray(prods.T), axis=1)
 
 
 def oracle_perron_rows(coeffs, N, r, M):
@@ -327,7 +329,9 @@ def bitwise(got, want) -> bool:
 class TestMemo:
     """The per-degree constants are memoised per (q, degree, specs) and per
     (N, r, M); families of two characteristics at one degree and of several
-    degrees, interleaved in one process, must read the right entries."""
+    degrees, interleaved in one process, must read the right entries.  The
+    powers of u at the shifts live in lfunc, and lfun's |L| reads them
+    between the moments' reads."""
 
     MODULI = [
         (2, "T^3 + T + 1"),
@@ -340,7 +344,7 @@ class TestMemo:
     ]
 
     def test_interleaved_families_match_parent_formulas(self):
-        for helper in (moments._shift_powers, moments._theorem1_factors):
+        for helper in (lfunc._shift_powers, moments._theorem1_factors):
             helper.cache_clear()
         moments._perron_grid.cache_clear()
         fams = [
@@ -365,6 +369,11 @@ class TestMemo:
                     fam, RANDOM_SPECS, lambda t: u_on_circle(q, -t * lnq)
                 )
                 assert bitwise(circle_angle_moments(fam, RANDOM_SPECS), on_circle)
+                ts = [0.0, 0.4, 2.1, 7.5]  # the last beyond the period at q=3
+                us = np.array([u_at_shift(q, t) for t in ts])
+                powers = us[None, :] ** np.arange(dQ)[:, None]
+                want = np.abs(np.einsum("cn,ns->cs", fam.coeffs, powers))
+                assert bitwise(lfunc.abs_l_at(fam.coeffs, q, ts), want)
                 for N in range(dQ + 2):
                     for r in (0.5, 0.3):
                         M = 64 * (N + dQ)
@@ -375,8 +384,8 @@ class TestMemo:
         fam = primitive_family(factor_modulus(parse_poly(F3, "T^3 + 2*T + 1")))
         moment_report(fam, RANDOM_SPECS)
         arrays = [
-            moments._shift_powers(3, 3, (0.0, 0.7), False),
-            moments._shift_powers(3, 3, (0.0, 0.7), True),
+            lfunc._shift_powers(3, 3, (0.0, 0.7), False),
+            lfunc._shift_powers(3, 3, (0.0, 0.7), True),
             *moments._theorem1_factors(3, 3, tuple(RANDOM_SPECS)),
             *moments._perron_grid(2, 0.5, 320),
         ]
@@ -500,6 +509,14 @@ class TestIntegralMoment:
                 want = oracle_circle_integrals(fam, M)
                 got = integral_moments_per_char(fam, M)
                 assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_row_blocks_change_no_bit(self, monkeypatch):
+        # 63 conjugate-pair rows: in one FFT, and in blocks of 5 with a
+        # shorter last block
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^7 + T + 1")))
+        whole = integral_moments_per_char(fam, 512)
+        monkeypatch.setattr(moments, "CIRCLE_ROWS", 5)
+        assert bitwise(integral_moments_per_char(fam, 512), whole)
 
     def test_floor_enforced(self, fam_t2):
         with pytest.raises(ValueError):
