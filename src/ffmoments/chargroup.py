@@ -32,7 +32,6 @@ from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
     _irreducible_index_table,
-    _prime_factors_int,
     monic_from_index,
     render_poly,
     residue_index,
@@ -441,14 +440,8 @@ def _trivial_on_rows(orders, K, dlogs) -> np.ndarray:
 
 def _even_mask(group: UnitGroup, K) -> np.ndarray:
     """Per exponent row of K, whether that character is 1 on the nonzero
-    constants F_q^*: on their generator, the first primitive root g mod q
-    (g = 1 when q = 2)."""
-    q = group.modulus.field.q
-    ells = _prime_factors_int(q - 1)
-    g = next(
-        g for g in range(1, q) if all(pow(g, (q - 1) // ell, q) != 1 for ell in ells)
-    )
-    rows, _ = group.rows_of([g])
+    constants F_q^*, whose residue indices are 1..q-1."""
+    rows, _ = group.rows_of(np.arange(1, group.modulus.field.q))
     return _trivial_on_rows(group.orders, K, group.dlog_mat[rows])
 
 

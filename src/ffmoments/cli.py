@@ -293,12 +293,15 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
     params = f"probe degrees {modulus.degree}..{modulus.degree + 2}"
     rows.append(below("degree bound", subject, params, probe_max, 1e-6))
 
-    # RH root shape per primitive character, fixed by its parity; one row: the
+    # RH root shape per primitive character, fixed by its parity, but for
+    # copied conjugates (the roots of conj chi are conjugate); one row: the
     # largest deviation, at the first character attaining it
     if fam.n_primitive:
-        devs = rh_root_deviations(coeffs, _even_mask(fam.group, fam.exponents), cfg.q)
+        kept = ~fam.copied_conjugates()[1]
+        even = _even_mask(fam.group, fam.exponents[kept])
+        devs = rh_root_deviations(coeffs[kept], even, cfg.q)
         i = int(np.argmax(devs))
-        params, dev = f"largest at chi#{fam.index[i]}", float(devs[i])
+        params, dev = f"largest at chi#{fam.index[kept][i]}", float(devs[i])
         rows.append(below("RH roots", subject, params, dev, 1e-6))
 
     # conjugation symmetry of the coefficient rows; a conjugate missing from

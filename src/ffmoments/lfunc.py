@@ -251,6 +251,12 @@ class PrimitiveFamily:
         rows = np.minimum(np.searchsorted(self.index, conj), len(self.index) - 1)
         return rows, self.index[rows] == conj
 
+    def copied_conjugates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The conjugate rows, and per row whether its conjugate is in the
+        family at a lower row, where a value they share is computed."""
+        rows, found = self.conjugate_rows()
+        return rows, found & (rows < np.arange(len(rows)))
+
 
 def primitive_family(modulus: Modulus) -> PrimitiveFamily:
     """The unit group, primitive characters and their L-coefficients of Q."""

@@ -291,8 +291,7 @@ def integral_moments_per_char(
     if quad_points < 256:
         raise ValueError("at least 256 quadrature points are required")
     q = family.modulus.field.q
-    rows, found = family.conjugate_rows()
-    copied = found & (rows < np.arange(len(rows)))
+    rows, copied = family.copied_conjugates()
     # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of
     # the rows c_n q^(-n/2), zero-padded to M > deg Q points by the floor
     scaled = family.coeffs[~copied] * q ** (-0.5 * np.arange(family.modulus.degree))

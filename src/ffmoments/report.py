@@ -131,9 +131,9 @@ class FixtureChecker:
     """Compare measured sweep constants against the committed fixtures.
 
     In record mode every checked key is overwritten with the measured value
-    and the row passes; in verify mode a missing key passes with a blank
-    constant (first-run semantics) while a present key must match within the
-    given absolute or relative tolerance.
+    and the row passes; in verify mode a key must be recorded and match
+    within the given absolute or relative tolerance, and a missing key fails
+    with a blank constant.
     """
 
     def __init__(self, fixtures: dict[str, float], record: bool):
@@ -148,14 +148,12 @@ class FixtureChecker:
         rel_tol: float | None = None,
         abs_tol: float | None = None,
     ) -> tuple[bool, float | str]:
-        if not math.isfinite(value):
-            return False, self.fixtures.get(key, "")
-        if self.record:
+        if self.record and math.isfinite(value):
             self.fixtures[key] = value
             self.updated = True
             return True, value
-        if key not in self.fixtures:
-            return True, ""
+        if key not in self.fixtures or not math.isfinite(value):
+            return False, self.fixtures.get(key, "")
         recorded = self.fixtures[key]
         if abs_tol is not None:
             ok = abs(value - recorded) <= abs_tol

@@ -561,12 +561,16 @@ class TestCharacters:
         ],
     )
     def test_even_mask_matches_all_constants(self, q, text):
-        # one generator of F_q^* decides what all q - 1 constants decide
+        # the exact mask against scalar character values at the q - 1 constants
         g = unit_group(modulus(FieldSpec(q), text))
         K = _exponent_grid(np.arange(g.order), g.orders)
-        rows, units = g.rows_of(np.arange(1, q))
-        assert units.all()
-        oracle = _trivial_on_rows(g.orders, K, g.dlog_mat[rows])
+        constants = [parse_poly(FieldSpec(q), str(c)) for c in range(1, q)]
+        oracle = np.array(
+            [
+                all(abs(chi(c) - 1) < 1e-9 for c in constants)
+                for chi in all_characters(g)
+            ]
+        )
         even = _even_mask(g, K)
         assert even.tolist() == oracle.tolist()
         assert even.all() if q == 2 else 0 < even.sum() < g.order

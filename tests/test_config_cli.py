@@ -38,6 +38,8 @@ from ffmoments.report import (
     CheckRow,
     FixtureChecker,
     below,
+    load_fixtures,
+    save_fixtures,
     write_json_rows,
 )
 
@@ -216,7 +218,7 @@ class TestReportRows:
         "key, value, expected",
         [
             ("recorded", 1.1, (True, 1.0)),  # within 25 % of 1.0
-            ("missing", 1.1, (True, "")),  # unrecorded: blank constant
+            ("missing", 1.1, (False, "")),  # unrecorded: fails, blank constant
             ("recorded", 2.0, (False, 1.0)),  # out of tolerance
             ("recorded", float("inf"), (False, 1.0)),  # non-finite
         ],
@@ -298,14 +300,14 @@ class TestCli:
 
     def test_all_record_saves_once(self, tmp_path, monkeypatch):
         # one fixture file write per run, holding the keys of every command;
-        # a verify run against it then meets a recorded fixture on every row
+        # a verify run against it then passes, so every row met its fixture
         fixtures_path = tmp_path / "fixtures.json"
         cfg_dict = json.loads((CONFIGS / "smoke_q3_d2.json").read_text())
         cfg_dict["fixtures"] = str(fixtures_path)
         cfg = tmp_path / "smoke.json"
         cfg.write_text(json.dumps(cfg_dict))
 
-        saves, looked_up, unrecorded = [], set(), []
+        saves, looked_up = [], set()
         save, check = cli.save_fixtures, FixtureChecker.check
 
         def counting_save(fixtures, path):
@@ -314,8 +316,6 @@ class TestCli:
 
         def counting_check(checker, key, value, **tol):
             looked_up.add(key)
-            if key not in checker.fixtures:
-                unrecorded.append(key)
             return check(checker, key, value, **tol)
 
         monkeypatch.setattr(cli, "save_fixtures", counting_save)
@@ -330,10 +330,27 @@ class TestCli:
         }
         assert sorted(json.loads(fixtures_path.read_text())) == saves[0]
 
-        unrecorded.clear()
         assert run_cli("all", "--config", str(cfg), "--out", out) == 0
-        assert unrecorded == []
         assert len(saves) == 1
+
+    def test_unrecorded_fixture_fails_its_row(self, tmp_path):
+        # the shipped fixtures less one key: exactly its row fails, with a
+        # blank constant
+        cfg_dict = json.loads((CONFIGS / "smoke_q3_d2.json").read_text())
+        cfg_dict["fixtures"] = str(tmp_path / "fixtures.json")
+        cfg = tmp_path / "smoke.json"
+        cfg.write_text(json.dumps(cfg_dict))
+        loaded = load_config(cfg)
+        key = f"lfun/prop32_sup/{loaded.lfun_signature()}/{loaded.family_key(2)}"
+        fixtures = load_fixtures()
+        del fixtures[key]
+        save_fixtures(fixtures, cfg_dict["fixtures"])
+        out = tmp_path / "out"
+        assert run_cli("lfun", "--config", str(cfg), "--out", str(out)) == 1
+        failed = [r for r in read_rows(out / "lfun.csv") if r["status"] == "fail"]
+        assert [(r["anchor"], r["subject"], r["constant"]) for r in failed] == [
+            ("Prop 3.2", "q=3, d(Q)=2", "")
+        ]
 
     def test_config_error_exit_two(self, smoke, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -371,8 +388,10 @@ class TestCli:
         ],
     )
     def test_partial_section_takes_defaults(self, smoke, command, section, partial):
+        # the partial config meets the fixtures recorded under the full one
         cfg, tmp = smoke
         d = json.loads(Path(cfg).read_text())
+        d["fixtures"] = str(tmp / "fixtures.json")
         reports = []
         for name, value in [
             ("full", {**SECTION_DEFAULTS[section], **partial}),
@@ -381,6 +400,9 @@ class TestCli:
             d[section] = value
             path, out = tmp / f"{name}.json", tmp / name
             path.write_text(json.dumps(d))
+            if name == "full":
+                record = ("--out", str(tmp / "record"), "--record")
+                assert run_cli(command, "--config", str(path), *record) == 0
             assert run_cli(command, "--config", str(path), "--out", str(out)) == 0
             (out / "run_metadata.json").unlink()
             reports.append({p.name: p.read_bytes() for p in out.iterdir()})
@@ -402,14 +424,17 @@ class TestCli:
     def test_least_section_values_run(self, smoke):
         # the least accepted values raise none of the errors inside the
         # computation; a quadrature this coarse may fail its Lemma 2.4 rows,
-        # and nothing else
+        # and nothing else, once its fixtures are recorded
         cfg, tmp = smoke
         d = json.loads(Path(cfg).read_text())
         d["perron"]["points_factor"] = 8
         d["primesums"].update(h_min=1, h_max=2, tail_h_max=1, alpha_points=1, f_h_max=1)
+        d["fixtures"] = str(tmp / "fixtures.json")
         least = tmp / "least.json"
         least.write_text(json.dumps(d))
         out = tmp / "least"
+        record = ("--out", str(tmp / "record"), "--record")
+        assert run_cli("all", "--config", str(least), *record) in (0, 1)
         assert run_cli("primesums", "--config", str(least), "--out", str(out)) == 0
         assert run_cli("moments", "--config", str(least), "--out", str(out)) in (0, 1)
         rows = read_rows(out / "moments_checks.csv")
@@ -813,6 +838,22 @@ class TestCli:
         )
         row = conjugation_row(dropped)
         assert row.value == math.inf and not row.passed
+
+    def test_copied_conjugate_perturbation_fails_conjugation(self):
+        # RH roots reads a conjugate pair at its lower row only; a perturbed
+        # row of the copied conjugate still fails the conjugation row
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+        specs, signature = cfg.resolved_shift_specs(), cfg.lfun_signature()
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
+        conj_rows, copied = fam.copied_conjugates()
+        assert copied.any() and not copied[conj_rows[copied]].any()
+        coeffs = fam.coeffs.copy()
+        coeffs[np.flatnonzero(copied)[0], -1] += 0.5
+        perturbed = dataclasses.replace(fam, coeffs=coeffs)
+        res = cli._lfun_result(cfg, perturbed, specs, signature)
+        rows = {r.anchor: r for r in res["rows"]}
+        assert rows["conjugation"].value > 0.4 and not rows["conjugation"].passed
+        assert rows["RH roots"].passed
 
     def test_lfun_rows_without_primitive_characters(self):
         # T^2 + T at q=2 has no primitive characters: no RH-root rows,
