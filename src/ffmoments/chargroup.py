@@ -4,8 +4,13 @@ By the CRT the unit group is the product of the local groups (F_q[T]/P^e)^*
 over the prime-power factors of Q.  Each local group is built on residue
 index arrays once per process per prime power and memoised: the part of
 order q^deg(P) - 1 is generated by a power of the first primitive root mod P,
-the (1+P)-part by a greedy p-group basis, and a mask marks its primitive
-characters.  unit_group glues the local tables of Q with the CRT
+and a mask marks the primitive characters.  As q is prime, (1 + x)^q =
+1 + x^q, so the (1+P)-part has the closed-form basis 1 + T^i P^j (i < deg P,
+0 < j < e, q not dividing j), each of order q^m with m least such that
+j q^m >= e.  The product is direct: level n = j q^t of the filtration
+1 + P^n is reached only from j, z -> z^(q^t) permutes F_q[T]/P so the
+q^t-th powers of level j span level n, and the orders multiply to
+q^(deg P (e-1)).  unit_group glues the local tables of Q with the CRT
 idempotents: generator basis with orders, plus a full discrete-log table
 mapping every coprime residue (in its integer encoding) to its exponent
 vector.  The map (a_1..a_r) -> prod g_j^a_j is verified to be a bijection
@@ -193,66 +198,42 @@ def _power_blocks(q: int, mod_digits, table, g: int, m: int) -> np.ndarray:
     return out
 
 
-def _one_plus_p_basis(q: int, elems, local, frob):
-    """Orders and C-order table of the (1+P)-part of (F_q[T]/P^e)^* from its
-    sorted elements: greedy maximal-order selection (the first element of
-    the largest order over the subgroup found so far) with the classical
-    correction step.  The p-th power is the Frobenius digit map frob; a
-    lookup array over all residues gives each element's flat table index."""
-    d = len(local) - 1
-    orders, table = [], np.ones(1, dtype=np.int64)
-    where = np.full(q**d, -1, dtype=np.int64)
-    where[1] = 0  # the residue 1 is the table's flat index 0
-    while len(table) < len(elems):
-        x, size = elems.copy(), np.ones(len(elems), dtype=np.int64)
-        pending = where[x] < 0
-        while pending.any():
-            x[pending] = _from_digits(q, digit_rows(x[pending], q, d).T @ frob % q)
-            size[pending] *= q
-            pending = where[x] < 0
-        best = int(np.argmax(size))
-        k = int(size[best])
-        (tail,) = _exponent_grid(where[x[best : best + 1]], orders)  # of h^k
-        if np.any(tail % k):
-            raise ArithmeticError("p-group basis correction failed")
-        fix = table[-(tail // k) % np.array(orders, np.int64) @ _strides(orders)]
-        h = scale_mod_many(q, local, elems[best : best + 1], fix)[0]
-        table = _power_blocks(q, local, table, h, k).reshape(k, -1).T.ravel()
-        orders.append(k)
-        where[table] = np.arange(len(table))
-        if np.count_nonzero(where >= 0) != len(table):
-            raise ArithmeticError("p-group basis is not direct")
-    return orders, table
-
-
 def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
-    """The cyclic part of order c = q^k - 1 (k = deg P) is generated by
-    r^(q^(k(e-1))), r the first primitive root mod P in index order: the
-    first candidate whose powers r^0..r^(c-1) mod P are 1 only at r^0, which
-    then are the cyclic table.  A constant's order divides q - 1 < c, so for
-    k >= 2 the search starts at T.  u^(q^(k(e-1))) mod P^e
-    depends only on u mod P, and z -> z^q is F_q-linear on the digits, so
-    the powers of r mod P lift to P^e by one digit-matrix product.  A local
-    character is primitive iff it is non-trivial on 1 + P^(e-1) a, deg a < k.
-    For e = 1 these are all the units, so only the principal character is
-    imprimitive.  For e >= 2 they form a group isomorphic to (F_q[T]/P, +),
-    as 2(e-1) >= e, so testing its k generators 1 + P^(e-1) T^i suffices."""
+    """The (1+P)-part (e >= 2) has the closed-form basis 1 + T^i P^j, i < k =
+    deg P and 0 < j < e with q not dividing j, of order q^m for the least m
+    with j q^m >= e, since (1 + x)^q = 1 + x^q.  It is direct: level
+    n = j q^t of the filtration 1 + P^n is reached only from j; z -> z^(q^t)
+    permutes F_q[T]/P, so the q^t-th powers of the k generators of level j
+    span level n; and the orders multiply to q^(k(e-1)), the size of the part.
+    The cyclic part of order c = q^k - 1 is generated by r^(q^(k(e-1))), r
+    the first primitive root mod P in index order: the first candidate whose
+    powers r^0..r^(c-1) mod P are 1 only at r^0, which then are the cyclic
+    table.  A constant's order divides q - 1 < c, so for k >= 2 the search
+    starts at T.  u^(q^(k(e-1))) mod P^e depends only on u mod P, and
+    z -> z^q is F_q-linear on the digits, so the powers of r mod P lift to
+    P^e by one digit-matrix product.  A local character is primitive iff it
+    is non-trivial on 1 + P^(e-1) a, deg a < k.  For e = 1 these are all the
+    units, so only the principal character is imprimitive.  For e >= 2 they
+    form a group isomorphic to (F_q[T]/P, +), as 2(e-1) >= e, so testing its
+    k generators 1 + P^(e-1) T^i suffices."""
     k = len(P) - 1
-    below = np.ones(1, dtype=np.int64)  # P^(e-1)
-    for _ in range(e - 1):
-        below = np.convolve(below, P) % q
-    local, d = np.convolve(below, P) % q, k * e
-    frob = reduction_rows(q, local, (d - 1) * q)[::q]  # rows T^(iq) mod P^e
+    powers = [np.ones(1, dtype=np.int64)]  # P^j, j <= e
+    for _ in range(e):
+        powers.append(np.convolve(powers[-1], P) % q)
+    local, d = powers[e], k * e
     orders, table = [], np.ones(1, dtype=np.int64)
-    if e > 1:
-        elems = np.sort(_one_plus(q, local, P, np.arange(q ** (d - k))))
-        orders, table = _one_plus_p_basis(q, elems, local, frob)
+    for j in (j for j in range(1, e) if j % q):
+        m = q ** next(t for t in itertools.count() if j * q**t >= e)
+        for g in _one_plus(q, local, powers[j], q ** np.arange(k)).tolist():
+            table = _power_blocks(q, local, table, g, m).reshape(m, -1).T.ravel()
+            orders.append(m)
     c = q**k - 1
     if c > 1:
         for r in itertools.count(q if k > 1 else 1):
             cyclic = _power_blocks(q, P, np.ones(1, np.int64), r, c)
             if np.count_nonzero(cyclic == 1) == 1:
                 break
+        frob = reduction_rows(q, local, (d - 1) * q)[::q]  # rows T^(iq) mod P^e
         lift = np.eye(k, d, dtype=np.int64)
         for _ in range(d - k):
             lift = lift @ frob % q
@@ -264,7 +245,7 @@ def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
     else:
         where = np.full(q**d, -1, dtype=np.int64)
         where[table] = np.arange(len(table))
-        gens = where[_one_plus(q, local, below, q ** np.arange(k))]
+        gens = where[_one_plus(q, local, powers[e - 1], q ** np.arange(k))]
         grid = _exponent_grid(np.arange(len(table)), orders)
         primitive = ~_trivial_on_rows(orders, grid, grid[gens])
     for a in (local, table, primitive):

@@ -102,7 +102,9 @@ FAMILY_COMMANDS = ("enumerate", "lfun", "moments")
 
 # tolerances shared by several rows; the others are stated at their row
 IDENTITY_TOL = 1e-8  # an identity evaluated in floating point
-FIXTURE_REL_TOL = 0.25  # a family maximum against its recorded fixture
+# a family maximum against its recorded fixture; the absolute part lets a
+# constant of rounding noise about 0 (at q = 2 every character is even) move
+FIXTURE_REL_TOL, FIXTURE_ABS_TOL = 0.25, 1e-12
 CHARACTER_COLUMNS = 256  # at most, in enumerate's dense character matrix
 
 
@@ -136,15 +138,17 @@ def _family_results(cfg: ExperimentConfig, jobs: int, commands) -> list[dict]:
 
 def _family_rows(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
     """One fixture row per family entry key: the maximum of its values over
-    the moduli, by ascending degree, then in the order the entries came."""
+    the moduli, by ascending degree, then in the order the entries came.  A
+    NaN value makes the maximum NaN, which fails the row."""
     maxima: dict[str, list] = {}
+    tol = {"rel_tol": FIXTURE_REL_TOL, "abs_tol": FIXTURE_ABS_TOL}
     for res in sorted(results, key=lambda res: res["degree"]):
         subject = f"q={cfg.q}, d(Q)={res['degree']}"
         for anchor, params, key, value in res["family"]:
             entry = maxima.setdefault(key, [anchor, subject, params, -math.inf])
-            entry[3] = max(entry[3], value)
+            entry[3] = float(np.maximum(entry[3], value))
     return [
-        fixtures.row(anchor, subject, params, key, value, rel_tol=FIXTURE_REL_TOL)
+        fixtures.row(anchor, subject, params, key, value, **tol)
         for key, (anchor, subject, params, value) in maxima.items()
     ]
 
@@ -339,9 +343,10 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
         eq33 = prop32 = -math.inf
         for h in cfg.x_exponents:
             defects = log_abs - table.simplified(grid + shifts, h)
-            eq33 = max(eq33, float(np.max(defects[:, :n])))
+            eq33 = float(np.maximum(eq33, np.max(defects[:, :n])))
             weighted = np.add.reduceat(defects[:, n:] * a, starts, axis=1)
-            prop32 = max(prop32, float(np.max(weighted)) - 10 * modulus.degree / h)
+            weighted -= 10 * modulus.degree / h
+            prop32 = float(np.maximum(prop32, np.max(weighted)))
         scale = modulus.log_norm / loglog_norm(modulus)
         eq34 = float(np.max(log_abs[:, :n])) / scale
         key, sup = f"{signature}/{cfg.family_key(modulus.degree)}", "family sup defect"
@@ -423,7 +428,7 @@ def _moments_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
         M = perron["points_factor"] * (N + modulus.degree)
         quad = perron_partial_sum(sample, N, perron["radius"], M)
         err = np.max(np.abs(quad - np.sum(sample[:, : N + 1], axis=1)))
-        perron_max_err = max(perron_max_err, float(err))
+        perron_max_err = float(np.maximum(perron_max_err, err))
 
     for m, yexp in sorted(itertools.product(cfg.moment_exponents, cfg.y_exponents)):
         params = f"m={m}, Y=q^{yexp}" + ("" if m > 2 else " (outside stated range)")

@@ -131,9 +131,9 @@ class FixtureChecker:
     """Compare measured sweep constants against the committed fixtures.
 
     In record mode every checked key is overwritten with the measured value
-    and the row passes; in verify mode a key must be recorded and match
-    within the given absolute or relative tolerance, and a missing key fails
-    with a blank constant.
+    and the row passes; in verify mode a key must be recorded and satisfy
+    |value - recorded| <= abs_tol + rel_tol |recorded|, each tolerance 0 by
+    default, and a missing key fails with a blank constant.
     """
 
     def __init__(self, fixtures: dict[str, float], record: bool):
@@ -145,8 +145,8 @@ class FixtureChecker:
         self,
         key: str,
         value: float,
-        rel_tol: float | None = None,
-        abs_tol: float | None = None,
+        rel_tol: float = 0.0,
+        abs_tol: float = 0.0,
     ) -> tuple[bool, float | str]:
         if self.record and math.isfinite(value):
             self.fixtures[key] = value
@@ -155,11 +155,7 @@ class FixtureChecker:
         if key not in self.fixtures or not math.isfinite(value):
             return False, self.fixtures.get(key, "")
         recorded = self.fixtures[key]
-        if abs_tol is not None:
-            ok = abs(value - recorded) <= abs_tol
-        else:
-            ok = abs(value - recorded) <= rel_tol * abs(recorded)
-        return ok, recorded
+        return abs(value - recorded) <= abs_tol + rel_tol * abs(recorded), recorded
 
     def row(self, anchor, subject, params, key, value, **tol) -> CheckRow:
         """The row comparing ``value`` with fixture ``key`` (see ``check``)."""

@@ -1,6 +1,7 @@
 """Unit-group structure, Dirichlet characters, primitivity."""
 
 import importlib
+import json
 import math
 import pkgutil
 import random
@@ -26,6 +27,7 @@ from ffmoments.chargroup import (
     primitive_count_inclusion_exclusion,
     unit_group,
 )
+from ffmoments.cli import main as cli_main
 from ffmoments.config import load_config
 from ffmoments.ffpoly import (
     FieldSpec,
@@ -168,7 +170,8 @@ def oracle_pgroup_basis(elements, mul, one, p):
 def oracle_component_basis(field, P, e):
     """Generator/order pairs for (F_q[T]/P^e)^*: the part of order
     q^deg(P) - 1 by order testing over residues in enumeration order, the
-    (1+P)-part by the generic p-group basis."""
+    (1+P)-part by the closed-form basis 1 + T^i P^j (i < deg P, 0 < j < e,
+    q not dividing j), each order found by repeated q-th powers."""
     q = field.q
     local = P
     for _ in range(e - 1):
@@ -191,24 +194,42 @@ def oracle_component_basis(field, P, e):
                 break
         gens.append(found)
         orders.append(cyc)
-    if e > 1:
-        elems = []
-        for widx in range(ppart):
-            w = residue_from_index(field, P.degree * (e - 1), widx)
-            elems.append(residue_index((one + P * w) % local, dloc))
-        elems.sort()
-
-        def mul_idx(a, b):
-            pa = residue_from_index(field, dloc, a)
-            pb = residue_from_index(field, dloc, b)
-            return residue_index((pa * pb) % local, dloc)
-
-        pbasis, porders = oracle_pgroup_basis(
-            elems, mul_idx, residue_index(one, dloc), q
-        )
-        gens.extend(residue_from_index(field, dloc, g) for g in pbasis)
-        orders.extend(porders)
+    P_j = one
+    for j in range(1, e):
+        P_j = P_j * P
+        if j % q == 0:
+            continue
+        T_i = one
+        for _ in range(P.degree):
+            g = (one + T_i * P_j) % local
+            power, order = g, 1
+            while power != one:
+                power, order = pow_mod(power, q, local), order * q
+            gens.append(g)
+            orders.append(order)
+            T_i = T_i * FqPoly.variable(field)
     return local, gens, orders
+
+
+def oracle_one_plus_p_orders(field, P, e):
+    """Orders of the greedy p-group basis of the (1+P)-part of
+    (F_q[T]/P^e)^*, over its sorted element list in FqPoly arithmetic."""
+    local = P
+    for _ in range(e - 1):
+        local = local * P
+    dloc, one = local.degree, FqPoly.one(field)
+    elems = []
+    for widx in range(field.q ** (P.degree * (e - 1))):
+        w = residue_from_index(field, P.degree * (e - 1), widx)
+        elems.append(residue_index((one + P * w) % local, dloc))
+
+    def mul_idx(a, b):
+        pa = residue_from_index(field, dloc, a)
+        pb = residue_from_index(field, dloc, b)
+        return residue_index((pa * pb) % local, dloc)
+
+    one_idx = residue_index(one, dloc)
+    return oracle_pgroup_basis(sorted(elems), mul_idx, one_idx, field.q)[1]
 
 
 def oracle_unit_group(modulus):
@@ -713,6 +734,47 @@ class TestLocalTables:
                 assert table.orders == (q**d - 1,)
                 root = oracle_primitive_root(q, np.array(P.coeffs))
                 assert int(table.residues[1]) == root, str(P)
+
+    @pytest.mark.parametrize(
+        "field,top", [(F2, 12), (F3, 7), (F5, 5), (F7, 4)], ids=["q2", "q3", "q5", "q7"]
+    )
+    def test_closed_form_matches_greedy_basis(self, field, top):
+        # every P^e, e >= 2, with at most 2^12 residues: the local table is a
+        # bijection onto the units, and its p-part orders are those of the
+        # greedy basis
+        q = field.q
+        for k in range(1, top // 2 + 1):
+            for e in range(2, top // k + 1):
+                for P in enumerate_irreducible(field, k):
+                    power = P
+                    for _ in range(e - 1):
+                        power = power * P
+                    local = factor_modulus(power)
+                    g = unit_group(local)
+                    assert math.prod(g.orders) == local.phi
+                    greedy = oracle_one_plus_p_orders(field, P, e)
+                    assert [m for m in g.orders if m % q == 0] == greedy, (str(P), e)
+
+    def test_repeated_generator_block_fails_loudly(self, monkeypatch, tmp_path, capsys):
+        # T^3 at q = 3 with the generator 1 + T^2 replaced by 1 + T, which is
+        # then repeated: the table is not direct, which unit_group catches,
+        # and a run on it is an internal error, not a failed check
+        good = chargroup._build_local_table(3, np.array([0, 1]), 3)
+        assert good.orders == (2, 3, 3)
+        blocks = good.residues.reshape(2, 3, 3)
+        bad = blocks[:, (np.arange(3)[:, None] + np.arange(3)) % 3, 0].ravel()
+        assert len(np.unique(bad)) < len(bad) == 18
+        key = (3, (0, 1), 3)
+        tampered = good._replace(residues=bad)
+        monkeypatch.setattr(chargroup, "_LOCAL_TABLES", {key: tampered})
+        with pytest.raises(ArithmeticError, match="distinct"):
+            unit_group(modulus(F3, "T^3"))
+        cfg = tmp_path / "t3.json"
+        cfg.write_text(json.dumps({"schema": 1, "q": 3, "moduli": ["T^3"]}))
+        out = str(tmp_path / "out")
+        assert cli_main(["enumerate", "--config", str(cfg), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "ArithmeticError: unit residues are not distinct" in err
 
     def test_family_path_makes_no_poly_arithmetic(self, monkeypatch):
         moduli = [

@@ -229,6 +229,88 @@ class TestReportRows:
         row = fixtures.row("Prop 3.3", "s", "p", key, value, rel_tol=0.25)
         assert row == CheckRow("Prop 3.3", "s", "p", value, expected[1], expected[0])
 
+    @pytest.mark.parametrize(
+        "value, tol, passed",
+        [
+            (1.375, {"rel_tol": 0.25, "abs_tol": 0.125}, True),  # the sum, exactly
+            (1.5, {"rel_tol": 0.25, "abs_tol": 0.125}, False),
+            (1.125, {"abs_tol": 0.125}, True),  # rel_tol defaults to 0
+            (1.25, {"abs_tol": 0.125}, False),
+            (1.25, {"rel_tol": 0.25}, True),  # abs_tol defaults to 0
+            (1.0, {}, True),  # no tolerance: equality only
+            (1.0 + 4e-16, {}, False),
+        ],
+    )
+    def test_fixture_tolerance_is_absolute_plus_relative(self, value, tol, passed):
+        fixtures = FixtureChecker({"recorded": 1.0}, record=False)
+        assert fixtures.check("recorded", value, **tol) == (passed, 1.0)
+
+    def test_family_rows_tolerate_noise_about_zero(self):
+        # at q = 2 every character is even, so the Thm 1.3 family maxima are
+        # rounding noise: recorded 0.0 at degree 2 and below 1e-79 at degree 3
+        cfg = load_config(CONFIGS / "lfun_q2_d3.json")
+        fixtures = FixtureChecker(load_fixtures(), record=False)
+        keys = [k for k in fixtures.fixtures if k.startswith("moments/thm13_max/q2_")]
+        d3 = [k for k in keys if k.startswith("moments/thm13_max/q2_d3_")]
+        d2 = [k for k in keys if k.startswith("moments/thm13_max/q2_d2_")]
+        assert len(d3) == len(d2) == 4
+        assert all(0 < fixtures.fixtures[k] < 1e-79 for k in d3)
+        assert all(fixtures.fixtures[k] == 0.0 for k in d2)
+        family = [("Thm 1.3", "p", k, 1e6 * fixtures.fixtures[k]) for k in d3]
+        rows = cli._family_rows(cfg, fixtures, [{"degree": 3, "family": family}])
+        assert len(rows) == 4 and all(row.passed for row in rows)
+        family = [("Thm 1.3", "p", k, 1e-3) for k in d2]
+        rows = cli._family_rows(cfg, fixtures, [{"degree": 2, "family": family}])
+        assert len(rows) == 4 and not any(row.passed for row in rows)
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan, 1.0]])
+    def test_nan_family_value_fails_its_row(self, values):
+        fixtures = FixtureChecker({"k": 1.0}, record=False)
+        results = [
+            {"degree": 2, "family": [("Prop 3.3", "p", "k", value)]} for value in values
+        ]
+        (row,) = cli._family_rows(SimpleNamespace(q=3), fixtures, results)
+        assert math.isnan(row.value) and not row.passed
+        (row,) = cli._family_rows(SimpleNamespace(q=3), fixtures, results[:1] * 2)
+        assert row.passed == (values[0] == 1.0)
+
+    def test_nan_bound_at_one_cutoff_reaches_lfun_family(self, monkeypatch):
+        # a NaN simplified bound at the first of two cutoffs h makes the
+        # running eq33 and Prop 3.2 maxima NaN, not the second cutoff's value
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+        cfg = dataclasses.replace(cfg, x_exponents=[1, 2])
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
+        simplified = cli.PrimePowerTable.simplified
+
+        def nan_at_first(self, ts, h):
+            out = simplified(self, ts, h)
+            return out * math.nan if h == 1 else out
+
+        args = (cfg, fam, cfg.resolved_shift_specs(), cfg.lfun_signature())
+        family = {a: v for a, _, _, v in cli._lfun_result(*args)["family"]}
+        assert all(math.isfinite(v) for v in family.values())
+        monkeypatch.setattr(cli.PrimePowerTable, "simplified", nan_at_first)
+        family = {a: v for a, _, _, v in cli._lfun_result(*args)["family"]}
+        assert math.isnan(family["simplified log-L bound"])
+        assert math.isnan(family["Prop 3.2"])
+        assert math.isfinite(family["single-L bound"])
+
+    def test_nan_perron_error_fails_lemma24(self, monkeypatch):
+        # a NaN quadrature in the first group of equal N fails the row
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
+        perron_partial_sum, calls = cli.perron_partial_sum, []
+
+        def nan_first(*args):
+            calls.append(args)
+            return perron_partial_sum(*args) * (math.nan if len(calls) == 1 else 1)
+
+        monkeypatch.setattr(cli, "perron_partial_sum", nan_first)
+        args = (cfg, fam, cfg.resolved_shift_specs(), cfg.moments_signature())
+        rows = cli._moments_result(*args)["rows"]
+        (row,) = [row for row in rows if row.anchor == "Lemma 2.4"]
+        assert len(calls) > 1 and math.isnan(row.value) and not row.passed
+
 
     @pytest.mark.parametrize(
         "rows",
