@@ -10,7 +10,9 @@ digit column x (leading coefficient included) reduces to the digits
 irreducible_indices sieves the monic irreducibles of each degree.  A monic
 A = H T^d + R of degree n, deg R < d, is a multiple of the degree-d prime P
 exactly when R = -H T^d mod P; then index(A) = index(H) q^d + index(R), and
-R is linear in the digits of H.  scale_mod_many multiplies a batch of
+R is linear in the digits of H.  The multiples are built in steps of at most
+_SIEVE_CHUNK products, so beyond the mask of degree n the working memory
+does not grow with q^(n-d).  scale_mod_many multiplies a batch of
 encoded residues by residues mod Q.
 """
 
@@ -20,8 +22,8 @@ import functools
 
 import numpy as np
 
-# products per sieve array operation; bounds the sieve's working memory
-_SIEVE_CHUNK = 1 << 20
+# products per sieve step; bounds the sieve's working memory
+_SIEVE_CHUNK = 1 << 17
 
 
 def digit_rows(indices, q: int, width: int) -> np.ndarray:
@@ -53,14 +55,33 @@ def reduction_rows(q: int, mod_digits, top: int) -> np.ndarray:
     return rows
 
 
+def _add_digits(r: np.ndarray, rho: np.ndarray, q: int, steps: int) -> np.ndarray:
+    """Outer sums r + h_k rho[k] mod q over the digits h_k = 0..q-1 of each
+    row block rho[k], shape (d, R), in turn; each digit becomes the new most
+    significant part of the last axis, (d, R, X) -> (d, R, q X).  Reduced mod
+    q in place after every `steps` digits and after the last one."""
+    hdig = np.arange(q, dtype=r.dtype)[:, None]
+    for k, rho_k in enumerate(rho, 1):
+        r = r[:, :, None] + hdig * rho_k[:, :, None, None]
+        r = r.reshape(r.shape[0], r.shape[1], -1)
+        if k % steps == 0 or k == len(rho):
+            t = r // q  # numpy divides by a scalar far faster than %
+            t *= q
+            r -= t
+    return r
+
+
 def _multiple_indices(q: int, primes: np.ndarray, n: int, d: int):
     """Yield the indices of the monic degree-n multiples of the degree-d
-    primes, one (c, q^m) array per chunk of c primes, m = n - d; row i, column
-    index(H) is the multiple of the i-th prime with top part H.  Its remainder
-    R = sum_k h_k rho_k over the digits of H (h_m = 1), rho_k = -T^(d+k) mod P,
-    is built by outer sums, one digit of H per step as the new most
-    significant axis, in the narrowest dtype that cannot wrap between its
-    reductions mod q, one every `steps` steps: (q - 1) + steps (q - 1)^2."""
+    primes, in arrays of at most _SIEVE_CHUNK products.  A multiple of P is
+    A = H T^d + R, fixed by its monic top part H of degree m = n - d, with
+    R = sum_k h_k rho_k over the digits of H (h_m = 1), rho_k = -T^(d+k) mod
+    P.  The low j digits of H, j <= m largest with q^j <= _SIEVE_CHUNK, vary
+    along the last axis; a row is one (prime, top digits) pair, with base
+    vector rho_m + sum_{k >= j} h_k rho_k.  Flattened in yield order, the
+    arrays run over the primes and for each over index(H).  Digit sums are
+    in the narrowest dtype that cannot wrap between their reductions mod q,
+    one every `steps` digits: (q - 1) + steps (q - 1)^2."""
     m = n - d
     itype = np.int32 if q**n < 2**31 else np.int64
     for ctype in (np.int8, np.int16, np.int32, np.int64):
@@ -69,22 +90,22 @@ def _multiple_indices(q: int, primes: np.ndarray, n: int, d: int):
             break
     rho = -reduction_rows(q, digit_rows(primes + q**d, q, d + 1).T, n)[:, d:] % q
     rho = rho.transpose(1, 2, 0).astype(ctype)  # (m + 1, d, N)
-    hdig = np.arange(q, dtype=ctype)[:, None]
-    top = np.arange(q**m, dtype=itype) * q**d
-    step = max(1, _SIEVE_CHUNK // q**m)
-    for s in range(0, len(primes), step):
-        chunk = rho[:, :, s : s + step, None]
-        r = chunk[m]
-        for k in range(m):
-            r = r[:, :, None] + hdig * chunk[k, :, :, None]
-            r = r.reshape(d, r.shape[1], -1)
-            if (k + 1) % steps == 0 or k == m - 1:
-                r -= r // q * q  # numpy divides by a scalar far faster than %
+    j = 0
+    while j < m and q ** (j + 1) <= _SIEVE_CHUNK:
+        j += 1
+    tops = q ** (m - j)  # rows per prime
+    bases = _add_digits(rho[m][:, :, None], rho[j:m], q, steps).reshape(d, -1)
+    low = np.arange(q**j, dtype=itype) * q**d
+    step = _SIEVE_CHUNK // q**j  # rows per array, at least 1
+    for s in range(0, bases.shape[1], step):
+        rows = np.arange(s, min(s + step, bases.shape[1]))
+        r = _add_digits(bases[:, rows, None], rho[:j, :, rows // tops], q, steps)
         index = r[d - 1].astype(itype)  # widen before scaling
-        for j in range(d - 2, -1, -1):
+        for i in range(d - 2, -1, -1):
             index *= q
-            index += r[j]
-        index += top
+            index += r[i]
+        index += low
+        index += (rows % tops * q ** (j + d)).astype(itype)[:, None]
         yield index
 
 
@@ -105,7 +126,7 @@ def irreducible_indices(
         for d in range(1, n // 2 + 1):
             for index in _multiple_indices(q, out[d], n, d):
                 mask[index] = False
-        out.append(np.flatnonzero(mask).astype(np.int64))
+        out.append(np.flatnonzero(mask).astype(np.int64, copy=False))
     return out
 
 

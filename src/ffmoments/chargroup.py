@@ -347,17 +347,21 @@ def unit_group(modulus: Modulus) -> UnitGroup:
     Q, and x -> x e_i mod Q is linear on the digits, so the units over the
     whole exponent grid come from one broadcast digit sum mod q; generator j
     of factor i lifts to the unit 1 + (g_j - 1) e_i, at its unit exponent
-    vector."""
+    vector.  When Q is one prime power its local table already holds the
+    units, so there is nothing to glue."""
     field, Q = modulus.field, modulus.poly
     q, dQ = field.q, Q.degree
     tables = [_local_table(field, P, e) for P, e in modulus.factors]
-    shifted = reduction_rows(q, Q.coeffs, 2 * dQ - 2)  # T^k mod Q
-    digits = np.zeros((1, dQ), dtype=np.int64)
-    for i, t in enumerate(tables):
-        local = digit_rows(t.residues, q, len(t.modulus) - 1).T
-        local = local @ _times_idempotent(q, tables, i, shifted)
-        digits = (digits[:, None, :] + local[None, :, :]).reshape(-1, dQ)
-    res = _from_digits(q, digits % q)
+    if len(tables) == 1:  # Q = P^e: the idempotent is 1
+        res = tables[0].residues
+    else:
+        shifted = reduction_rows(q, Q.coeffs, 2 * dQ - 2)  # T^k mod Q
+        digits = np.zeros((1, dQ), dtype=np.int64)
+        for i, t in enumerate(tables):
+            local = digit_rows(t.residues, q, len(t.modulus) - 1).T
+            local = local @ _times_idempotent(q, tables, i, shifted)
+            digits = (digits[:, None, :] + local[None, :, :]).reshape(-1, dQ)
+        res = _from_digits(q, digits % q)
     orders = tuple(m for t in tables for m in t.orders)
     order = np.argsort(res, kind="stable")
     gens = res[_strides(orders)]  # the units at the unit exponent vectors

@@ -5,15 +5,15 @@ partial sums, and the circle-integral moment.
 Each family is one array pass per quantity: shifted_moment evaluates |L|
 at the shifts of all specs with one product and slices it per spec,
 circle_angle_moments does the same at the circle angles, perron_partial_sum
-evaluates every given coefficient row on the sampled circle by one Horner
-pass, and integral_moment computes the per-character circle integrals once
+takes one product of the coefficient rows with the circle quadrature's
+weights, and integral_moment computes the per-character circle integrals once
 for all exponents and once per conjugate pair, sampling |L| on the uniform
 circle grid by one FFT per block of CIRCLE_ROWS scaled coefficient rows.
 
 What depends only on q, deg Q and the specs or sampling parameters is
 computed once per process by memoised helpers that return read-only
-arrays: the Theorem 1.1 base and pair factors, the Perron circle grid with
-its denominator, and, in lfunc (abs_l_at, shared with lfun's log|L|), the
+arrays: the Theorem 1.1 base and pair factors, the Perron quadrature
+weights, and, in lfunc (abs_l_at, shared with lfun's log|L|), the
 powers of u at the shift points and circle points.
 
 All sums over characters run in canonical character-index order with
@@ -226,10 +226,13 @@ def charsum_moment(family: PrimitiveFamily, m: float, Y) -> CharSumMoment:
 
 
 @functools.cache
-def _perron_grid(N: int, r: float, M: int):
-    """The M-point circle u of radius r and the denominator (1 - u) u^N."""
+def _perron_weights(N: int, dQ: int, r: float, M: int) -> np.ndarray:
+    """The quadrature weights w_n = mean over the M-point circle u of radius
+    r of u^n / ((1 - u) u^N), n < dQ: the Perron sum of a coefficient row c
+    is c @ w."""
     u = r * np.exp(2j * np.pi * np.arange(M) / M)
-    return _read_only(u), _read_only((1 - u) * u**N)
+    powers = u ** np.arange(dQ)[:, None]
+    return _read_only(np.mean(powers / ((1 - u) * u**N), axis=1))
 
 
 def perron_partial_sum(coeffs: np.ndarray, N: int, r: float, M: int) -> np.ndarray:
@@ -238,9 +241,11 @@ def perron_partial_sum(coeffs: np.ndarray, N: int, r: float, M: int) -> np.ndarr
 
         (1/2 pi i) * integral over |u|=r of L(u) du / ((1-u) u^(N+1)),
 
-    by M-point uniform sampling of the circle, every row evaluated there by
-    one Horner pass.  Requires 0 < r < 1 and M >= 4 (deg(Q) + N + 2), where
-    deg(Q) is the row length, so aliased powers are negligible.
+    by M-point uniform sampling of the circle.  The sampled integral is
+    linear in the coefficients, so every row is one product with the
+    memoised weights of (N, deg(Q), r, M).  Requires 0 < r < 1 and
+    M >= 4 (deg(Q) + N + 2), where deg(Q) is the row length, so aliased
+    powers are negligible.
     """
     if not 0 < r < 1:
         raise ValueError("radius must satisfy 0 < r < 1")
@@ -248,13 +253,7 @@ def perron_partial_sum(coeffs: np.ndarray, N: int, r: float, M: int) -> np.ndarr
     dQ = coeffs.shape[1]
     if M < 4 * (dQ + N + 2):
         raise ValueError(f"sample count too small; need M >= {4 * (dQ + N + 2)}")
-    u, denominator = _perron_grid(N, r, M)
-    values = np.zeros((len(coeffs), M), dtype=np.complex128)
-    for c in coeffs.T[::-1]:
-        values *= u
-        values += c[:, None]
-    return np.mean(values / denominator, axis=1)
-
+    return coeffs @ _perron_weights(N, dQ, r, M)
 
 
 def perron_aliasing_bound(coeffs: np.ndarray, r: float, M: int) -> np.ndarray:

@@ -25,6 +25,8 @@ from ffmoments.moments import theta_bar
 
 # the prime-power tail beyond x = q^h is summed up to degree TAIL_MULTIPLE * h
 TAIL_MULTIPLE = 4
+# cutoffs h per cumulative-sum block of fsum_defect_sup; bounds its memory
+_FSUM_BLOCK = 512
 
 
 def _prime_weights(q: int, n_max: int) -> np.ndarray:
@@ -120,11 +122,23 @@ def mertens_grid_sweep(
 
 def fsum_defect_sup(h_max: int, theta_points: int) -> float:
     """sup over h <= h_max and a uniform theta grid on [0, 2*pi) of
-    |F(h, theta) - log min(h, 1/theta_bar(theta))|."""
+    |F(h, theta) - log min(h, 1/theta_bar(theta))|.  F is summed over blocks
+    of _FSUM_BLOCK cutoffs h, each cumulative sum started from the previous
+    block's last row.  np.cumsum adds row by row, so every F(h, theta) is the
+    same float as in F_sum_cumulative, and the working memory does not grow
+    with h_max."""
+    if h_max < 1:
+        raise ValueError("F requires h >= 1")
     thetas = 2 * math.pi * np.arange(theta_points) / theta_points
-    F = F_sum_cumulative(h_max, thetas)
-    hs = np.arange(1, h_max + 1, dtype=np.float64)[:, None]
-    return float(np.max(np.abs(F - _log_min(hs, theta_bar(thetas)))))
+    tbar = theta_bar(thetas)
+    sup, last = 0.0, np.zeros((1, theta_points))
+    for start in range(1, h_max + 1, _FSUM_BLOCK):
+        n = np.arange(start, min(start + _FSUM_BLOCK, h_max + 1), dtype=np.float64)
+        terms = np.cos(n[:, None] * thetas[None, :]) / n[:, None]
+        F = np.cumsum(np.concatenate([last, terms]), axis=0)[1:]
+        last = F[-1:]
+        sup = np.maximum(sup, np.max(np.abs(F - _log_min(n[:, None], tbar))))
+    return float(sup)
 
 
 def tail_remainder_bound(h, truncation_degree):

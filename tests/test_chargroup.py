@@ -721,6 +721,20 @@ class TestLocalTables:
             assert len(g.modulus.factors) > 1
 
     @pytest.mark.parametrize(
+        "field,text",
+        [(F2, "T^6"), (F3, "T^6 + 1"), (F3, "T^5 + 2*T + 1")],
+        ids=["q2-T^6", "q3-(T^2+1)^3", "q3-prime-d5"],
+    )
+    def test_single_prime_power_needs_no_crt_glue(self, field, text, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("CRT idempotent built for one prime power")
+
+        monkeypatch.setattr(chargroup, "_times_idempotent", forbidden)
+        m = modulus(field, text)
+        assert len(m.factors) == 1
+        assert_matches_oracles(m)
+
+    @pytest.mark.parametrize(
         "field,top", [(F2, 8), (F3, 5), (F5, 3), (F7, 3)], ids=["q2", "q3", "q5", "q7"]
     )
     def test_primitive_root_matches_square_and_multiply(self, field, top):

@@ -2,6 +2,7 @@
 the rows T^k mod F that every reduction mod a modulus goes through."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,31 +53,58 @@ def test_sieve_sorted_lexicographic():
 )
 def test_sieve_counts_match_formula(q, n_max, monkeypatch):
     fresh = irreducible_indices(q, n_max)
-    # a small chunk splits every (degree, factor degree) pass over the primes
+    # a small chunk splits every (degree, factor degree) pass into many rows
     monkeypatch.setattr(_backend, "_SIEVE_CHUNK", 1 << 8)
     chunked = irreducible_indices(q, n_max)
     field = FieldSpec(q)
     for n in range(1, n_max + 1):
         assert len(chunked[n]) == prime_count_exact(field, n)
         assert np.array_equal(chunked[n], fresh[n])
+    # a chunk below q leaves no low digits: every row is one product
+    monkeypatch.setattr(_backend, "_SIEVE_CHUNK", q - 1)
+    unchunked = irreducible_indices(q, min(n_max, 6))
+    for a, b in zip(unchunked, fresh):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 7), (3, 5), (5, 4), (7, 3)])
 def test_multiple_indices_are_the_multiples(q, n_max, monkeypatch):
-    # a small chunk makes the rows of one (n, d) pass span several arrays
+    # a small chunk makes the rows of one (n, d) pass span several arrays,
+    # and one prime's multiples span several rows
     monkeypatch.setattr(_backend, "_SIEVE_CHUNK", 1 << 4)
     field = FieldSpec(q)
     table = irreducible_indices(q, n_max)
     for n in range(2, n_max + 1):
         for d in range(1, n + 1):
-            rows = np.vstack(list(_multiple_indices(q, table[d], n, d)))
-            assert rows.shape == (len(table[d]), q ** (n - d))
+            arrays = list(_multiple_indices(q, table[d], n, d))
+            assert all(a.size <= 1 << 4 for a in arrays)
+            flat = np.concatenate([a.ravel() for a in arrays])
+            assert flat.size == len(table[d]) * q ** (n - d)
+            rows = flat.reshape(len(table[d]), q ** (n - d))
             for p_idx, row in zip(table[d], rows):
                 P = monic_from_index(field, d, int(p_idx))
                 assert len(set(row.tolist())) == q ** (n - d)
                 for idx in row:
                     A = monic_from_index(field, n, int(idx))
                     assert poly_divmod(A, P)[1].is_zero, (str(P), str(A))
+
+
+@pytest.mark.parametrize("q,n", [(2, 21), (3, 12)])
+def test_sieve_working_memory_is_bounded(q, n, monkeypatch):
+    # beyond the mask and the output, a step holds per product at most 2d <= n
+    # bytes of remainder digits (one reduction temporary) and 4 + 8 bytes of
+    # int32 indices and their intp copy: c = 2 covers n + 12 for n >= 12,
+    # with room for the per-pass rows rho_k, which do not scale with the chunk
+    chunk = 1 << 14
+    monkeypatch.setattr(_backend, "_SIEVE_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        table = irreducible_indices(q, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in table)
+    assert peak <= q**n + output + 2 * chunk * n
 
 
 @pytest.mark.parametrize("q", [2, 3])

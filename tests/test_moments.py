@@ -103,14 +103,12 @@ def oracle_spec_moments(family, specs, u_of):
 
 
 def oracle_perron_rows(coeffs, N, r, M):
-    """perron_partial_sum with the circle grid built on every call and an
-    out-of-place Horner pass."""
+    """perron_partial_sum with the quadrature weights built on every call:
+    w_n = mean over the M-point circle u of u^n / ((1 - u) u^N), n < deg Q."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     u = r * np.exp(2j * np.pi * np.arange(M) / M)
-    values = np.zeros((len(coeffs), M), dtype=np.complex128)
-    for c in coeffs.T[::-1]:
-        values = values * u + c[:, None]
-    return np.mean(values / ((1 - u) * u**N), axis=1)
+    powers = u ** np.arange(coeffs.shape[1])[:, None]
+    return coeffs @ np.mean(powers / ((1 - u) * u**N), axis=1)
 
 
 def small_families():
@@ -346,7 +344,7 @@ class TestMemo:
     def test_interleaved_families_match_parent_formulas(self):
         for helper in (lfunc._shift_powers, moments._theorem1_factors):
             helper.cache_clear()
-        moments._perron_grid.cache_clear()
+        moments._perron_weights.cache_clear()
         fams = [
             primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
             for q, text in self.MODULI
@@ -387,7 +385,7 @@ class TestMemo:
             lfunc._shift_powers(3, 3, (0.0, 0.7), False),
             lfunc._shift_powers(3, 3, (0.0, 0.7), True),
             *moments._theorem1_factors(3, 3, tuple(RANDOM_SPECS)),
-            *moments._perron_grid(2, 0.5, 320),
+            moments._perron_weights(2, 3, 0.5, 320),
         ]
         for a in arrays:
             assert not a.flags.writeable

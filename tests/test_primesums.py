@@ -6,6 +6,7 @@ cutoff (and one alpha) at a time, straight from the definitions, and serve
 as oracles for those arrays."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,28 @@ class TestFSum:
 
     def test_defect_sup_bounded(self):
         assert fsum_defect_sup(1000, 64) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("block", [1, 7, 512])
+    def test_blocked_sup_equals_one_shot(self, block, monkeypatch):
+        # the sup equals the one-shot value bit for bit; with the min form
+        # zeroed it is the sup of |F| itself, read at h_max across all blocks
+        thetas = 2 * math.pi * np.arange(64) / 64
+        F = F_sum_cumulative(1000, thetas)
+        hs = np.arange(1, 1001, dtype=np.float64)[:, None]
+        log_min = primesums._log_min(hs, theta_bar(thetas))
+        monkeypatch.setattr(primesums, "_FSUM_BLOCK", block)
+        assert fsum_defect_sup(1000, 64) == float(np.max(np.abs(F - log_min)))
+        monkeypatch.setattr(primesums, "_log_min", lambda length, tbar: 0.0)
+        assert fsum_defect_sup(1000, 64) == float(np.max(np.abs(F)))
+
+    def test_defect_sup_memory_does_not_grow_with_h(self):
+        tracemalloc.start()
+        try:
+            fsum_defect_sup(10000, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000  # the one-shot (10000, 64) grid is 5.1 MB
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):
