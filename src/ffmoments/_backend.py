@@ -10,7 +10,8 @@ digit column x (leading coefficient included) reduces to the digits
 irreducible_indices sieves the monic irreducibles of each degree.  A monic
 A = H T^d + R of degree n, deg R < d, is a multiple of the degree-d prime P
 exactly when R = -H T^d mod P; then index(A) = index(H) q^d + index(R), and
-R is linear in the digits of H.  The multiples are built in steps of at most
+R is linear in the digits of H, through the rows -T^k mod P, built once
+per call to the deepest degree.  The multiples are built in steps of at most
 _SIEVE_CHUNK products, so beyond the mask of degree n the working memory
 does not grow with q^(n-d).  scale_mod_many multiplies a batch of
 encoded residues by residues mod Q.
@@ -71,25 +72,37 @@ def _add_digits(r: np.ndarray, rho: np.ndarray, q: int, steps: int) -> np.ndarra
     return r
 
 
-def _multiple_indices(q: int, primes: np.ndarray, n: int, d: int):
-    """Yield the indices of the monic degree-n multiples of the degree-d
-    primes, in arrays of at most _SIEVE_CHUNK products.  A multiple of P is
-    A = H T^d + R, fixed by its monic top part H of degree m = n - d, with
-    R = sum_k h_k rho_k over the digits of H (h_m = 1), rho_k = -T^(d+k) mod
-    P.  The low j digits of H, j <= m largest with q^j <= _SIEVE_CHUNK, vary
-    along the last axis; a row is one (prime, top digits) pair, with base
-    vector rho_m + sum_{k >= j} h_k rho_k.  Flattened in yield order, the
-    arrays run over the primes and for each over index(H).  Digit sums are
-    in the narrowest dtype that cannot wrap between their reductions mod q,
-    one every `steps` digits: (q - 1) + steps (q - 1)^2."""
-    m = n - d
-    itype = np.int32 if q**n < 2**31 else np.int64
+def _digit_type(q: int):
+    """The narrowest dtype for digit sums that cannot wrap between their
+    reductions mod q, one every `steps` digits: (q - 1) + steps (q - 1)^2;
+    with that step count."""
     for ctype in (np.int8, np.int16, np.int32, np.int64):
         steps = (np.iinfo(ctype).max - (q - 1)) // (q - 1) ** 2
         if steps >= 1:
-            break
-    rho = -reduction_rows(q, digit_rows(primes + q**d, q, d + 1).T, n)[:, d:] % q
-    rho = rho.transpose(1, 2, 0).astype(ctype)  # (m + 1, d, N)
+            return ctype, steps
+
+
+def _prime_rows(q: int, primes: np.ndarray, d: int, top: int) -> np.ndarray:
+    """(top - d + 1, d, N) rows rho_k = -T^(d+k) mod P, k <= top - d, of the N
+    degree-d primes with these indices, in the digit dtype of q; the first
+    n - d + 1 of them serve every degree n <= top."""
+    rho = -reduction_rows(q, digit_rows(primes + q**d, q, d + 1).T, top)[:, d:] % q
+    return rho.transpose(1, 2, 0).astype(_digit_type(q)[0])
+
+
+def _multiple_indices(q: int, rho: np.ndarray, n: int, d: int):
+    """Yield the indices of the monic degree-n multiples of the degree-d
+    primes whose rows rho_k = -T^(d+k) mod P, k <= n - d (at least), are
+    rho, from _prime_rows, in arrays of at most _SIEVE_CHUNK products.  A
+    multiple of P is A = H T^d + R, fixed by its monic top part H of degree
+    m = n - d, with R = sum_k h_k rho_k over the digits of H (h_m = 1).  The
+    low j digits of H, j <= m largest with q^j <= _SIEVE_CHUNK, vary along
+    the last axis; a row is one (prime, top digits) pair, with base vector
+    rho_m + sum_{k >= j} h_k rho_k.  Flattened in yield order, the arrays
+    run over the primes and for each over index(H)."""
+    m = n - d
+    itype = np.int32 if q**n < 2**31 else np.int64
+    steps = _digit_type(q)[1]
     j = 0
     while j < m and q ** (j + 1) <= _SIEVE_CHUNK:
         j += 1
@@ -118,13 +131,17 @@ def irreducible_indices(
     (L[0] is empty); known, such a list from an earlier call, is extended
     instead of rebuilt.  Works by sieving: for each degree n, every product
     of an irreducible of degree d <= n/2 with a monic cofactor is marked
-    composite; the survivors are the irreducibles.
+    composite; the survivors are the irreducibles.  The rows of the
+    degree-d primes are built once, to degree n_max, and sliced per n.
     """
     out = list(known) if known else [np.empty(0, dtype=np.int64)]
+    rho: dict[int, np.ndarray] = {}
     for n in range(len(out), n_max + 1):
         mask = np.ones(q**n, dtype=bool)
         for d in range(1, n // 2 + 1):
-            for index in _multiple_indices(q, out[d], n, d):
+            if d not in rho:
+                rho[d] = _prime_rows(q, out[d], d, n_max)
+            for index in _multiple_indices(q, rho[d], n, d):
                 mask[index] = False
         out.append(np.flatnonzero(mask).astype(np.int64, copy=False))
     return out

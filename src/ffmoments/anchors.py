@@ -31,6 +31,8 @@ CHECK_ANCHORS = frozenset(
         "Thm 1.3",
         "Prop 4.1",
         "Lemma 2.4",
+        # a witness translate Q(T + b) against its orbit's representative Q
+        "translation",
         # artifact plumbing
         "plumbing/ring",
         "plumbing/factorization",

@@ -11,7 +11,19 @@ rows and its family entries, each a value with the anchor, params and
 fixture key of its family row.  One reducer, ``_family_rows``, takes the
 maximum of each key over the moduli and makes its fixture row; ``main``
 puts the command's own rows (enumerate's Lemma 2.2 rows, all of primesums)
-first.  enumerate's plumbing rows check the residue kernel the unit groups
+first.
+
+T -> T + b keeps degree and monicness, so the primitive characters mod Q
+and mod Q(T + b) have the same L-polynomials, and every lfun and moments
+statistic of Q is that of its translates.  ``main`` groups the moduli into
+translation orbits once they are listed (``_translation_orbits``); lfun
+and moments run on each orbit's first member in run order and on the
+witness translates of one orbit per degree, each of which gets a
+``translation`` row against its representative.  enumerate runs on every
+modulus, because its plumbing rows check how each modulus itself is built.
+moments.csv's ``orbit`` column counts the moduli each row stands for.
+
+enumerate's plumbing rows check the residue kernel the unit groups
 are built on, ``scale_mod_many``, against long division, and each
 generator's order on its powers from ``_power_blocks``.  Exit codes: 0 all
 checks passed, 1 at least one mathematical check failed, 2 configuration
@@ -32,6 +44,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,10 +115,67 @@ FAMILY_COMMANDS = ("enumerate", "lfun", "moments")
 
 # tolerances shared by several rows; the others are stated at their row
 IDENTITY_TOL = 1e-8  # an identity evaluated in floating point
+TRANSLATION_TOL = 1e-12  # a witness translate against its representative
 # a family maximum against its recorded fixture; the absolute part lets a
 # constant of rounding noise about 0 (at q = 2 every character is even) move
 FIXTURE_REL_TOL, FIXTURE_ABS_TOL = 0.25, 1e-12
 CHARACTER_COLUMNS = 256  # at most, in enumerate's dense character matrix
+ORBIT_CELL = MOMENT_COLUMNS.index("orbit")  # added to each moments row by main
+
+
+class Orbits(NamedTuple):
+    """The translation orbits of a run's moduli, by position in run order."""
+
+    rep: list[int]  # per modulus, its orbit's first member in run order
+    shift: list[int]  # per modulus, the b with modulus = representative(T + b)
+    witnesses: list[int]  # translates computed as well, in run order
+
+    def computed(self, i: int) -> bool:
+        return self.rep[i] == i or i in self.witnesses
+
+    def weights(self) -> list[int]:
+        """Per modulus, how many of the run's moduli its results stand for:
+        a witness itself, a representative the rest of its orbit, another
+        translate none."""
+        out = [0] * len(self.rep)
+        for i, r in enumerate(self.rep):
+            out[i if i in self.witnesses else r] += 1
+        return out
+
+
+def _translation_orbits(moduli) -> Orbits:
+    """Group the moduli into orbits of T -> T + b, which keeps degree and
+    monicness.  Q(T + b) has coefficients c'_k = sum_j C(j, k) b^(j-k) c_j,
+    one digit-matrix product per b over the moduli of one degree.  The
+    witnesses are, per degree, the translates of the first orbit with more
+    than one member whose modulus has two distinct prime factors (so the CRT
+    glue runs), or else of the first orbit with more than one member."""
+    position: dict[tuple[int, ...], int] = {}
+    for i, m in enumerate(moduli):
+        position.setdefault(m.poly.coeffs, i)
+    rep, shift, witnesses = list(range(len(moduli))), [0] * len(moduli), []
+    for n in sorted({m.degree for m in moduli}):
+        at = [i for i, m in enumerate(moduli) if m.degree == n]
+        q = moduli[at[0]].field.q
+        coeffs = np.array([moduli[i].poly.coeffs for i in at], dtype=np.int64)
+        found = []  # per b, the position of each Q(T + b), or len(moduli)
+        for b in range(q):
+            taylor = [
+                [math.comb(j, k) * b ** max(j - k, 0) % q for k in range(n + 1)]
+                for j in range(n + 1)
+            ]
+            rows = (coeffs @ np.array(taylor) % q).tolist()
+            found.append([position.get(tuple(row), len(moduli)) for row in rows])
+        members: dict[int, list[int]] = {}
+        for i, translates in zip(at, zip(*found)):
+            b = int(np.argmin(translates))  # modulus(T + b) is the representative
+            rep[i], shift[i] = translates[b], -b % q
+            members.setdefault(rep[i], []).append(i)
+        shared = [orbit for orbit in members.values() if len(orbit) > 1]
+        crt = [orbit for orbit in shared if len(moduli[orbit[0]].factors) > 1]
+        if shared:
+            witnesses += (crt or shared)[0][1:]
+    return Orbits(rep, shift, sorted(witnesses))
 
 
 def _modulus_task(payload) -> dict:
@@ -125,15 +195,55 @@ def _modulus_task(payload) -> dict:
     return out
 
 
-def _family_results(cfg: ExperimentConfig, jobs: int, commands) -> list[dict]:
-    """Per modulus of the config, in order, the results of _modulus_task."""
+def _family_results(
+    cfg: ExperimentConfig, jobs: int, commands, moduli, orbits: Orbits
+) -> list[dict]:
+    """Per modulus, in run order, the results of _modulus_task: every command
+    on a representative or witness, only enumerate on another translate."""
     specs = cfg.resolved_shift_specs()
     signatures = {"lfun": cfg.lfun_signature(), "moments": cfg.moments_signature()}
-    payloads = [(cfg, specs, signatures, m, commands) for m in cfg.modulus_list()]
+    tasks = [
+        commands if orbits.computed(i) else [c for c in commands if c == "enumerate"]
+        for i in range(len(moduli))
+    ]
+    payloads = [
+        (cfg, specs, signatures, m, task) for m, task in zip(moduli, tasks) if task
+    ]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            return list(pool.map(_modulus_task, payloads, chunksize=1))
-    return [_modulus_task(p) for p in payloads]
+            done = list(pool.map(_modulus_task, payloads, chunksize=1))
+    else:
+        done = [_modulus_task(p) for p in payloads]
+    results = iter(done)
+    return [next(results) if task else {} for task in tasks]
+
+
+def _translation_rows(command: str, per_modulus, moduli, orbits: Orbits):
+    """Per witness, the largest |v - v'| / max(1, |v|) over the command's
+    family entries and moments table cells of its representative (v) and of
+    the witness (v'), but the modulus name; inf where they do not pair up or
+    a text cell differs."""
+
+    def values(res):
+        """The family keys; the family values, then the table cells."""
+        family = res["family"]
+        cells = [c for row in res.get("moment_rows", ()) for c in row[:1] + row[2:]]
+        return [e[2] for e in family], [e[3] for e in family] + cells
+
+    rows = []
+    for w in orbits.witnesses:
+        rep = orbits.rep[w]
+        keys, ours = values(per_modulus[rep][command])
+        their_keys, theirs = values(per_modulus[w][command])
+        gap = 0.0 if keys == their_keys and len(ours) == len(theirs) else math.inf
+        for v, v_ in zip(ours, theirs):
+            if isinstance(v, str) or isinstance(v_, str):
+                gap = gap if v == v_ else math.inf
+            elif v != v_:
+                gap = float(np.maximum(gap, abs(v - v_) / max(1.0, abs(v))))
+        params = f"{moduli[rep]} at T -> T + {orbits.shift[w]}"
+        rows.append(below("translation", str(moduli[w]), params, gap, TRANSLATION_TOL))
+    return rows
 
 
 def _family_rows(cfg: ExperimentConfig, fixtures: FixtureChecker, results):
@@ -591,19 +701,33 @@ def main(argv=None) -> int:
         all_rows: list[CheckRow] = []
         commands = list(reports) if args.command == "all" else [args.command]
         on_family = [c for c in commands if c in FAMILY_COMMANDS]
-        per_modulus = _family_results(cfg, args.jobs, on_family) if on_family else []
+        moduli = cfg.modulus_list() if on_family else []
+        orbits = _translation_orbits(moduli)
+        per_modulus = _family_results(cfg, args.jobs, on_family, moduli, orbits)
+        weights = orbits.weights()
         for command in commands:
             checks, columns = reports[command]
             if command == "primesums":
                 rows, table = cmd_primesums(cfg, fixtures)
                 meta[command] = {}
             else:
-                results = [res[command] for res in per_modulus]
+                done = [i for i, res in enumerate(per_modulus) if command in res]
+                results = [per_modulus[i][command] for i in done]
                 rows = cmd_enumerate(cfg) if command == "enumerate" else []
                 rows += [row for res in results for row in res["rows"]]
+                if command != "enumerate":
+                    rows += _translation_rows(command, per_modulus, moduli, orbits)
                 rows += _family_rows(cfg, fixtures, results)
-                table = [row for res in results for row in res.get("moment_rows", ())]
-                meta[command] = {"moduli": len(results)}
+                table = [
+                    [*row[:ORBIT_CELL], weights[i], *row[ORBIT_CELL:]]
+                    for i in done
+                    for row in per_modulus[i][command].get("moment_rows", ())
+                ]
+                meta[command] = {
+                    "moduli": len(moduli),
+                    "orbits": sum(r == i for i, r in enumerate(orbits.rep)),
+                    "computed": len(done),
+                }
             write_check_csv(out_dir / checks, rows)
             if columns:
                 write_table_csv(out_dir / f"{command}.csv", columns, table)

@@ -48,6 +48,7 @@ MOMENT_COLUMNS = [
     "degree",
     "phi",
     "n_primitive",
+    "orbit",
     "spec",
     "lhs",
     "rhs_zeta",

@@ -552,8 +552,10 @@ class TestCli:
             ("conjugation", "T^2", "coeffs(conj chi) vs conj(coeffs)"),
             ("explicit formula", "T^2", "n=1..1, prime powers vs Newton power sums"),
         ]
-        assert len(rows) == 48 and len(families) == 9
-        assert sum(r["anchor"] == "RH roots" for r in rows) == 9
+        # 3 representatives and 2 witnesses, 5 rows each, 2 translation rows
+        # and 3 family rows
+        assert len(rows) == 30 and len(families) == 5
+        assert sum(r["anchor"] == "RH roots" for r in rows) == 5
 
     def test_subcommands_take_four_options(self):
         # a new flag is a new option to test and document
@@ -581,7 +583,7 @@ class TestCli:
         out = tmp / "m"
         assert run_cli("moments", "--config", cfg, "--out", str(out)) == 0
         rows = read_rows(out / "moments.csv")
-        assert len(rows) == 9 * 2  # 9 moduli x 2 shift specs
+        assert len(rows) == 5 * 2  # 5 computed moduli x 2 shift specs
         payload = json.loads((out / "moments.json").read_text())
         assert len(payload) == len(rows)
         for row in rows:
@@ -594,8 +596,8 @@ class TestCli:
         assert run_cli("moments", "--config", cfg, "--out", str(tmp_path)) == 0
         rows = read_rows(tmp_path / "moments.csv")
         payload = json.loads((tmp_path / "moments.json").read_text())
-        assert len(rows) == len(payload) == 24
-        assert sum(row["n_primitive"] == "0" for row in rows) == 10
+        assert len(rows) == len(payload) == 18
+        assert sum(row["n_primitive"] == "0" for row in rows) == 8
         for row, item in zip(rows, payload):
             if row["n_primitive"] == "0":
                 assert row["lhs"] == "0.0" and item["lhs"] == 0.0
@@ -628,7 +630,7 @@ class TestCli:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         cfg, tmp = smoke
         assert run_cli("moments", "--config", cfg, "--out", str(tmp), "--jobs", "64") == 0
-        assert sizes == [9]  # the smoke config's moduli
+        assert sizes == [5]  # the smoke config's computed moduli
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, smoke, jobs, capsys):
@@ -651,7 +653,8 @@ class TestCli:
         rows = read_rows(serial / "lfun.csv")
         explicit = [r for r in rows if r["anchor"] == "explicit formula"]
         meta = json.loads((serial / "run_metadata.json").read_text())
-        assert len(explicit) == meta["lfun"]["moduli"] == 12
+        assert len(explicit) == meta["lfun"]["computed"] == 9
+        assert meta["lfun"]["moduli"] == 12
 
     def test_family_rows_ordered_by_degree_then_anchor(self, smoke):
         # a config listing a degree-3 modulus first and its exponents in
@@ -691,17 +694,19 @@ class TestCli:
         ]
 
     def test_all_metadata_per_command(self, smoke):
-        # `all` records the moduli count of each family command and nothing
-        # for primesums
+        # `all` records, per family command, the moduli the config addresses,
+        # their translation orbits and the moduli the command ran on, and
+        # nothing for primesums: enumerate runs on every modulus, lfun and
+        # moments on the 3 representatives and 2 witnesses
         cfg, tmp = smoke
         assert run_cli("all", "--config", cfg, "--out", str(tmp)) == 0
         meta = json.loads((tmp / "run_metadata.json").read_text())
         commands = ("enumerate", "lfun", "moments", "primesums")
         assert set(meta) == {"command", "started", "elapsed_ms", *commands}
         assert {c: meta[c] for c in commands} == {
-            "enumerate": {"moduli": 9},
-            "lfun": {"moduli": 9},
-            "moments": {"moduli": 9},
+            "enumerate": {"moduli": 9, "orbits": 3, "computed": 9},
+            "lfun": {"moduli": 9, "orbits": 3, "computed": 5},
+            "moments": {"moduli": 9, "orbits": 3, "computed": 5},
             "primesums": {},
         }
 
@@ -716,7 +721,7 @@ class TestCli:
         )
         for name in ("moments.csv", "moments.json", "moments_checks.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
-        assert len(read_rows(serial / "moments.csv")) == 9 * 2
+        assert len(read_rows(serial / "moments.csv")) == 5 * 2
 
     def test_lfun_and_moments_build_no_value_matrix(self, smoke, monkeypatch):
         # only the enumerate checks read the dense character value matrix;

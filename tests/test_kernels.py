@@ -10,6 +10,7 @@ import pytest
 from ffmoments import _backend
 from ffmoments._backend import (
     _multiple_indices,
+    _prime_rows,
     irreducible_indices,
     reduction_rows,
     scale_mod_many,
@@ -76,7 +77,7 @@ def test_multiple_indices_are_the_multiples(q, n_max, monkeypatch):
     table = irreducible_indices(q, n_max)
     for n in range(2, n_max + 1):
         for d in range(1, n + 1):
-            arrays = list(_multiple_indices(q, table[d], n, d))
+            arrays = list(_multiple_indices(q, _prime_rows(q, table[d], d, n), n, d))
             assert all(a.size <= 1 << 4 for a in arrays)
             flat = np.concatenate([a.ravel() for a in arrays])
             assert flat.size == len(table[d]) * q ** (n - d)
@@ -105,6 +106,21 @@ def test_sieve_working_memory_is_bounded(q, n, monkeypatch):
         tracemalloc.stop()
     output = sum(a.nbytes for a in table)
     assert peak <= q**n + output + 2 * chunk * n
+
+
+def test_prime_rows_built_once_per_factor_degree(monkeypatch):
+    # the rows T^k mod P of the degree-d primes are built once, to the
+    # deepest degree, and sliced for every n
+    calls = []
+
+    def counted(q, mod_digits, top):
+        calls.append(top)
+        return reduction_rows(q, mod_digits, top)
+
+    monkeypatch.setattr(_backend, "reduction_rows", counted)
+    table = irreducible_indices(2, 21)
+    assert calls == [21] * 10  # one per d <= 21 // 2
+    assert len(table[21]) == prime_count_exact(FieldSpec(2), 21)
 
 
 @pytest.mark.parametrize("q", [2, 3])
