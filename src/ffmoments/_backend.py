@@ -7,14 +7,19 @@ slots.  Reduction mod a monic F is linear in the digits: a polynomial with
 digit column x (leading coefficient included) reduces to the digits
 (reduction_rows(q, F, top)[:len(x)].T @ x) mod q.
 
-irreducible_indices sieves the monic irreducibles of each degree.  A monic
+irreducible_indices sieves the monic irreducibles of each degree, and
+irreducible_counts only counts them beyond degree n_max / 2.  A monic
 A = H T^d + R of degree n, deg R < d, is a multiple of the degree-d prime P
 exactly when R = -H T^d mod P; then index(A) = index(H) q^d + index(R), and
 R is linear in the digits of H, through the rows -T^k mod P, built once
-per call to the deepest degree.  The multiples are built in steps of at most
-_SIEVE_CHUNK products, so beyond the mask of degree n the working memory
-does not grow with q^(n-d).  scale_mod_many multiplies a batch of
-encoded residues by residues mod Q.
+per call to the deepest degree.  Degree n is sieved in segments of q^k
+monics, k >= n/2, so that the top n - k digits of A are the top digits of
+H: a segment's multiples of P are those whose H has the segment's top
+digits, and one bool mask of q^k entries holds a segment's marks.  The
+multiples are built in steps of at most _SIEVE_CHUNK products, so the
+working memory does not grow with q^n; counting keeps only the index
+arrays of degree <= n/2.  scale_mod_many multiplies a batch of encoded
+residues by residues mod Q.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import numpy as np
 
 # products per sieve step; bounds the sieve's working memory
 _SIEVE_CHUNK = 1 << 17
+# monics per sieve segment, at most, unless a degree needs more
+_SIEVE_SEGMENT = 1 << 20
 
 
 def digit_rows(indices, q: int, width: int) -> np.ndarray:
@@ -72,6 +79,7 @@ def _add_digits(r: np.ndarray, rho: np.ndarray, q: int, steps: int) -> np.ndarra
     return r
 
 
+@functools.cache
 def _digit_type(q: int):
     """The narrowest dtype for digit sums that cannot wrap between their
     reductions mod q, one every `steps` digits: (q - 1) + steps (q - 1)^2;
@@ -90,28 +98,40 @@ def _prime_rows(q: int, primes: np.ndarray, d: int, top: int) -> np.ndarray:
     return rho.transpose(1, 2, 0).astype(_digit_type(q)[0])
 
 
-def _multiple_indices(q: int, rho: np.ndarray, n: int, d: int):
+def _multiple_indices(
+    q: int, rho: np.ndarray, n: int, d: int, k: int | None = None, s: int = 0
+):
     """Yield the indices of the monic degree-n multiples of the degree-d
     primes whose rows rho_k = -T^(d+k) mod P, k <= n - d (at least), are
     rho, from _prime_rows, in arrays of at most _SIEVE_CHUNK products.  A
     multiple of P is A = H T^d + R, fixed by its monic top part H of degree
-    m = n - d, with R = sum_k h_k rho_k over the digits of H (h_m = 1).  The
-    low j digits of H, j <= m largest with q^j <= _SIEVE_CHUNK, vary along
-    the last axis; a row is one (prime, top digits) pair, with base vector
-    rho_m + sum_{k >= j} h_k rho_k.  Flattened in yield order, the arrays
-    run over the primes and for each over index(H)."""
-    m = n - d
-    itype = np.int32 if q**n < 2**31 else np.int64
-    steps = _digit_type(q)[1]
+    m = n - d, with R = sum_k h_k rho_k over the digits of H (h_m = 1).
+
+    Only the multiples in segment s of q^k monics are yielded, d <= k <= n
+    (default k = n, one segment): those whose top n - k digits, the digits
+    k - d .. m - 1 of H, are the digits of s; their indices are relative to
+    the segment start s q^k.  The low j digits of H, j <= k - d largest with
+    q^j <= _SIEVE_CHUNK, vary along the last axis; a row is one (prime, free
+    top digits) pair, with base vector rho_m + sum_{i >= j} h_i rho_i.
+    Flattened in yield order, the arrays run over the primes and for each
+    over index(H)."""
+    k = n if k is None else k
+    m, f = n - d, k - d  # the digits of H below f are free in the segment
+    itype = np.int32 if q**k < 2**31 else np.int64
+    ctype, steps = _digit_type(q)
     j = 0
-    while j < m and q ** (j + 1) <= _SIEVE_CHUNK:
+    while j < f and q ** (j + 1) <= _SIEVE_CHUNK:
         j += 1
-    tops = q ** (m - j)  # rows per prime
-    bases = _add_digits(rho[m][:, :, None], rho[j:m], q, steps).reshape(d, -1)
+    tops = q ** (f - j)  # rows per prime
+    top = rho[m]
+    if k < n:  # the segment fixes the top digits of H
+        fixed = np.tensordot(digit_rows([s], q, n - k)[:, 0], rho[f:m], axes=1)
+        top = ((fixed + top) % q).astype(ctype)
+    bases = _add_digits(top[:, :, None], rho[j:f], q, steps).reshape(d, -1)
     low = np.arange(q**j, dtype=itype) * q**d
     step = _SIEVE_CHUNK // q**j  # rows per array, at least 1
-    for s in range(0, bases.shape[1], step):
-        rows = np.arange(s, min(s + step, bases.shape[1]))
+    for start in range(0, bases.shape[1], step):
+        rows = np.arange(start, min(start + step, bases.shape[1]))
         r = _add_digits(bases[:, rows, None], rho[:j, :, rows // tops], q, steps)
         index = r[d - 1].astype(itype)  # widen before scaling
         for i in range(d - 2, -1, -1):
@@ -122,6 +142,53 @@ def _multiple_indices(q: int, rho: np.ndarray, n: int, d: int):
         yield index
 
 
+def _segment_digits(q: int, n: int) -> int:
+    """k for the segments of degree n: q^k monics each, the most that fit in
+    _SIEVE_SEGMENT, but never fewer than q^(n // 2), so that every factor
+    degree d <= n / 2 leaves its remainder digits inside one segment."""
+    k = n // 2
+    while k < n and q ** (k + 1) <= _SIEVE_SEGMENT:
+        k += 1
+    return k
+
+
+def _sieve(q: int, n_max: int, table: list[np.ndarray], keep: int, first: int):
+    """Sieve the degrees len(table)..n_max, but those between keep and first:
+    append to table the index array of each degree n <= keep, and return the
+    counts of degree first..n_max (a degree already in table is counted from
+    it).  keep >= n_max // 2, since the primes of degree d <= n / 2 mark the
+    composites of degree n.
+
+    A degree n is sieved one segment of q^k monics at a time, in one bool
+    mask of q^k entries: the multiples of each degree-d prime that fall in
+    the segment are marked composite (_multiple_indices), and what survives
+    is the segment's irreducibles.  The rows -T^k mod P of the degree-d
+    primes are built once, to degree n_max, and sliced for each n."""
+    counts = [len(a) for a in table]
+    rho: dict[int, np.ndarray] = {}
+    for n in range(len(table), n_max + 1):
+        counts.append(0)
+        if keep < n < first:
+            continue
+        for d in range(1, n // 2 + 1):
+            if d not in rho:
+                rho[d] = _prime_rows(q, table[d], d, n_max)
+        k = _segment_digits(q, n)
+        mask = np.empty(q**k, dtype=bool)
+        survivors = []
+        for s in range(q ** (n - k)):
+            mask.fill(True)
+            for d in range(1, n // 2 + 1):
+                for index in _multiple_indices(q, rho[d], n, d, k, s):
+                    mask[index] = False
+            counts[n] += int(np.count_nonzero(mask))
+            if n <= keep:
+                survivors.append(np.flatnonzero(mask) + s * q**k)
+        if n <= keep:
+            table.append(np.concatenate(survivors).astype(np.int64, copy=False))
+    return counts[first:]
+
+
 def irreducible_indices(
     q: int, n_max: int, known: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:
@@ -129,22 +196,24 @@ def irreducible_indices(
 
     Returns a list L with L[n] the sorted int64 index array for degree n
     (L[0] is empty); known, such a list from an earlier call, is extended
-    instead of rebuilt.  Works by sieving: for each degree n, every product
-    of an irreducible of degree d <= n/2 with a monic cofactor is marked
-    composite; the survivors are the irreducibles.  The rows of the
-    degree-d primes are built once, to degree n_max, and sliced per n.
+    instead of rebuilt.  Works by sieving (_sieve): for each degree n, every
+    product of an irreducible of degree d <= n/2 with a monic cofactor is
+    marked composite; the survivors are the irreducibles.
     """
     out = list(known) if known else [np.empty(0, dtype=np.int64)]
-    rho: dict[int, np.ndarray] = {}
-    for n in range(len(out), n_max + 1):
-        mask = np.ones(q**n, dtype=bool)
-        for d in range(1, n // 2 + 1):
-            if d not in rho:
-                rho[d] = _prime_rows(q, out[d], d, n_max)
-            for index in _multiple_indices(q, rho[d], n, d):
-                mask[index] = False
-        out.append(np.flatnonzero(mask).astype(np.int64, copy=False))
+    _sieve(q, n_max, out, n_max, n_max + 1)
     return out
+
+
+def irreducible_counts(
+    q: int, n_max: int, known: list[np.ndarray] | None = None, first: int = 1
+) -> tuple[list[np.ndarray], list[int]]:
+    """The numbers of monic irreducibles of degree first..n_max, by the sieve
+    of irreducible_indices, and the index arrays it sieves with: known (or a
+    fresh list) extended to degree n_max // 2.  No index array of a higher
+    degree is built, and a degree between the two is not sieved."""
+    table = list(known) if known else [np.empty(0, dtype=np.int64)]
+    return table, _sieve(q, n_max, table, n_max // 2, first)
 
 
 def scale_mod_many(

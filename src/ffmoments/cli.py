@@ -42,7 +42,6 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -147,9 +146,10 @@ def _translation_orbits(moduli) -> Orbits:
     """Group the moduli into orbits of T -> T + b, which keeps degree and
     monicness.  Q(T + b) has coefficients c'_k = sum_j C(j, k) b^(j-k) c_j,
     one digit-matrix product per b over the moduli of one degree.  The
-    witnesses are, per degree, the translates of the first orbit with more
-    than one member whose modulus has two distinct prime factors (so the CRT
-    glue runs), or else of the first orbit with more than one member."""
+    witnesses are, per degree, the translates of one orbit with more than
+    one member and with primitive characters (so that its rows compare
+    nonempty tables): the first whose modulus has two distinct prime
+    factors (so the CRT glue runs), or else the first."""
     position: dict[tuple[int, ...], int] = {}
     for i, m in enumerate(moduli):
         position.setdefault(m.poly.coeffs, i)
@@ -171,7 +171,11 @@ def _translation_orbits(moduli) -> Orbits:
             b = int(np.argmin(translates))  # modulus(T + b) is the representative
             rep[i], shift[i] = translates[b], -b % q
             members.setdefault(rep[i], []).append(i)
-        shared = [orbit for orbit in members.values() if len(orbit) > 1]
+        shared = [
+            orbit
+            for orbit in members.values()
+            if len(orbit) > 1 and primitive_count_inclusion_exclusion(moduli[orbit[0]])
+        ]
         crt = [orbit for orbit in shared if len(moduli[orbit[0]].factors) > 1]
         if shared:
             witnesses += (crt or shared)[0][1:]
@@ -210,6 +214,9 @@ def _family_results(
         (cfg, specs, signatures, m, task) for m, task in zip(moduli, tasks) if task
     ]
     if jobs > 1 and len(payloads) > 1:
+        # imported here: multiprocessing adds about 2 MB to every process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             done = list(pool.map(_modulus_task, payloads, chunksize=1))
     else:
@@ -220,15 +227,17 @@ def _family_results(
 
 def _translation_rows(command: str, per_modulus, moduli, orbits: Orbits):
     """Per witness, the largest |v - v'| / max(1, |v|) over the command's
-    family entries and moments table cells of its representative (v) and of
-    the witness (v'), but the modulus name; inf where they do not pair up or
-    a text cell differs."""
+    family entries, lfun's |L| values sorted over the characters and moments
+    table cells of its representative (v) and of the witness (v'), but the
+    modulus name; inf where they do not pair up or a text cell differs."""
 
     def values(res):
-        """The family keys; the family values, then the table cells."""
+        """The family keys; the family values, then the |L| values, then the
+        table cells."""
         family = res["family"]
         cells = [c for row in res.get("moment_rows", ()) for c in row[:1] + row[2:]]
-        return [e[2] for e in family], [e[3] for e in family] + cells
+        abs_l = res.get("sorted_abs_l", [])
+        return [e[2] for e in family], [e[3] for e in family] + abs_l + cells
 
     rows = []
     for w in orbits.witnesses:
@@ -374,7 +383,8 @@ def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:
     n = 1
     while cfg.q ** (n + 1) <= cfg.budget["max_enum"] and n < 40:
         n += 1
-    for deg in range(1, n + 1):
+    # the deepest degree first: its one sieve pass counts every degree
+    for deg in range(n, 0, -1):
         exact = prime_count_exact(field, deg)
         enumerated = irreducible_count_enumerated(field, deg)
         drift = abs(exact - cfg.q**deg / deg)
@@ -382,7 +392,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:
         rows.append(
             CheckRow("Lemma 2.2", subject, f"n={deg}", enumerated, exact, passed)
         )
-    return rows
+    return rows[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +401,10 @@ def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:
 
 
 def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
-    """The check rows of one modulus, and its family entries: the log-L bound
-    defects, each with the anchor, params and fixture key of its family row
-    (none without primitive characters)."""
+    """The check rows of one modulus, its family entries: the log-L bound
+    defects, each with the anchor, params and fixture key of its family row,
+    and its |L| values on the t-grid and at the spec shifts, each column
+    sorted over the characters (neither without primitive characters)."""
     modulus, coeffs = fam.modulus, fam.coeffs
     subject = str(modulus)
     rows: list[CheckRow] = []
@@ -432,7 +443,7 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
     top = max(modulus.degree - 1, *cfg.x_exponents)
     explicit_max = 0.0
     min_slack = dict.fromkeys(range(1, modulus.degree), math.inf)
-    family = []
+    family, sorted_abs_l = [], []
     if fam.n_primitive:
         table = PrimePowerTable.build(fam.group, fam.exponents, top)
         explicit_max = float(np.max(table.explicit_formula_defect(coeffs)))
@@ -442,8 +453,10 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
         shifts, a, starts = spec_columns(specs)
         period, n = t_period(cfg.q), cfg.t_grid_points
         grid = [i * period / n for i in range(n)]
+        abs_l = abs_l_at(coeffs, cfg.q, grid + shifts)
+        sorted_abs_l = np.sort(abs_l, axis=0).ravel().tolist()
         with np.errstate(divide="ignore"):
-            log_abs = np.log(abs_l_at(coeffs, cfg.q, grid + shifts))
+            log_abs = np.log(abs_l)
         # pointwise bound: minimum slack over characters, smoothing lengths, grid
         for h in min_slack:
             min_slack[h] = float(np.min(table.pointwise(grid, h) - log_abs[:, :n]))
@@ -472,7 +485,12 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
     for h, slack in min_slack.items():
         params = f"h={h}, min slack over grid"
         rows.append(CheckRow("Prop 3.1", subject, params, slack, -tol, slack >= -tol))
-    return {"degree": modulus.degree, "family": family, "rows": rows}
+    return {
+        "degree": modulus.degree,
+        "family": family,
+        "rows": rows,
+        "sorted_abs_l": sorted_abs_l,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ffmoments._backend import irreducible_indices
+from ffmoments._backend import irreducible_counts, irreducible_indices
 
 
 class PolyParseError(ValueError):
@@ -371,6 +371,7 @@ def enumerate_monic(field: FieldSpec, n: int) -> list[FqPoly]:
 
 
 _IRR_INDEX_CACHE: dict[int, list[np.ndarray]] = {}
+_IRR_COUNT_CACHE: dict[int, list[int]] = {}
 
 
 def _irreducible_index_table(q: int, n: int) -> list[np.ndarray]:
@@ -391,10 +392,21 @@ def enumerate_irreducible(field: FieldSpec, n: int) -> list[FqPoly]:
 
 
 def irreducible_count_enumerated(field: FieldSpec, n: int) -> int:
-    """Count of degree-n irreducibles by exhaustive sieve over all monics."""
+    """Count of degree-n irreducibles by exhaustive sieve over all monics.
+
+    Counts are kept per process.  A request beyond them counts every degree
+    up to n in one sieve pass, which extends the index table only to degree
+    n // 2, the primes it sieves with; so the deepest degree asked first
+    counts all the others."""
     if n < 1:
         raise ValueError("irreducible enumeration needs degree >= 1")
-    return int(len(_irreducible_index_table(field.q, n)[n]))
+    q = field.q
+    counts = _IRR_COUNT_CACHE.setdefault(q, [0])
+    if len(counts) <= n:
+        table, more = irreducible_counts(q, n, _IRR_INDEX_CACHE.get(q), len(counts))
+        _IRR_INDEX_CACHE[q] = table
+        counts += more
+    return counts[n]
 
 
 def prime_count_exact(field: FieldSpec, n: int) -> int:

@@ -2,10 +2,13 @@
 determinism, fault injection)."""
 
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -597,7 +600,9 @@ class TestCli:
         rows = read_rows(tmp_path / "moments.csv")
         payload = json.loads((tmp_path / "moments.json").read_text())
         assert len(rows) == len(payload) == 18
-        assert sum(row["n_primitive"] == "0" for row in rows) == 8
+        # T^2 + T, T^3 + T and T^3 + 1, two specs each: each has a simple
+        # degree-1 factor; no witness comes from an orbit like theirs
+        assert sum(row["n_primitive"] == "0" for row in rows) == 6
         for row, item in zip(rows, payload):
             if row["n_primitive"] == "0":
                 assert row["lhs"] == "0.0" and item["lhs"] == 0.0
@@ -627,10 +632,22 @@ class TestCli:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # cli imports the pool from concurrent.futures only when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg, tmp = smoke
         assert run_cli("moments", "--config", cfg, "--out", str(tmp), "--jobs", "64") == 0
         assert sizes == [5]  # the smoke config's computed moduli
+
+    def test_import_leaves_out_multiprocessing(self):
+        # a serial run never needs the process pool, so no run pays for
+        # importing it unless --jobs asks for workers
+        code = "import sys, ffmoments.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, smoke, jobs, capsys):

@@ -1,20 +1,23 @@
 """The numpy kernels: the irreducibility sieve, batched residue scaling and
 the rows T^k mod F that every reduction mod a modulus goes through."""
 
+import hashlib
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ffmoments import _backend
+from ffmoments import _backend, cli, ffpoly
 from ffmoments._backend import (
     _multiple_indices,
     _prime_rows,
+    irreducible_counts,
     irreducible_indices,
     reduction_rows,
     scale_mod_many,
 )
+from ffmoments.config import ExperimentConfig
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
@@ -66,6 +69,78 @@ def test_sieve_counts_match_formula(q, n_max, monkeypatch):
     unchunked = irreducible_indices(q, min(n_max, 6))
     for a, b in zip(unchunked, fresh):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "q,n_max", [(2, 16), (3, 10), (5, 7), (7, 5), (11, 3), (13, 3)]
+)
+def test_segmented_sieve_matches_formula(q, n_max, monkeypatch):
+    # segments of the least width q^(n // 2): every degree above 1 is
+    # sieved in many segments, and each factor degree's remainder digits
+    # still fall inside one segment
+    fresh = irreducible_indices(q, n_max)
+    monkeypatch.setattr(_backend, "_SIEVE_SEGMENT", 1)
+    assert all(
+        _backend._segment_digits(q, n) == n // 2 for n in range(1, n_max + 1)
+    )
+    segmented = irreducible_indices(q, n_max)
+    table, counts = irreducible_counts(q, n_max)
+    field = FieldSpec(q)
+    assert counts == [prime_count_exact(field, n) for n in range(1, n_max + 1)]
+    assert len(table) == n_max // 2 + 1
+    for a, b in zip(segmented, fresh):
+        assert np.array_equal(a, b)
+    for a, b in zip(table, fresh):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_counts_extend_known_tables(q):
+    # a count from a known table sieves only the degrees it lacks, and a
+    # degree the table holds is counted from it
+    field = FieldSpec(q)
+    known = irreducible_indices(q, 7)
+    table, counts = irreducible_counts(q, 12, known, first=5)
+    assert counts == [prime_count_exact(field, n) for n in range(5, 13)]
+    assert len(table) == 8 and all(a is b for a, b in zip(table, known))
+    table, counts = irreducible_counts(q, 9, irreducible_indices(q, 2), first=9)
+    assert counts == [prime_count_exact(field, 9)] and len(table) == 5
+
+
+# sha256 of the concatenated int64 index arrays of degree 0..n, from the
+# sieve that built one bool mask of q^n entries per degree
+SIEVE_DIGESTS = {
+    (2, 21): "7a8da09ed69585d4",
+    (3, 14): "69236e712ec0385a",
+    (5, 9): "afb1a8835ccf4c2d",
+}
+
+
+@pytest.mark.parametrize("q,n", list(SIEVE_DIGESTS))
+def test_deep_index_arrays_unchanged(q, n):
+    table = irreducible_indices(q, n)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in table)).hexdigest()
+    assert digest[:16] == SIEVE_DIGESTS[q, n]
+    assert [len(a) for a in table[1:]] == irreducible_counts(q, n)[1]
+
+
+def test_counting_memory_does_not_grow_with_q_to_the_n(monkeypatch):
+    # counting degree 22 at q = 2 in segments of 2^14 monics holds the index
+    # arrays of degree <= 11 and the rows -T^k mod P of their primes (built
+    # in int64, about 8 n q^(n/2) bytes), one segment mask and one step's
+    # marks: O(n q^(n/2)) bytes, below the 4 MiB that a bool mask of all
+    # 2^22 monics would take alone
+    q, n = 2, 22
+    monkeypatch.setattr(_backend, "_SIEVE_SEGMENT", 1 << 14)
+    tracemalloc.start()
+    try:
+        table, counts = irreducible_counts(q, n, first=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [prime_count_exact(FieldSpec(q), n)]
+    assert len(table) == n // 2 + 1
+    assert peak <= 32 * n * q ** (n // 2) < q**n
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 7), (3, 5), (5, 4), (7, 3)])
@@ -121,6 +196,28 @@ def test_prime_rows_built_once_per_factor_degree(monkeypatch):
     table = irreducible_indices(2, 21)
     assert calls == [21] * 10  # one per d <= 21 // 2
     assert len(table[21]) == prime_count_exact(FieldSpec(2), 21)
+
+
+def test_enumerate_counts_every_degree_in_one_sieve_pass(monkeypatch):
+    # cmd_enumerate's Lemma 2.2 rows to degree 21 build the rows of each
+    # prime degree d <= 10 once, and keep no index array above degree 10
+    calls = []
+
+    def counted(q, mod_digits, top):
+        calls.append(top)
+        return reduction_rows(q, mod_digits, top)
+
+    monkeypatch.setattr(_backend, "reduction_rows", counted)
+    monkeypatch.setattr(ffpoly, "_IRR_INDEX_CACHE", {})
+    monkeypatch.setattr(ffpoly, "_IRR_COUNT_CACHE", {})
+    cfg = ExperimentConfig.from_dict(
+        {"schema": 1, "q": 2, "moduli": ["T^2"], "budget": {"max_enum": 1 << 21}}
+    )
+    rows = cli.cmd_enumerate(cfg)
+    assert calls == [21] * 10
+    assert [r.params for r in rows] == [f"n={n}" for n in range(1, 22)]
+    assert all(r.passed and r.value == r.constant for r in rows)
+    assert len(ffpoly._IRR_INDEX_CACHE[2]) == 11
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -65,8 +65,8 @@ def test_orbits_partition_the_moduli(path):
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
 def test_witnesses_are_the_translates_of_one_orbit_per_degree(path):
-    # the first orbit with more than one member and two distinct prime
-    # factors, else the first with more than one member
+    # of the orbits with more than one member and with primitive characters,
+    # the first with two distinct prime factors, else the first
     moduli = load_config(path).modulus_list()
     orbits = cli._translation_orbits(moduli)
     for n in sorted({m.degree for m in moduli}):
@@ -74,12 +74,50 @@ def test_witnesses_are_the_translates_of_one_orbit_per_degree(path):
         for i, r in enumerate(orbits.rep):
             if moduli[i].degree == n:
                 orbit_of.setdefault(r, []).append(i)
-        shared = [o for o in orbit_of.values() if len(o) > 1]
+        shared = [
+            o
+            for o in orbit_of.values()
+            if len(o) > 1 and primitive_family(moduli[o[0]]).n_primitive
+        ]
         crt = [o for o in shared if len(moduli[o[0]].factors) >= 2]
         want = (crt or shared)[0][1:] if shared else []
         assert [w for w in orbits.witnesses if moduli[w].degree == n] == want
     weights = orbits.weights()
     assert all(orbits.computed(w) and weights[w] == 1 for w in orbits.witnesses)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_every_witness_has_primitive_characters(path):
+    # a witness without them would compare two empty tables
+    moduli = load_config(path).modulus_list()
+    for w in cli._translation_orbits(moduli).witnesses:
+        assert primitive_family(moduli[w]).n_primitive > 0, str(moduli[w])
+
+
+def test_witnesses_of_moments_q3():
+    moduli = load_config(CONFIGS / "moments_q3.json").modulus_list()
+    orbits = cli._translation_orbits(moduli)
+    pairs = [(str(moduli[orbits.rep[w]]), str(moduli[w])) for w in orbits.witnesses]
+    assert pairs == [
+        ("T^2 + 2", "T^2 + T"),
+        ("T^2 + 2", "T^2 + 2*T"),
+        ("T^3 + T", "T^3 + T + 1"),
+        ("T^3 + T", "T^3 + T + 2"),
+        ("T^4 + 1", "T^4 + T^3 + T + 2"),
+        ("T^4 + 1", "T^4 + 2*T^3 + 2*T + 2"),
+        ("T^5 + 1", "T^5 + T^4 + T^3 + 2*T^2 + 2*T"),
+        ("T^5 + 1", "T^5 + 2*T^4 + T^3 + T^2 + 2*T + 2"),
+    ]
+
+
+def test_lfun_q2_d3_witnesses_skip_orbits_without_primitive_characters():
+    # at degree 3 the first orbit with two prime factors, that of T^3 + 1 =
+    # (T + 1)(T^2 + T + 1), has none: a simple degree-1 factor at q = 2 has
+    # only the principal character
+    moduli = load_config(CONFIGS / "lfun_q2_d3.json").modulus_list()
+    orbits = cli._translation_orbits(moduli)
+    pairs = [(str(moduli[orbits.rep[w]]), str(moduli[w])) for w in orbits.witnesses]
+    assert pairs == [("T^2", "T^2 + 1"), ("T^3", "T^3 + T^2 + T + 1")]
 
 
 @pytest.mark.parametrize(
@@ -149,10 +187,18 @@ def swap_dlog_rows(fam):
     return dataclasses.replace(fam, group=group, coeffs=coeffs)
 
 
-def drop_first_character(fam):
+def drop_character(fam, i: int = 0):
+    keep = np.arange(fam.n_primitive) != i
     return dataclasses.replace(
-        fam, index=fam.index[1:], exponents=fam.exponents[1:], coeffs=fam.coeffs[1:]
+        fam,
+        index=fam.index[keep],
+        exponents=fam.exponents[keep],
+        coeffs=fam.coeffs[keep],
     )
+
+
+def drop_first_character(fam):
+    return drop_character(fam)
 
 
 def quartic_orbit_config(tmp_path) -> str:
@@ -195,3 +241,26 @@ def test_faulty_witness_fails_its_translation_row(
         if r["status"] == "fail" and not r["subject"].startswith("q=")
     ]
     assert failed == [("translation", witness)]
+
+
+@pytest.mark.parametrize("i", [0, 5])
+def test_lfun_translation_row_sees_a_dropped_character(i, tmp_path, monkeypatch):
+    # the family sup defects are maxima over the characters and may not move
+    # when one is dropped; the |L| values sorted over the characters do
+    cfg = quartic_orbit_config(tmp_path)
+    witness = "T^4 + T^3 + T + 2"
+
+    def translation_rows(fault, out):
+        def family(modulus):
+            fam = primitive_family(modulus)
+            return fault(fam) if str(modulus) == witness else fam
+
+        monkeypatch.setattr(cli, "primitive_family", family)
+        cli.main(["lfun", "--config", cfg, "--out", str(out)])
+        rows = read_rows(out / "lfun.csv")
+        return {r["subject"]: r["status"] for r in rows if r["anchor"] == "translation"}
+
+    intact = translation_rows(lambda fam: fam, tmp_path / "intact")
+    assert intact == {witness: "pass", "T^4 + 2*T^3 + 2*T + 2": "pass"}
+    dropped = translation_rows(lambda fam: drop_character(fam, i), tmp_path / "dropped")
+    assert dropped == {witness: "fail", "T^4 + 2*T^3 + 2*T + 2": "pass"}
