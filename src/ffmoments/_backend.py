@@ -48,10 +48,12 @@ def reduction_rows(q: int, mod_digits, top: int) -> np.ndarray:
     """(top + 1, d) digit rows of T^k mod F for k = 0..top, where mod_digits
     holds the d + 1 coefficients of the monic degree-d F, constant first.
     A stack of N moduli of one degree, mod_digits of shape (N, d + 1), gives
-    the rows of each along a leading axis, shape (N, top + 1, d)."""
-    low = np.asarray(mod_digits, dtype=np.int64)[..., :-1]
+    the rows of each along a leading axis, shape (N, top + 1, d).  The rows
+    have the dtype of mod_digits, int64 for a list or tuple; it must hold
+    +-(q - 1)^2."""
+    low = np.asarray(mod_digits)[..., :-1]
     d = low.shape[-1]
-    rows = np.zeros(low.shape[:-1] + (top + 1, d), dtype=np.int64)
+    rows = np.zeros(low.shape[:-1] + (top + 1, d), dtype=low.dtype)
     if d == 0:
         return rows
     rows[..., 0, 0] = 1
@@ -93,9 +95,13 @@ def _digit_type(q: int):
 def _prime_rows(q: int, primes: np.ndarray, d: int, top: int) -> np.ndarray:
     """(top - d + 1, d, N) rows rho_k = -T^(d+k) mod P, k <= top - d, of the N
     degree-d primes with these indices, in the digit dtype of q; the first
-    n - d + 1 of them serve every degree n <= top."""
-    rho = -reduction_rows(q, digit_rows(primes + q**d, q, d + 1).T, top)[:, d:] % q
-    return rho.transpose(1, 2, 0).astype(_digit_type(q)[0])
+    n - d + 1 of them serve every degree n <= top.  Built and reduced in
+    that dtype, so no int64 copy of the rows is made."""
+    digits = digit_rows(primes + q**d, q, d + 1).astype(_digit_type(q)[0])
+    rho = reduction_rows(q, digits.T, top)[:, d:]
+    np.negative(rho, out=rho)
+    rho %= q
+    return np.ascontiguousarray(rho.transpose(1, 2, 0))
 
 
 def _multiple_indices(

@@ -39,6 +39,7 @@ import itertools
 import json
 import math
 import random
+import resource
 import sys
 import time
 import traceback
@@ -237,7 +238,7 @@ def _translation_rows(command: str, per_modulus, moduli, orbits: Orbits):
         family = res["family"]
         cells = [c for row in res.get("moment_rows", ()) for c in row[:1] + row[2:]]
         abs_l = res.get("sorted_abs_l", [])
-        return [e[2] for e in family], [e[3] for e in family] + abs_l + cells
+        return [e[2] for e in family], [*(e[3] for e in family), *abs_l, *cells]
 
     rows = []
     for w in orbits.witnesses:
@@ -454,7 +455,7 @@ def _lfun_result(cfg: ExperimentConfig, fam, specs, signature: str) -> dict:
         period, n = t_period(cfg.q), cfg.t_grid_points
         grid = [i * period / n for i in range(n)]
         abs_l = abs_l_at(coeffs, cfg.q, grid + shifts)
-        sorted_abs_l = np.sort(abs_l, axis=0).ravel().tolist()
+        sorted_abs_l = np.sort(abs_l, axis=0).ravel()
         with np.errstate(divide="ignore"):
             log_abs = np.log(abs_l)
         # pointwise bound: minimum slack over characters, smoothing lengths, grid
@@ -686,11 +687,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_metadata(out_dir: Path, command: str, meta: dict, elapsed: float):
+def _peak_rss_mb(jobs: int) -> float:
+    """The resident high-water mark so far, in MB (ru_maxrss is in kB on
+    Linux): of this process, or with workers, of it or the largest worker."""
+    who = [resource.RUSAGE_SELF] + ([resource.RUSAGE_CHILDREN] if jobs > 1 else [])
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024
+
+
+def _write_metadata(out_dir: Path, command: str, meta: dict, elapsed: float, jobs: int):
     payload = {
         "command": command,
         "started": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_ms": elapsed * 1000,
+        "peak_rss_mb": _peak_rss_mb(jobs),
         **meta,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -754,7 +763,8 @@ def main(argv=None) -> int:
             all_rows.extend(rows)
         if fixtures.updated:
             save_fixtures(fixtures.fixtures, cfg.fixtures)
-        _write_metadata(out_dir, args.command, meta, time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        _write_metadata(out_dir, args.command, meta, elapsed, args.jobs)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

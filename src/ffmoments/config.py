@@ -15,7 +15,6 @@ against a run with a different grid, nor one family of moduli with another.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field, fields
@@ -30,7 +29,7 @@ from ffmoments.ffpoly import (
     parse_poly,
 )
 from ffmoments.lfunc import t_period
-from ffmoments.moments import ShiftSpec
+from ffmoments.moments import ShiftSpec, sha256_hex
 
 CONFIG_SCHEMA = 1
 
@@ -256,8 +255,7 @@ class ExperimentConfig:
 
     @staticmethod
     def _signature(payload) -> str:
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:8]
+        return sha256_hex(json.dumps(payload, sort_keys=True), 8)
 
     def lfun_signature(self) -> str:
         """Signature of everything the log-L defect sweeps depend on."""

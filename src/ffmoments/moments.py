@@ -8,7 +8,9 @@ circle_angle_moments does the same at the circle angles, perron_partial_sum
 takes one product of the coefficient rows with the circle quadrature's
 weights, and integral_moment computes the per-character circle integrals once
 for all exponents and once per conjugate pair, sampling |L| on the uniform
-circle grid by one FFT per block of CIRCLE_ROWS scaled coefficient rows.
+circle grid by one FFT per block of CIRCLE_ROWS (32) scaled coefficient
+rows, so that its transient memory stays under 1 MB at 1024 points
+whatever phi(Q) is.
 
 What depends only on q, deg Q and the specs or sampling parameters is
 computed once per process by memoised helpers that return read-only
@@ -24,7 +26,6 @@ reduce to the same bits as serial ones.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -36,6 +37,21 @@ import numpy as np
 from ffmoments.chargroup import DirichletChar, Modulus
 from ffmoments.lfunc import PrimitiveFamily, _read_only, abs_l_at, zeta_A
 from ffmoments.ffpoly import degree_cutoff, enumerate_monic
+
+# the interpreter's built-in sha256: importing hashlib loads OpenSSL, about
+# 3.5 MB of resident memory, to hash a few short strings
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
+def sha256_hex(text: str, length: int) -> str:
+    """The first `length` hex digits of the sha256 of text in UTF-8."""
+    return _sha256(text.encode()).hexdigest()[:length]
 
 
 def theta_bar(theta):
@@ -80,8 +96,7 @@ class ShiftSpec:
 
     @functools.cached_property
     def digest(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return sha256_hex(json.dumps(self.to_dict(), sort_keys=True), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +290,11 @@ class IntegralMoment(NamedTuple):
     integrals: np.ndarray
 
 
-# characters per FFT of the circle integral, which bounds its memory; each
-# row's transform and mean are independent, so the block size changes no bit
-CIRCLE_ROWS = 300
+# characters per FFT of the circle integral, which bounds its memory: a
+# block's transform and its magnitudes take 24 bytes per row and quadrature
+# point, 0.75 MB at 1024 points; each row's transform and mean are
+# independent, so the block size changes no bit
+CIRCLE_ROWS = 32
 
 
 def integral_moments_per_char(

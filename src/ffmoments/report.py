@@ -96,12 +96,16 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
 
 def write_json_rows(path: Path, columns: list[str], rows: list[list]) -> None:
     """The rows as a JSON list of objects keyed by column, byte for byte
-    json.dumps(payload, sort_keys=True, indent=1), each row encoded alone."""
+    json.dumps(payload, sort_keys=True, indent=1), each row encoded and
+    written alone, so no copy of the whole document is ever held."""
     path.parent.mkdir(parents=True, exist_ok=True)
     encode = _ROW_ENCODER.encode
-    items = [encode(dict(zip(columns, row))) for row in rows]
-    body = ",\n ".join("{\n  " + item[1:-1] + "\n }" for item in items)
-    path.write_text("[\n " + body + "\n]" if rows else "[]")
+    with path.open("w") as fh:
+        fh.write("[")
+        for i, row in enumerate(rows):
+            item = encode(dict(zip(columns, row)))
+            fh.write((",\n {\n  " if i else "\n {\n  ") + item[1:-1] + "\n }")
+        fh.write("\n]" if rows else "]")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -339,9 +341,41 @@ class TestReportRows:
         assert path.read_bytes() == expected.encode()
         assert rows or expected == "[]"
 
+    def test_json_rows_written_row_by_row(self, tmp_path):
+        # no list of encoded rows or joined document is held: the traced
+        # peak stays below a quarter of the file written
+        rows = [
+            [3, f"T^5 + {i}", 5, 242, 240, 1, f"{i:012x}", i / 7, math.pi * i]
+            + [math.e * i, 1 / (i + 1), 2 / (i + 3), 0]
+            for i in range(5000)
+        ]
+        path = tmp_path / "moments.json"
+        tracemalloc.start()
+        try:
+            write_json_rows(path, MOMENT_COLUMNS, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < size / 4
+        payload = [dict(zip(MOMENT_COLUMNS, row)) for row in rows]
+        expected = json.dumps(payload, sort_keys=True, indent=1)
+        assert path.read_bytes() == expected.encode()
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def imported_by_cli(module: str) -> bool:
+    """Whether `import ffmoments.cli` in a fresh interpreter imports module."""
+    code = f"import sys, ffmoments.cli; print({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip() == "True"
 
 
 def replace_attrs(ns: SimpleNamespace, **changes) -> SimpleNamespace:
@@ -641,13 +675,42 @@ class TestCli:
     def test_import_leaves_out_multiprocessing(self):
         # a serial run never needs the process pool, so no run pays for
         # importing it unless --jobs asks for workers
-        code = "import sys, ffmoments.cli; print('multiprocessing' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        assert not imported_by_cli("multiprocessing")
+
+    def test_import_leaves_out_openssl(self):
+        # the signatures hash with the interpreter's built-in sha256: hashlib
+        # would load OpenSSL's libcrypto, about 3.5 MB, into every process
+        assert not imported_by_cli("_hashlib")
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_digests_match_hashlib(self, name):
+        # fixture keys embed these digests, so they must stay hashlib's
+        def sha(payload, length):
+            blob = json.dumps(payload, sort_keys=True).encode()
+            return hashlib.sha256(blob).hexdigest()[:length]
+
+        cfg = load_config(CONFIGS / name)
+        specs = cfg.resolved_shift_specs()
+        digests = [sha(spec.to_dict(), 12) for spec in specs]
+        assert [spec.digest for spec in specs] == digests
+        lfun = {"x": cfg.x_exponents, "t": cfg.t_grid_points, "specs": digests}
+        assert cfg.lfun_signature() == sha(lfun, 8)
+        moments = {"specs": digests, "quad": cfg.quad_points}
+        assert cfg.moments_signature() == sha(moments, 8)
+        assert cfg.primesums_signature() == sha(cfg.primesums, 8)
+        if cfg.moduli is not None:
+            assert cfg.family_key(2) == f"q{cfg.q}_d2_{sha(cfg.moduli, 8)}"
+
+    def test_peak_rss_reads_workers_only_with_jobs(self, monkeypatch):
+        # ru_maxrss is in kB; the workers count once --jobs starts them
+        kb = {cli.resource.RUSAGE_SELF: 2048, cli.resource.RUSAGE_CHILDREN: 5120}
+        monkeypatch.setattr(
+            cli.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=kb[who])
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert cli._peak_rss_mb(1) == 2.0
+        assert cli._peak_rss_mb(2) == 5.0
+        kb[cli.resource.RUSAGE_CHILDREN] = 1024
+        assert cli._peak_rss_mb(4) == 2.0
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, smoke, jobs, capsys):
@@ -719,7 +782,9 @@ class TestCli:
         assert run_cli("all", "--config", cfg, "--out", str(tmp)) == 0
         meta = json.loads((tmp / "run_metadata.json").read_text())
         commands = ("enumerate", "lfun", "moments", "primesums")
-        assert set(meta) == {"command", "started", "elapsed_ms", *commands}
+        timing = {"command", "started", "elapsed_ms", "peak_rss_mb"}
+        assert set(meta) == {*timing, *commands}
+        assert meta["peak_rss_mb"] > 0
         assert {c: meta[c] for c in commands} == {
             "enumerate": {"moduli": 9, "orbits": 3, "computed": 9},
             "lfun": {"moduli": 9, "orbits": 3, "computed": 5},

@@ -12,6 +12,7 @@ from ffmoments import _backend, cli, ffpoly
 from ffmoments._backend import (
     _multiple_indices,
     _prime_rows,
+    digit_rows,
     irreducible_counts,
     irreducible_indices,
     reduction_rows,
@@ -126,10 +127,10 @@ def test_deep_index_arrays_unchanged(q, n):
 
 def test_counting_memory_does_not_grow_with_q_to_the_n(monkeypatch):
     # counting degree 22 at q = 2 in segments of 2^14 monics holds the index
-    # arrays of degree <= 11 and the rows -T^k mod P of their primes (built
-    # in int64, about 8 n q^(n/2) bytes), one segment mask and one step's
-    # marks: O(n q^(n/2)) bytes, below the 4 MiB that a bool mask of all
-    # 2^22 monics would take alone
+    # arrays of degree <= 11 and the rows -T^k mod P of their primes (in
+    # int8, about n q^(n/2) bytes), one segment mask and one step's marks:
+    # O(n q^(n/2)) bytes, below the 4 MiB that a bool mask of all 2^22
+    # monics would take alone
     q, n = 2, 22
     monkeypatch.setattr(_backend, "_SIEVE_SEGMENT", 1 << 14)
     tracemalloc.start()
@@ -181,6 +182,27 @@ def test_sieve_working_memory_is_bounded(q, n, monkeypatch):
         tracemalloc.stop()
     output = sum(a.nbytes for a in table)
     assert peak <= q**n + output + 2 * chunk * n
+
+
+def test_prime_rows_built_in_the_digit_dtype():
+    # the rows -T^k mod P of the d <= 11 primes to degree 22 at q = 2 are
+    # built and reduced in int8; int64 temporaries would peak at 13 times
+    # what is kept
+    q, top = 2, 22
+    table = irreducible_indices(q, top // 2)
+    tracemalloc.start()
+    try:
+        rows = [_prime_rows(q, table[d], d, top) for d in range(1, top // 2 + 1)]
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= sum(rho.nbytes for rho in rows)
+    assert peak <= 2 * kept + (64 << 10)
+    for d, rho in enumerate(rows, 1):
+        assert rho.dtype == np.int8 and rho.shape == (top - d + 1, d, len(table[d]))
+        digits = digit_rows(table[d] + q**d, q, d + 1).T
+        want = -reduction_rows(q, digits, top)[:, d:] % q
+        assert np.array_equal(rho, want.transpose(1, 2, 0))
 
 
 def test_prime_rows_built_once_per_factor_degree(monkeypatch):

@@ -3,6 +3,7 @@ circle-integral moments."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,20 @@ class TestIntegralMoment:
         whole = integral_moments_per_char(fam, 512)
         monkeypatch.setattr(moments, "CIRCLE_ROWS", 5)
         assert bitwise(integral_moments_per_char(fam, 512), whole)
+
+    def test_circle_blocks_bound_memory(self):
+        # 2047 conjugate-pair rows at 1024 points: the whole transform and
+        # its magnitudes would take 50 MB, one block of CIRCLE_ROWS 0.75 MB
+        Q = parse_poly(FieldSpec(2), "T^12 + T^6 + T^4 + T + 1")
+        fam = primitive_family(factor_modulus(Q))
+        tracemalloc.start()
+        try:
+            integrals = integral_moments_per_char(fam, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(integrals) == fam.n_primitive == 4094
+        assert peak <= 3 * 2**20
 
     def test_floor_enforced(self, fam_t2):
         with pytest.raises(ValueError):
