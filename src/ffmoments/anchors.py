@@ -37,8 +37,6 @@ CHECK_ANCHORS = frozenset(
         "plumbing/ring",
         "plumbing/factorization",
         "plumbing/unit-group",
-        "plumbing/orthogonality",
-        "plumbing/multiplicativity",
         "plumbing/primitive-count",
     }
 )

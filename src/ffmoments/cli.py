@@ -23,12 +23,13 @@ witness translates of one orbit per degree, each of which gets a
 modulus, because its plumbing rows check how each modulus itself is built.
 moments.csv's ``orbit`` column counts the moduli each row stands for.
 
-enumerate's plumbing rows check the residue kernel the unit groups
-are built on, ``scale_mod_many``, against long division, and each
-generator's order on its powers from ``_power_blocks``.  Exit codes: 0 all
-checks passed, 1 at least one mathematical check failed, 2 configuration
-error, 3 internal error (an uncaught exception; its traceback goes to
-stderr).
+enumerate's plumbing rows check the residue kernel the unit groups are
+built on, ``scale_mod_many``, against long division, and the discrete-log
+table exhaustively as an isomorphism onto the exponent grid, which makes
+every character multiplicative; no row builds a character value.  Exit
+codes: 0 all checks passed, 1 at least one mathematical check failed, 2
+configuration error, 3 internal error (an uncaught exception; its traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ from ffmoments._backend import digit_rows, scale_mod_many
 from ffmoments.chargroup import (
     _divmod_digits,
     _even_mask,
-    _exponent_grid,
     _from_digits,
-    _power_blocks,
-    character_values,
     primitive_count_inclusion_exclusion,
 )
 from ffmoments.config import ConfigError, ExperimentConfig, load_config
@@ -119,7 +117,6 @@ TRANSLATION_TOL = 1e-12  # a witness translate against its representative
 # a family maximum against its recorded fixture; the absolute part lets a
 # constant of rounding noise about 0 (at q = 2 every character is even) move
 FIXTURE_REL_TOL, FIXTURE_ABS_TOL = 0.25, 1e-12
-CHARACTER_COLUMNS = 256  # at most, in enumerate's dense character matrix
 ORBIT_CELL = MOMENT_COLUMNS.index("orbit")  # added to each moments row by main
 
 
@@ -297,10 +294,34 @@ def _ring_failures(modulus) -> int:
     return int(wrong + np.count_nonzero(np.any((ab + ac) % q != abc, axis=0)))
 
 
+def _unit_group_failures(group) -> int:
+    """Failures of the discrete-log table as an isomorphism onto the
+    exponent grid (want 0): per generator g_k, each unit r whose product
+    r g_k from scale_mod_many is not a unit of the table or has dlog(r g_k)
+    != dlog(r) + e_k mod the orders; plus one if dlog(1) != 0, and one if
+    the orders do not multiply to phi(Q).  By induction over the generator
+    word, dlog(prod g_k^a_k) = a, so dlog maps the phi(Q) units onto the
+    grid of prod orders = phi(Q) points, and every character
+    exp(2 pi i sum_k a_k dlog_k / m_k) is multiplicative.  A dlog column
+    shifted by one everywhere keeps every difference: only the dlog(1) term
+    sees it."""
+    q, Q = group.modulus.field.q, group.modulus.poly.coeffs
+    units, dlog = group.residues, group.dlog_mat
+    orders = np.array(group.orders, dtype=np.int64)
+    (one,), _ = group.rows_of([1])  # verify_bijection: every unit is listed
+    failures = int(np.any(dlog[one]))
+    failures += math.prod(group.orders) != group.modulus.phi
+    for e_k, g in zip(np.eye(group.rank, dtype=np.int64), group.generators.tolist()):
+        rows, unit = group.rows_of(scale_mod_many(q, Q, units, g))
+        wrong = np.any((dlog[rows] - dlog) % orders != e_k, axis=1)
+        failures += np.count_nonzero(~unit | wrong)
+    return int(failures)
+
+
 def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
     """The plumbing rows of one modulus: the residue kernel's ring axioms,
-    factorization, unit group, orthogonality, multiplicativity and the
-    primitive count."""
+    the factorization, the discrete-log table as an isomorphism onto the
+    exponent grid, and the primitive count."""
     modulus, group = fam.modulus, fam.group
     q = modulus.field.q
     product = np.ones(1, dtype=np.int64)
@@ -310,69 +331,22 @@ def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
     factorization_ok = product.tolist() == list(modulus.poly.coeffs)
     factorization_ok &= modulus.phi == len(group.residues)
 
-    # the characters in canonical order, the principal one at index 0: all
-    # of them, or a seeded sorted sample of CHARACTER_COLUMNS
-    rng = random.Random(1000 + modulus.norm)
-    cols = np.arange(group.order)
-    if group.order > CHARACTER_COLUMNS:
-        cols = np.array(sorted(rng.sample(range(group.order), CHARACTER_COLUMNS)))
-    V = character_values(group, _exponent_grid(cols, group.orders))
-    col_sums = np.abs(np.sum(V, axis=0))
-    ortho_max = float(np.max(col_sums[cols != 0], initial=0.0))
-
-    # seeded random (unit, unit, character) triples; chi(a b) is read from
-    # the value matrix at the row of the product residue.  The columns go
-    # through Python complex arithmetic, whose rounding the report records.
-    n = len(group.residues)
-    i, j, c = np.array(
-        [
-            (rng.randrange(n), rng.randrange(n), rng.randrange(len(cols)))
-            for _ in range(min(200, 4 * n))
-        ]
-    ).T
-    units = group.residues
-    product_rows, _ = group.rows_of(
-        scale_mod_many(q, modulus.poly.coeffs, units[i], units[j])
-    )
-    columns = (V[product_rows, c].tolist(), V[i, c].tolist(), V[j, c].tolist())
-    mult_err = max(abs(ab - a * b) for ab, a, b in zip(*columns))
-
     factors = " * ".join(
         f"({P})^{e}" if e > 1 else f"({P})" for P, e in modulus.factors
     )
     orders = ",".join(str(m) for m in group.orders)
-    subject = str(modulus)
-    failures = _ring_failures(modulus)
-    params = "seeded residue triples: products vs long division, distributivity"
-    rows = [CheckRow("plumbing/ring", subject, params, failures, 0, failures == 0)]
-    rows += [
-        CheckRow(anchor, subject, params, modulus.phi, "", ok)
-        for anchor, params, ok in [
-            ("plumbing/factorization", factors, factorization_ok),
-            ("plumbing/unit-group", f"orders={orders}", _unit_group_ok(group)),
+    ring = "seeded residue triples: products vs long division, distributivity"
+    ring_wrong, dlog_wrong = _ring_failures(modulus), _unit_group_failures(group)
+    n, want = fam.n_primitive, primitive_count_inclusion_exclusion(modulus)
+    return [
+        CheckRow(anchor, str(modulus), params, value, constant, passed)
+        for anchor, params, value, constant, passed in [
+            ("plumbing/ring", ring, ring_wrong, 0, ring_wrong == 0),
+            ("plumbing/factorization", factors, modulus.phi, "", factorization_ok),
+            ("plumbing/unit-group", f"orders={orders}", dlog_wrong, 0, dlog_wrong == 0),
+            ("plumbing/primitive-count", "conductor-divisor sieve", n, want, n == want),
         ]
     ]
-    params = "max |sum chi| over non-principal"
-    rows.append(below("plumbing/orthogonality", subject, params, ortho_max, 1e-9))
-    params = "seeded random unit pairs"
-    rows.append(below("plumbing/multiplicativity", subject, params, mult_err, 1e-12))
-    n, sieve = fam.n_primitive, primitive_count_inclusion_exclusion(modulus)
-    params = "conductor-divisor sieve"
-    rows.append(
-        CheckRow("plumbing/primitive-count", subject, params, n, sieve, n == sieve)
-    )
-    return rows
-
-
-def _unit_group_ok(group) -> bool:
-    """The orders multiply to phi(Q) and each generator g has exactly its
-    stated order m: of g^0..g^m mod Q, only g^0 and g^m are 1."""
-    q, Q = group.modulus.field.q, group.modulus.poly.coeffs
-    one = np.ones(1, dtype=np.int64)
-    return math.prod(group.orders) == group.modulus.phi and all(
-        np.flatnonzero(_power_blocks(q, Q, one, g, m + 1) == 1).tolist() == [0, m]
-        for g, m in zip(group.generators.tolist(), group.orders)
-    )
 
 
 def cmd_enumerate(cfg: ExperimentConfig) -> list[CheckRow]:

@@ -29,7 +29,7 @@ from ffmoments.chargroup import (
     factor_modulus,
     unit_group,
 )
-from ffmoments.cli import _unit_group_ok, build_parser, main
+from ffmoments.cli import build_parser, main
 from ffmoments.config import (
     SECTION_DEFAULTS,
     ConfigError,
@@ -378,8 +378,25 @@ def imported_by_cli(module: str) -> bool:
     return done.stdout.strip() == "True"
 
 
-def replace_attrs(ns: SimpleNamespace, **changes) -> SimpleNamespace:
-    return SimpleNamespace(**{**vars(ns), **changes})
+def enumerate_rows(q: int, text: str, group=None) -> dict:
+    """enumerate's rows of one modulus by anchor, with its family's unit
+    group replaced by the given one, if any."""
+    cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+    fam = primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
+    if group is not None:
+        fam = dataclasses.replace(fam, group=group)
+    return {r.anchor: r for r in cli._enumerate_result(cfg, fam)}
+
+
+def failing(rows: dict) -> dict:
+    """The value of each row that fails, by anchor."""
+    return {anchor: r.value for anchor, r in rows.items() if not r.passed}
+
+
+def with_dlog(group: UnitGroup, dlog_mat) -> UnitGroup:
+    return UnitGroup(
+        group.modulus, group.generators, group.orders, group.residues, dlog_mat
+    )
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -806,12 +823,20 @@ class TestCli:
         assert len(read_rows(serial / "moments.csv")) == 5 * 2
 
     def test_lfun_and_moments_build_no_value_matrix(self, smoke, monkeypatch):
-        # only the enumerate checks read the dense character value matrix;
-        # every L-coefficient and prime sum comes from character_sums
+        # no run path builds the dense character value matrix: every
+        # L-coefficient and prime sum comes from character_sums, and
+        # enumerate checks the dlog table the characters are read from, not
+        # their values; enumerate and all are run as well as lfun and moments
         cfg, tmp = smoke
         plain, patched = tmp / "plain", tmp / "patched"
-        for command in ("lfun", "moments"):
-            assert run_cli(command, "--config", cfg, "--out", str(plain)) == 0
+        commands = ("enumerate", "lfun", "moments", "all")
+
+        def run(out):
+            for command in commands:
+                args = ("--config", cfg, "--out", str(out / command))
+                assert run_cli(command, *args) == 0
+
+        run(plain)
 
         def refuse(*args):
             raise AssertionError("dense character value matrix built")
@@ -821,10 +846,14 @@ class TestCli:
                 getattr(module, "character_values", None) is character_values
             ):
                 monkeypatch.setattr(module, "character_values", refuse)
-        for command in ("lfun", "moments"):
-            assert run_cli(command, "--config", cfg, "--out", str(patched)) == 0
-        names = sorted(p.name for p in plain.glob("*.csv")) + ["moments.json"]
-        assert len(names) == 4
+        run(patched)
+        names = [
+            p.relative_to(plain)
+            for p in sorted(plain.glob("*/*"))
+            if p.name != "run_metadata.json"
+        ]
+        # enumerate 1, lfun 1, moments 3 and all 7 reports
+        assert len(names) == 12
         for name in names:
             assert (plain / name).read_bytes() == (patched / name).read_bytes()
 
@@ -863,20 +892,25 @@ class TestCli:
         assert "Traceback" in err and "RuntimeError: injected defect" in err
 
     def test_unit_group_check_can_fail(self):
-        F3 = FieldSpec(3)
-        group = unit_group(factor_modulus(parse_poly(F3, "T^2 + 1")))
+        group = unit_group(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
         assert group.orders == (8,)
-        assert _unit_group_ok(group)
-        fake = SimpleNamespace(
-            modulus=group.modulus, generators=group.generators, orders=group.orders
-        )
-        assert _unit_group_ok(fake)
-        # a generator of too small an order
+        rows = enumerate_rows(3, "T^2 + 1")
+        assert failing(rows) == {} and rows["plumbing/unit-group"].value == 0
+        modulus, residues, dlog_mat = group.modulus, group.residues, group.dlog_mat
+        # a generator of too small an order: dlog(r g^2) = dlog(r) + 2 for
+        # each of the 8 units r
         g = group.generators
-        square = scale_mod_many(3, group.modulus.poly.coeffs, g, g)
-        assert not _unit_group_ok(replace_attrs(fake, generators=square))
-        # orders that do not multiply to phi(Q)
-        assert not _unit_group_ok(replace_attrs(fake, orders=(4,)))
+        square = scale_mod_many(3, modulus.poly.coeffs, g, g)
+        fault = UnitGroup(modulus, square, group.orders, residues, dlog_mat)
+        assert failing(enumerate_rows(3, "T^2 + 1", fault)) == {
+            "plumbing/unit-group": 8
+        }
+        # orders that do not multiply to phi(Q); every dlog step is still 1
+        # mod 4, so only the order term counts
+        fault = UnitGroup(modulus, g, (4,), residues, dlog_mat)
+        assert failing(enumerate_rows(3, "T^2 + 1", fault)) == {
+            "plumbing/unit-group": 1
+        }
 
     def test_ring_row_fails_on_perturbed_reduction_row(self, monkeypatch):
         # a wrong row T^d mod Q in the residue kernel's reduction fails the
@@ -908,36 +942,69 @@ class TestCli:
                 _backend._product_rows.cache_clear()
             assert row.value > 0 and not row.passed, (q, text)
 
-    def test_enumerate_samples_character_columns(self, tmp_path, monkeypatch):
-        # phi = 511 > 256: the value matrix holds a seeded sample of columns
+    def test_enumerate_checks_every_unit_of_a_large_prime(self, tmp_path):
+        # phi = 511: the unit-group row checks every unit against the one
+        # generator
         text = "T^9 + T^4 + 1"
         path = tmp_path / "prime9.json"
         budget = {"max_phi_total": 1000, "max_enum": 512}
         path.write_text(
             json.dumps({"schema": 1, "q": 2, "moduli": [text], "budget": budget})
         )
-        widths = []
-
-        def recording(group, K):
-            widths.append(len(K))
-            return character_values(group, K)
-
-        monkeypatch.setattr(cli, "character_values", recording)
         out = tmp_path / "out"
         assert run_cli("enumerate", "--config", str(path), "--out", str(out)) == 0
-        assert widths == [cli.CHARACTER_COLUMNS]
         rows = {r["anchor"]: r for r in read_rows(out / "enumerate.csv")}
         assert rows["plumbing/unit-group"]["params"] == "orders=511"
-        # a dlog column shifted by one fails a row that reads the sample
-        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), text)))
-        g = fam.group
-        dlog_mat = (g.dlog_mat + 1) % g.orders[0]
-        shifted = UnitGroup(g.modulus, g.generators, g.orders, g.residues, dlog_mat)
-        cfg = load_config(path)
-        rows = cli._enumerate_result(cfg, dataclasses.replace(fam, group=shifted))
-        rows = {r.anchor: r for r in rows}
-        ortho, mult = rows["plumbing/orthogonality"], rows["plumbing/multiplicativity"]
-        assert not (ortho.passed and mult.passed)
+        assert rows["plumbing/unit-group"]["value"] == "0"
+        # a dlog column shifted by one keeps every step dlog(r g) - dlog(r),
+        # so only dlog(1) != 0 fails the row
+        group = unit_group(factor_modulus(parse_poly(FieldSpec(2), text)))
+        shifted = with_dlog(group, (group.dlog_mat + 1) % group.orders[0])
+        assert failing(enumerate_rows(2, text, shifted)) == {"plumbing/unit-group": 1}
+
+    @pytest.mark.parametrize(
+        "q, text, off_by_one", [(3, "T^2 + 1", 2), (5, "T^3 + T", 6)]
+    )
+    def test_unit_group_row_fails_on_dlog_faults(self, q, text, off_by_one):
+        group = unit_group(factor_modulus(parse_poly(FieldSpec(q), text)))
+        assert failing(enumerate_rows(q, text)) == {}
+        # one exponent off by one: the unit u = residues[1] is wrong as r and
+        # as r g_k, for each generator g_k
+        dlog_mat = group.dlog_mat.copy()
+        dlog_mat[1, 0] = (dlog_mat[1, 0] + 1) % group.orders[0]
+        assert failing(enumerate_rows(q, text, with_dlog(group, dlog_mat))) == {
+            "plumbing/unit-group": off_by_one
+        }
+        assert off_by_one == 2 * group.rank
+        # the whole first column shifted by one: only the dlog(1) term sees it
+        dlog_mat = group.dlog_mat.copy()
+        dlog_mat[:, 0] = (dlog_mat[:, 0] + 1) % group.orders[0]
+        assert failing(enumerate_rows(q, text, with_dlog(group, dlog_mat))) == {
+            "plumbing/unit-group": 1
+        }
+        # a generator that is not a unit: no product r g_0 is in the table
+        gens = group.generators.copy()
+        gens[0] = 0
+        modulus, residues = group.modulus, group.residues
+        fault = UnitGroup(modulus, gens, group.orders, residues, group.dlog_mat)
+        assert failing(enumerate_rows(q, text, fault)) == {
+            "plumbing/unit-group": group.order
+        }
+
+    def test_enumerate_memory_is_linear_in_phi(self):
+        # phi = 4095: the unit-group row holds a few arrays of phi integers
+        # (2.2 MB peak); a value matrix of 256 characters alone takes 16 MB
+        Q = parse_poly(FieldSpec(2), "T^12 + T^6 + T^4 + T + 1")
+        fam = primitive_family(factor_modulus(Q))
+        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
+        tracemalloc.start()
+        try:
+            rows = cli._enumerate_result(cfg, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.modulus.phi == 4095 and all(r.passed for r in rows)
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize(
         "path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
@@ -963,25 +1030,13 @@ class TestCli:
             assert blob == (outs["single"] / name).read_bytes()
 
     def test_multiplicativity_check_can_fail(self):
-        # two swapped dlog rows keep every column sum, so only the
-        # multiplicativity spot check sees them
-        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
-        fam = primitive_family(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
-
-        def enumerate_rows(fam):
-            return {r.anchor: r for r in cli._enumerate_result(cfg, fam)}
-
-        mult = enumerate_rows(fam)["plumbing/multiplicativity"]
-        assert mult.value < 1e-12 and mult.passed
-        g = fam.group
-        dlog_mat = g.dlog_mat.copy()
+        # two swapped dlog rows keep dlog(1) and the orders; the unit-group
+        # row sees the two units wrong as r and as r g
+        group = unit_group(factor_modulus(parse_poly(FieldSpec(3), "T^2 + 1")))
+        dlog_mat = group.dlog_mat.copy()
         dlog_mat[[1, 2]] = dlog_mat[[2, 1]]
-        swapped = UnitGroup(g.modulus, g.generators, g.orders, g.residues, dlog_mat)
-        rows = enumerate_rows(dataclasses.replace(fam, group=swapped))
-        mult = rows["plumbing/multiplicativity"]
-        assert mult.value > 1e-12 and not mult.passed
-        ortho = rows["plumbing/orthogonality"]
-        assert ortho.value < 1e-9 and ortho.passed
+        rows = enumerate_rows(3, "T^2 + 1", with_dlog(group, dlog_mat))
+        assert failing(rows) == {"plumbing/unit-group": 4}
 
     def test_conjugation_check_can_fail(self):
         cfg = load_config(CONFIGS / "smoke_q3_d2.json")
