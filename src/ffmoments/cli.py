@@ -188,7 +188,7 @@ def _modulus_task(payload) -> dict:
     fam = primitive_family(modulus)
     out = {}
     if "enumerate" in commands:
-        rows = _enumerate_result(cfg, fam)
+        rows = _enumerate_result(fam)
         out["enumerate"] = {"degree": modulus.degree, "rows": rows, "family": []}
     if "lfun" in commands:
         out["lfun"] = _lfun_result(cfg, fam, specs, signatures["lfun"])
@@ -318,7 +318,7 @@ def _unit_group_failures(group) -> int:
     return int(failures)
 
 
-def _enumerate_result(cfg: ExperimentConfig, fam) -> list[CheckRow]:
+def _enumerate_result(fam) -> list[CheckRow]:
     """The plumbing rows of one modulus: the residue kernel's ring axioms,
     the factorization, the discrete-log table as an isomorphism onto the
     exponent grid, and the primitive count."""

@@ -11,16 +11,15 @@ Values on the critical line live on the circle |u| = q^(-1/2); the shift t
 in L(1/2 + it, chi) corresponds to the angle theta = -t log q, and all
 values are periodic in t with period 2*pi/log q.
 
-The log|L| bounds are sums over prime powers P^j whose t-dependence is
-e^(-i t n log q) with n = j deg P alone.  So one prime-power table
-S[chi, d, j] = sum over monic irreducible P of degree d of chi(P)^j
-(d*j <= top) is built per family: the irreducible indices are reduced mod
-Q by one digit-matrix product against the rows T^k mod Q and counted per
-unit residue, one layer per degree d; character_sums turns the layers into
-S[chi, d, 1], and S[chi, d, j] = S[chi^j, d, 1].  Each bound is then a
-weight vector over n, and its values on a whole t-grid are one
-(characters x n) @ (n x t) product with the phases e^(-i t n log q);
-|L| there is coeffs @ u(t)^n, the powers memoised per process (abs_l_at).
+The log|L| bounds are sums over prime powers P^j whose t-dependence is u^n
+with n = j deg P alone, u = q^(-(1/2 + it)), so like L each bound is a
+polynomial in u.  One prime-power table per family keeps three rows over n
+per character: the primes, the prime squares and all prime powers of
+degree n.  The irreducibles are reduced mod Q by one digit-matrix product
+against the rows T^k mod Q and counted per unit residue, one layer per
+degree; character_sums turns the layers into sums of chi(P), and chi(P)^j =
+chi^j(P).  Each bound is a weight row over n whose values on a t-grid are
+the same u-power product as |L| (_u_poly_at, the powers memoised).
 """
 
 from __future__ import annotations
@@ -288,100 +287,92 @@ def _h_from_x(q: int, x) -> int:
     return h
 
 
+def _prime_power_rows(group: UnitGroup, K: np.ndarray, top: int) -> np.ndarray:
+    """For the characters with exponent rows K, the rows over n of prime,
+    square and the terms with j >= 3 of lam (see PrimePowerTable)."""
+    irreducibles = _irreducible_index_table(group.modulus.field.q, top)
+    counts = np.zeros((top + 1, len(group.residues)))
+    for d in range(1, top + 1):
+        rows, unit = _unit_rows_of_monics(group, d, irreducibles[d])
+        counts[d] = np.bincount(rows[unit], minlength=len(group.residues))
+    prime_sums = character_sums(group, counts)
+    # chi(P)^j = chi^j(P), and chi^j has the exponent row j*K mod orders
+    orders = np.array(group.orders, dtype=np.int64)
+    out = np.zeros((3, len(K), top + 1), dtype=np.complex128)
+    for j in range(1, top + 1):
+        at = char_index(group, j * K % orders)
+        sums = prime_sums[1 : top // j + 1, at].T
+        out[min(j, 3) - 1, :, j::j] += sums if j < 3 else sums / j
+    return out
+
+
 @dataclass(frozen=True)
 class PrimePowerTable:
-    """Prime-power character sums of one modulus,
+    """Prime-power character sums of one modulus, one row per character over
+    n = j*deg P <= top, with S(chi, d, j) = sum over monic irreducible P of
+    degree d of chi(P)^j:
 
-        sums[c, d, j] = sum over monic irreducible P of degree d of chi_c(P)^j
+        prime[c, n]  = S(chi_c, n, 1),
+        square[c, n] = S(chi_c, n/2, 2) at even n, 0 at odd n,
+        lam[c, n]    = sum over j dividing n of S(chi_c, n/j, j)/j,
 
-    for d*j <= top (zero elsewhere), and the log|L| bounds built from them.
-    Every bound depends on the shift t only through e^(-i t n log q) with
-    n = j*d, so each is a weight vector over n, evaluated on a whole t-grid
-    by one product with the phase matrix.
+    and the log|L| bounds built from them, each a weight row over n times
+    u^n.  lam is built as prime + square/2 + the terms with j >= 3, so the
+    explicit formula, which reads lam, sees every value that a bound reads.
     """
 
     modulus: Modulus
-    sums: np.ndarray  # (chars, top + 1, top + 1), complex
+    prime: np.ndarray  # (chars, top + 1), complex
+    square: np.ndarray
+    lam: np.ndarray
 
     @classmethod
     def build(cls, group: UnitGroup, K: np.ndarray, top: int) -> "PrimePowerTable":
         """The table of the characters with exponent rows K."""
-        irreducibles = _irreducible_index_table(group.modulus.field.q, top)
-        counts = np.zeros((top + 1, len(group.residues)))
-        for d in range(1, top + 1):
-            rows, unit = _unit_rows_of_monics(group, d, irreducibles[d])
-            counts[d] = np.bincount(rows[unit], minlength=len(group.residues))
-        prime_sums = character_sums(group, counts)
-        # chi(P)^j = chi^j(P), and chi^j has the exponent row j*K mod orders
-        orders = np.array(group.orders, dtype=np.int64)
-        sums = np.zeros((len(K), top + 1, top + 1), dtype=np.complex128)
-        for j in range(1, top + 1):
-            at = char_index(group, j * K % orders)
-            sums[:, 1 : top // j + 1, j] = prime_sums[1 : top // j + 1, at].T
-        return cls(group.modulus, sums)
-
-    @property
-    def top(self) -> int:
-        return self.sums.shape[1] - 1
-
-    def _phases(self, ts) -> np.ndarray:
-        """(top + 1, len(ts)) matrix e^(-i t n log q)."""
-        n = np.arange(self.top + 1, dtype=np.float64)
-        return np.exp(-1j * np.outer(n, ts) * math.log(self.modulus.field.q))
+        prime, square, lam = _prime_power_rows(group, K, top)
+        lam += prime + square / 2  # lam held the terms with j >= 3
+        return cls(group.modulus, prime, square, lam)
 
     def pointwise(self, ts, h: int) -> np.ndarray:
         """Prop 3.1 bound with smoothing length h (1 <= h <= top), per
         character and shift:
 
             m/h + (1/h) * Re sum over prime powers P^j with j*deg(P) <= h of
-            chi(P)^j (h - j*deg P) / (j |P|^(j(1/2 + it + 1/(h log q)))),
+            chi(P)^j (h - j*deg P) / (j |P|^(j(1/2 + it + 1/(h log q))))
+          = m/h + Re sum_{1 <= n < h} lam[n] (h - n) e^(-n/h) u^n / h,
 
         where m = deg(Q) - 1; terms with j*deg(P) = h carry weight zero."""
-        lnq = math.log(self.modulus.field.q)
-        sexp = 0.5 + 1.0 / (h * lnq)
-        w = np.zeros((len(self.sums), self.top + 1), dtype=np.complex128)
-        for d in range(1, h + 1):
-            for j in range(1, (h - 1) // d + 1):
-                n = j * d
-                w[:, n] += self.sums[:, d, j] * ((h - n) / (j * math.exp(n * lnq * sexp)))
+        n = np.arange(h)
+        w = self.lam[:, :h] * ((h - n) * np.exp(-n / h) / h)
         m = self.modulus.degree - 1
-        return m / h + (w @ self._phases(ts)).real / h
+        return m / h + _u_poly_at(w, self.modulus.field.q, ts).real
 
     def simplified(self, ts, h: int) -> np.ndarray:
         """The smoothed two-sum bound value at cutoff x = q^h (h <= top),
         without its bounded remainder, per character and shift:
 
             Re[ sum_{|P|<=x} chi(P)/|P|^(1/2+it+1/log x) * log(x/|P|)/log x
-              + (1/2) sum_{|P|<=sqrt(x)} chi(P^2)/|P|^(1+2it) ] + log|Q|/log x.
+              + (1/2) sum_{|P|<=sqrt(x)} chi(P^2)/|P|^(1+2it) ] + log|Q|/log x
+          = Re sum_{n<=h} (prime[n] (h-n)/h e^(-n/h) + square[n]/2) u^n + deg(Q)/h.
         """
-        lnq = math.log(self.modulus.field.q)
-        sexp = 0.5 + 1.0 / (h * lnq)
-        w = np.zeros((len(self.sums), self.top + 1), dtype=np.complex128)
-        for d in range(1, h):
-            w[:, d] += self.sums[:, d, 1] * ((h - d) / h / math.exp(d * lnq * sexp))
-        for d in range(1, h // 2 + 1):
-            w[:, 2 * d] += 0.5 * self.sums[:, d, 2] / math.exp(d * lnq)
-        return (w @ self._phases(ts)).real + self.modulus.degree / h
+        n = np.arange(h + 1)
+        w = self.prime[:, : h + 1] * ((h - n) / h * np.exp(-n / h))
+        w += self.square[:, : h + 1] / 2
+        return _u_poly_at(w, self.modulus.field.q, ts).real + self.modulus.degree / h
 
     def explicit_formula_defect(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per character, max over 1 <= n <= top of
-        |sum_{d*j=n} d * sums[d, j] + p_n|, where p_n = sum_i alpha_i^n is
-        the inverse-root power sum, taken from the L-coefficients c by
-        Newton's identities p_n = -n c_n - sum_{k<n} c_k p_(n-k).  Zero for
-        exact data: u L'/L = -sum_n p_n u^n is the log-derivative of the
-        Euler product."""
-        top = self.top
-        c = np.zeros((len(coeffs), top + 1), dtype=np.complex128)
-        width = min(coeffs.shape[1], top + 1)
+        """Per character, max over 1 <= n <= top of |n lam[n] + p_n|, where
+        p_n = sum_i alpha_i^n is the inverse-root power sum, taken from the
+        L-coefficients c by Newton's identities
+        p_n = -n c_n - sum_{k<n} c_k p_(n-k).  Zero for exact data:
+        u L'/L = -sum_n p_n u^n is the log-derivative of the Euler product,
+        whose n-th coefficient is n lam[n]."""
+        c, p = np.zeros_like(self.lam), np.zeros_like(self.lam)
+        width = min(coeffs.shape[1], c.shape[1])
         c[:, :width] = coeffs[:, :width]
-        p = np.zeros_like(c)
-        prime_side = np.zeros_like(c)
-        for n in range(1, top + 1):
+        for n in range(1, c.shape[1]):
             p[:, n] = -n * c[:, n] - np.sum(c[:, 1:n] * p[:, n - 1 : 0 : -1], axis=1)
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    prime_side[:, n] += d * self.sums[:, d, n // d]
-        return np.max(np.abs(prime_side + p)[:, 1:], axis=1)
+        return np.max(np.abs(np.arange(c.shape[1]) * self.lam + p)[:, 1:], axis=1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -399,13 +390,19 @@ def _shift_powers(q: int, degree: int, ts: tuple[float, ...], circle: bool):
     return _read_only(np.array(us)[None, :] ** np.arange(degree)[:, None])
 
 
-def abs_l_at(coeffs: np.ndarray, q: int, ts, circle: bool = False) -> np.ndarray:
-    """|L(u, chi)| for each coefficient row (rows) at each shift t (cols),
-    the one evaluator of lfun and the moments (see _shift_powers for u)."""
+def _u_poly_at(coeffs: np.ndarray, q: int, ts, circle: bool = False) -> np.ndarray:
+    """sum_n coeffs[c, n] u^n per coefficient row c (rows) and shift t (cols):
+    |L| and the log|L| bounds (see _shift_powers for u)."""
     powers = _shift_powers(q, coeffs.shape[1], tuple(ts), circle)
     # einsum, not @: numpy sends this small product to a threaded BLAS whose
     # idle threads spin, about doubling the CPU time of a moments sweep
-    return np.abs(np.einsum("cn,ns->cs", coeffs, powers))
+    return np.einsum("cn,ns->cs", coeffs, powers)
+
+
+def abs_l_at(coeffs: np.ndarray, q: int, ts, circle: bool = False) -> np.ndarray:
+    """|L(u, chi)| for each coefficient row (rows) at each shift t (cols),
+    the one evaluator of lfun and the moments (see _shift_powers for u)."""
+    return np.abs(_u_poly_at(coeffs, q, ts, circle))
 
 
 def log_l_bound_pointwise(chi: DirichletChar, t: float, h: int) -> float:

@@ -381,11 +381,10 @@ def imported_by_cli(module: str) -> bool:
 def enumerate_rows(q: int, text: str, group=None) -> dict:
     """enumerate's rows of one modulus by anchor, with its family's unit
     group replaced by the given one, if any."""
-    cfg = load_config(CONFIGS / "smoke_q3_d2.json")
     fam = primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
     if group is not None:
         fam = dataclasses.replace(fam, group=group)
-    return {r.anchor: r for r in cli._enumerate_result(cfg, fam)}
+    return {r.anchor: r for r in cli._enumerate_result(fam)}
 
 
 def failing(rows: dict) -> dict:
@@ -915,7 +914,6 @@ class TestCli:
     def test_ring_row_fails_on_perturbed_reduction_row(self, monkeypatch):
         # a wrong row T^d mod Q in the residue kernel's reduction fails the
         # ring row, which checks the kernel against long division
-        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
         reduction_rows = _backend.reduction_rows
 
         def perturbed(q, mod_digits, top):
@@ -925,9 +923,7 @@ class TestCli:
             return rows
 
         def ring_row(fam):
-            return {r.anchor: r for r in cli._enumerate_result(cfg, fam)}[
-                "plumbing/ring"
-            ]
+            return {r.anchor: r for r in cli._enumerate_result(fam)}["plumbing/ring"]
 
         for q, text in ((3, "T^2 + 1"), (5, "T^3 + T")):
             fam = primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
@@ -996,10 +992,9 @@ class TestCli:
         # (2.2 MB peak); a value matrix of 256 characters alone takes 16 MB
         Q = parse_poly(FieldSpec(2), "T^12 + T^6 + T^4 + T + 1")
         fam = primitive_family(factor_modulus(Q))
-        cfg = load_config(CONFIGS / "smoke_q3_d2.json")
         tracemalloc.start()
         try:
-            rows = cli._enumerate_result(cfg, fam)
+            rows = cli._enumerate_result(fam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -158,23 +158,25 @@ class TestIrreducible:
 
     @pytest.mark.parametrize("field", [F2, F3, F5])
     def test_trial_division_oracle(self, field):
-        # independent oracle: divisibility by any monic of degree <= d/2
+        # independent oracle: the reducible monics of degree n are exactly
+        # the products g*h of monics with deg g + deg h = n, both positive
         q = field.q
         max_deg = 1
         while q ** (max_deg + 1) <= 10**4:
             max_deg += 1
+
+        def monics(d):
+            lows = itertools.product(range(q), repeat=d)
+            return [FqPoly(field, list(low) + [1]) for low in lows]
+
         for n in range(1, max_deg + 1):
+            products = set()
+            for d in range(1, n // 2 + 1):
+                hs = monics(n - d)
+                products.update(g * h for g in monics(d) for h in hs)
             for idx in range(q**n):
                 f = monic_from_index(field, n, idx)
-                reducible = False
-                for d in range(1, n // 2 + 1):
-                    for low in itertools.product(range(q), repeat=d):
-                        g = FqPoly(field, list(low) + [1])
-                        if (f % g).is_zero:
-                            reducible = True
-                            break
-                    if reducible:
-                        break
+                reducible = f in products
                 assert is_irreducible(f) == (not reducible), str(f)
 
 

@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ffmoments import cli
+from ffmoments import cli, lfunc
 from ffmoments.chargroup import (
     _even_mask,
     all_characters,
@@ -256,11 +257,21 @@ def test_character_sums_match_dense_oracles(q, text, rank):
     for n in (dQ, dQ + 1, dQ + 2):
         got = l_coefficient_probe(group, index, n)
         assert np.all(np.abs(got - oracle_probe(group, chars, n)) <= 1e-12 * scale[n])
+    # the table's rows over n = d*j against the oracle's (d, j) cells
     top = dQ + 2
-    sums = PrimePowerTable.build(group, exponent_rows(group, chars), top).sums
-    n = np.outer(np.arange(top + 1), np.arange(top + 1))
-    err = np.abs(sums - oracle_prime_power_sums(group, chars, top))
-    assert np.all(err <= 1e-12 * float(q) ** (n / 2))
+    table = PrimePowerTable.build(group, exponent_rows(group, chars), top)
+    sums = oracle_prime_power_sums(group, chars, top)
+    want = np.zeros((3, len(chars), top + 1), dtype=np.complex128)
+    for d in range(1, top + 1):
+        for j in range(1, top // d + 1):
+            want[2, :, d * j] += sums[:, d, j] / j
+        want[0, :, d] = sums[:, d, 1]
+        if 2 * d <= top:
+            want[1, :, 2 * d] = sums[:, d, 2]
+    scale = float(q) ** (np.arange(top + 1) / 2)
+    for got, oracle in zip((table.prime, table.square, table.lam), want):
+        assert got.shape == oracle.shape
+        assert np.all(np.abs(got - oracle) <= 1e-12 * scale)
 
 
 def test_family_arrays_match_character_objects():
@@ -552,6 +563,44 @@ class TestPrimePowerTable:
             coeffs[0, -1] += 0.5
             defect = table.explicit_formula_defect(coeffs)
             assert defect[0] >= 0.5 and float(np.max(defect[1:], initial=0.0)) < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["prime", "square"])
+    def test_explicit_formula_sees_the_rows_the_bounds_read(self, k, monkeypatch):
+        # lam is built from prime and square, so a wrong cell in either, as
+        # the bounds read it, fails the explicit formula for its character
+        rows, delta = lfunc._prime_power_rows, (3 - 7j) * 1e-9
+        for q, text, c, n in ((2, "T^5 + T^2 + 1", 3, 4), (3, "T^3 + 2*T + 1", 1, 2)):
+            fam = primitive_family(factor_modulus(parse_poly(FieldSpec(q), text)))
+            clean = PrimePowerTable.build(fam.group, fam.exponents, 4)
+
+            def perturbed(group, K, top):
+                out = rows(group, K, top)
+                out[k, c, n] += delta
+                return out
+
+            monkeypatch.setattr(lfunc, "_prime_power_rows", perturbed)
+            table = PrimePowerTable.build(fam.group, fam.exponents, 4)
+            monkeypatch.undo()
+            bad, good = (table.prime, table.square)[k], (clean.prime, clean.square)[k]
+            assert np.count_nonzero(bad != good) == 1
+            assert bad[c, n] == good[c, n] + delta
+            defect = table.explicit_formula_defect(fam.coeffs)
+            assert defect[c] > 1e-9
+            assert float(np.max(np.delete(defect, c))) < 1e-12
+
+    def test_build_memory_is_linear_in_top(self):
+        # phi = 4095, top = 11: three rows of 12 cells per character (4.4 MB
+        # peak); a cell per (d, j) pair would take 9.4 MB for the sums alone
+        Q = parse_poly(F2, "T^12 + T^6 + T^4 + T + 1")
+        fam = primitive_family(factor_modulus(Q))
+        tracemalloc.start()
+        try:
+            table = PrimePowerTable.build(fam.group, fam.exponents, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.modulus.phi == 4095 and table.lam.shape == (4094, 12)
+        assert peak <= 6 * 2**20
 
 
 class TestLfunFamilyPass:
