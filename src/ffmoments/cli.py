@@ -13,6 +13,11 @@ maximum of each key over the moduli and makes its fixture row; ``main``
 puts the command's own rows (enumerate's Lemma 2.2 rows, all of primesums)
 first.
 
+Every CLI process, the --jobs workers included, runs OpenBLAS on one
+thread (``OPENBLAS_NUM_THREADS=1``, set before numpy loads; a value the
+caller sets wins): the package's BLAS calls are too small to use a second
+thread, which would only spin.  --jobs N is how a run uses more cores.
+
 T -> T + b keeps degree and monicness, so the primitive characters mod Q
 and mod Q(T + b) have the same L-polynomials, and every lfun and moments
 statistic of Q is that of its translates.  ``main`` groups the moduli into
@@ -39,6 +44,7 @@ import datetime
 import itertools
 import json
 import math
+import os
 import random
 import resource
 import sys
@@ -46,6 +52,14 @@ import time
 import traceback
 from pathlib import Path
 from typing import NamedTuple
+
+# One BLAS thread per process, set before numpy first loads: OpenBLAS starts
+# its worker threads at load, and an idle worker busy-polls for a while
+# (about 0.125 s of CPU per process on a 2-core host) before it sleeps.
+# Every BLAS call of the package is on operands so small that OpenBLAS runs
+# it on the calling thread anyway.  A value the caller sets wins; --jobs
+# uses more cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
