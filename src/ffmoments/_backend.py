@@ -16,22 +16,23 @@ per call to the deepest degree.  Degree n is sieved in segments of q^k
 monics, k >= n/2, so that the top n - k digits of A are the top digits of
 H: a segment's multiples of P are those whose H has the segment's top
 digits, and one bool mask of q^k entries holds a segment's marks.  The
-multiples are built in steps of at most _SIEVE_CHUNK products, so the
-working memory does not grow with q^n; counting keeps only the index
-arrays of degree <= n/2.  scale_mod_many multiplies a batch of encoded
-residues by residues mod Q.
+multiples are built from one small table of low-digit remainders per factor
+degree, in steps of at most _SIEVE_CHUNK products, so the working memory
+does not grow with q^n; counting keeps only the index arrays of degree
+<= n/2.  scale_mod_many multiplies encoded residues by residues mod Q.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 # products per sieve step; bounds the sieve's working memory
-_SIEVE_CHUNK = 1 << 17
+_SIEVE_CHUNK = 1 << 16
 # monics per sieve segment, at most, unless a degree needs more
-_SIEVE_SEGMENT = 1 << 20
+_SIEVE_SEGMENT = 1 << 18
 
 
 def digit_rows(indices, q: int, width: int) -> np.ndarray:
@@ -65,16 +66,17 @@ def reduction_rows(q: int, mod_digits, top: int) -> np.ndarray:
     return rows
 
 
-def _add_digits(r: np.ndarray, rho: np.ndarray, q: int, steps: int) -> np.ndarray:
-    """Outer sums r + h_k rho[k] mod q over the digits h_k = 0..q-1 of each
-    row block rho[k], shape (d, R), in turn; each digit becomes the new most
-    significant part of the last axis, (d, R, X) -> (d, R, q X).  Reduced mod
-    q in place after every `steps` digits and after the last one."""
+def _add_digits(q: int, rho: np.ndarray) -> np.ndarray:
+    """(d, R, q^K) outer sums sum_k h_k rho[k] mod q over the digits h_k of the
+    K row blocks rho[k], shape (d, R), in the dtype of rho; the digit h_k is
+    the k-th least significant of the last axis.  Reduced mod q in place
+    after every `steps` digits of _digit_type and after the last one."""
+    r = np.zeros(rho.shape[1:] + (1,), rho.dtype)
     hdig = np.arange(q, dtype=r.dtype)[:, None]
     for k, rho_k in enumerate(rho, 1):
         r = r[:, :, None] + hdig * rho_k[:, :, None, None]
         r = r.reshape(r.shape[0], r.shape[1], -1)
-        if k % steps == 0 or k == len(rho):
+        if k % _digit_type(q)[1] == 0 or k == len(rho):
             t = r // q  # numpy divides by a scalar far faster than %
             t *= q
             r -= t
@@ -104,48 +106,54 @@ def _prime_rows(q: int, primes: np.ndarray, d: int, top: int) -> np.ndarray:
     return np.ascontiguousarray(rho.transpose(1, 2, 0))
 
 
-def _multiple_indices(
-    q: int, rho: np.ndarray, n: int, d: int, k: int | None = None, s: int = 0
-):
-    """Yield the indices of the monic degree-n multiples of the degree-d
-    primes whose rows rho_k = -T^(d+k) mod P, k <= n - d (at least), are
-    rho, from _prime_rows, in arrays of at most _SIEVE_CHUNK products.  A
-    multiple of P is A = H T^d + R, fixed by its monic top part H of degree
-    m = n - d, with R = sum_k h_k rho_k over the digits of H (h_m = 1).
+def _low_table(q: int, rho: np.ndarray) -> np.ndarray:
+    """The remainders sum_{i<j} h_i rho_i of the low j digits h of H, by
+    _add_digits over the rows rho of _prime_rows: j < len(rho) the largest with
+    d N q^j <= _SIEVE_CHUNK / 4; the first q^i columns are those of i digits."""
+    _, d, count = rho.shape
+    j = sum(d * count * q**i <= _SIEVE_CHUNK // 4 for i in range(1, len(rho)))
+    return _add_digits(q, rho[:j])
 
-    Only the multiples in segment s of q^k monics are yielded, d <= k <= n
-    (default k = n, one segment): those whose top n - k digits, the digits
-    k - d .. m - 1 of H, are the digits of s; their indices are relative to
-    the segment start s q^k.  The low j digits of H, j <= k - d largest with
-    q^j <= _SIEVE_CHUNK, vary along the last axis; a row is one (prime, free
-    top digits) pair, with base vector rho_m + sum_{i >= j} h_i rho_i.
-    Flattened in yield order, the arrays run over the primes and for each
-    over index(H)."""
-    k = n if k is None else k
-    m, f = n - d, k - d  # the digits of H below f are free in the segment
-    itype = np.int32 if q**k < 2**31 else np.int64
-    ctype, steps = _digit_type(q)
-    j = 0
-    while j < f and q ** (j + 1) <= _SIEVE_CHUNK:
-        j += 1
-    tops = q ** (f - j)  # rows per prime
-    top = rho[m]
-    if k < n:  # the segment fixes the top digits of H
-        fixed = np.tensordot(digit_rows([s], q, n - k)[:, 0], rho[f:m], axes=1)
-        top = ((fixed + top) % q).astype(ctype)
-    bases = _add_digits(top[:, :, None], rho[j:f], q, steps).reshape(d, -1)
-    low = np.arange(q**j, dtype=itype) * q**d
-    step = _SIEVE_CHUNK // q**j  # rows per array, at least 1
-    for start in range(0, bases.shape[1], step):
-        rows = np.arange(start, min(start + step, bases.shape[1]))
-        r = _add_digits(bases[:, rows, None], rho[:j, :, rows // tops], q, steps)
-        index = r[d - 1].astype(itype)  # widen before scaling
-        for i in range(d - 2, -1, -1):
-            index *= q
-            index += r[i]
-        index += low
-        index += (rows % tops * q ** (j + d)).astype(itype)[:, None]
-        yield index
+
+def _multiple_indices(q: int, rho: np.ndarray, low: np.ndarray, n: int, d: int, k: int):
+    """Yield per segment of q^k monics, d <= k <= n, an iterator over the
+    indices (from the segment start) of its monic degree-n multiples of the
+    degree-d primes with rows rho_k = -T^(d+k) mod P (_prime_rows), k <= n - d,
+    and _low_table low, at most _SIEVE_CHUNK products per array.  A multiple
+    of P is A = H T^d + R, H monic of degree m = n - d and R = sum_k h_k rho_k
+    over its digits (h_m = 1); segment s holds those whose digits k - d ..
+    m - 1 of H are the digits of s.  The table, plus the segment's digits,
+    gives the remainders of the low j <= k - d digits of H, an outer sum those
+    of the others; a step adds the two digit by digit, the longer of the prime
+    and low-digit axes innermost, and reduces mod q."""
+    m, f = n - d, k - d  # the digits of H below f are free in a segment
+    rho, rtype = rho.view(f"u{rho.itemsize}"), np.min_scalar_type(q**d - 1)
+    j = sum(q**i <= low.shape[2] for i in range(1, f + 1))
+    free = _add_digits(q, rho[j:f])
+    (_, count, tops), lows = free.shape, q**j
+    inner = count > lows  # steps run over axes (top, low, prime), else (top, prime, low)
+    free = np.expand_dims(np.ascontiguousarray(free.transpose(0, 2, 1)), 3 - inner)
+    low = np.ascontiguousarray(np.moveaxis(low[:, :, :lows], 1, 1 + inner))
+    mid, last = sorted((count, lows))
+    ic = min(last, max(1, _SIEVE_CHUNK // mid))  # innermost entries per step
+    tc = max(1, _SIEVE_CHUNK // (mid * ic))  # tops per step
+
+    def marks(top):
+        lo = low.view(rho.dtype) + np.expand_dims(top, 2 - inner)
+        np.minimum(lo, lo - q, out=lo)  # lo - q wraps where lo < q
+        hlow = np.moveaxis(np.arange(lows)[None] * q**d, 0, inner)  # index(H) q^d
+        for t, p in itertools.product(range(0, tops, tc), range(0, last, ic)):
+            b, c = free[::-1, t : t + tc, ..., p : p + ic], lo[::-1, ..., p : p + ic]
+            r = (np.minimum(s, s - q) for s in map(np.add, b, c))  # R, top digit first
+            index = functools.reduce(lambda x, y: x * q + y, r, rtype.type(0))
+            index = index.astype(np.intp)  # then added to in place: no cast buffers
+            index += hlow
+            index += np.arange(t, t + len(index))[:, None, None] * q ** (j + d)
+            yield index
+            del index  # freed before the next step is built
+
+    for h in digit_rows(range(q ** (n - k)), q, n - k).T:  # the digits of s
+        yield marks(((rho[m] + np.tensordot(h, rho[f:m], axes=1)) % q).astype(rho.dtype))
 
 
 def _segment_digits(q: int, n: int) -> int:
@@ -169,24 +177,26 @@ def _sieve(q: int, n_max: int, table: list[np.ndarray], keep: int, first: int):
     mask of q^k entries: the multiples of each degree-d prime that fall in
     the segment are marked composite (_multiple_indices), and what survives
     is the segment's irreducibles.  The rows -T^k mod P of the degree-d
-    primes are built once, to degree n_max, and sliced for each n."""
+    primes and their _low_table are built once, for every n <= n_max."""
     counts = [len(a) for a in table]
-    rho: dict[int, np.ndarray] = {}
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for n in range(len(table), n_max + 1):
         counts.append(0)
         if keep < n < first:
             continue
         for d in range(1, n // 2 + 1):
-            if d not in rho:
-                rho[d] = _prime_rows(q, table[d], d, n_max)
+            if d not in rows:
+                rho = _prime_rows(q, table[d], d, n_max)
+                rows[d] = rho, _low_table(q, rho)
         k = _segment_digits(q, n)
         mask = np.empty(q**k, dtype=bool)
+        degrees = [_multiple_indices(q, *rows[d], n, d, k) for d in range(1, n // 2 + 1)]
         survivors = []
-        for s in range(q ** (n - k)):
+        for s, *marks in zip(range(q ** (n - k)), *degrees):
             mask.fill(True)
-            for d in range(1, n // 2 + 1):
-                for index in _multiple_indices(q, rho[d], n, d, k, s):
-                    mask[index] = False
+            for index in itertools.chain.from_iterable(marks):
+                mask[index] = False
+                del index  # freed before the next step is built
             counts[n] += int(np.count_nonzero(mask))
             if n <= keep:
                 survivors.append(np.flatnonzero(mask) + s * q**k)

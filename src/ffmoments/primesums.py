@@ -26,7 +26,7 @@ from ffmoments.moments import theta_bar
 # the prime-power tail beyond x = q^h is summed up to degree TAIL_MULTIPLE * h
 TAIL_MULTIPLE = 4
 # cutoffs h per cumulative-sum block of fsum_defect_sup; bounds its memory
-_FSUM_BLOCK = 512
+_FSUM_BLOCK = 128
 
 
 def _prime_weights(q: int, n_max: int) -> np.ndarray:

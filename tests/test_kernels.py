@@ -10,6 +10,7 @@ import pytest
 
 from ffmoments import _backend, cli, ffpoly
 from ffmoments._backend import (
+    _low_table,
     _multiple_indices,
     _prime_rows,
     digit_rows,
@@ -144,20 +145,72 @@ def test_counting_memory_does_not_grow_with_q_to_the_n(monkeypatch):
     assert peak <= 32 * n * q ** (n // 2) < q**n
 
 
+# tracemalloc peaks of irreducible_counts(q, n) with steps of 2^17 products
+# and segments of 2^20 monics, whose int32 indices numpy copied to intp
+COUNT_PEAKS_AT_WIDE_STEPS = {(2, 21): 3_658_004, (3, 14): 2_104_306}
+
+
+@pytest.mark.parametrize("q,n", list(COUNT_PEAKS_AT_WIDE_STEPS))
+def test_counting_memory_at_the_default_sizes(q, n):
+    # the sieve of enumerate's prime-count rows holds one segment mask, one
+    # step's intp indices and their index(R) digits, and the low-digit
+    # tables: at most half of what the wide steps took
+    tracemalloc.start()
+    try:
+        table, counts = irreducible_counts(q, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [prime_count_exact(FieldSpec(q), m) for m in range(1, n + 1)]
+    assert peak <= COUNT_PEAKS_AT_WIDE_STEPS[q, n] // 2
+
+
+def test_low_tables_built_once_per_factor_degree(monkeypatch):
+    # each degree above 1 is sieved in many segments; every segment and
+    # every degree reuse the one table of each factor degree d <= n / 2
+    calls = []
+
+    def counted(q, rho):
+        calls.append(rho.shape[1])
+        return _low_table(q, rho)
+
+    monkeypatch.setattr(_backend, "_low_table", counted)
+    monkeypatch.setattr(_backend, "_SIEVE_SEGMENT", 1)
+    q, n = 3, 10
+    assert [q ** (m - _backend._segment_digits(q, m)) for m in (9, 10)] == [243, 243]
+    table, counts = irreducible_counts(q, n)
+    assert calls == list(range(1, n // 2 + 1))
+    assert counts == [prime_count_exact(FieldSpec(q), m) for m in range(1, n + 1)]
+    calls.clear()
+    extended = irreducible_indices(q, 8, table)
+    assert calls == [1, 2, 3, 4]
+    assert [len(a) for a in extended[1:]] == counts[:8]
+
+
 @pytest.mark.parametrize("q,n_max", [(2, 7), (3, 5), (5, 4), (7, 3)])
 def test_multiple_indices_are_the_multiples(q, n_max, monkeypatch):
-    # a small chunk makes the rows of one (n, d) pass span several arrays,
-    # and one prime's multiples span several rows
+    # a small chunk makes the products of one (n, d) pass span several
+    # arrays, and one prime's multiples span several steps
     monkeypatch.setattr(_backend, "_SIEVE_CHUNK", 1 << 4)
     field = FieldSpec(q)
     table = irreducible_indices(q, n_max)
+
+    def multiples(rho, n, d):
+        (segment,) = _multiple_indices(q, rho, _low_table(q, rho), n, d, n)
+        arrays = list(segment)
+        assert all(a.size <= 1 << 4 for a in arrays)
+        return np.concatenate([a.ravel() for a in arrays])
+
     for n in range(2, n_max + 1):
         for d in range(1, n + 1):
-            arrays = list(_multiple_indices(q, _prime_rows(q, table[d], d, n), n, d))
-            assert all(a.size <= 1 << 4 for a in arrays)
-            flat = np.concatenate([a.ravel() for a in arrays])
+            rho = _prime_rows(q, table[d], d, n)
+            flat = multiples(rho, n, d)
             assert flat.size == len(table[d]) * q ** (n - d)
-            rows = flat.reshape(len(table[d]), q ** (n - d))
+            # a pass over many primes may run the primes innermost, so each
+            # prime's multiples come from a pass over its rows alone, and the
+            # pass over all of them yields the same indices
+            rows = [multiples(rho[:, :, [i]], n, d) for i in range(len(table[d]))]
+            assert np.array_equal(np.sort(flat), np.sort(np.concatenate(rows)))
             for p_idx, row in zip(table[d], rows):
                 P = monic_from_index(field, d, int(p_idx))
                 assert len(set(row.tolist())) == q ** (n - d)
@@ -168,10 +221,11 @@ def test_multiple_indices_are_the_multiples(q, n_max, monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(2, 21), (3, 12)])
 def test_sieve_working_memory_is_bounded(q, n, monkeypatch):
-    # beyond the mask and the output, a step holds per product at most 2d <= n
-    # bytes of remainder digits (one reduction temporary) and 4 + 8 bytes of
-    # int32 indices and their intp copy: c = 2 covers n + 12 for n >= 12,
-    # with room for the per-pass rows rho_k, which do not scale with the chunk
+    # beyond the mask and the output, a step holds per product at most 8 + 2
+    # bytes of intp indices and the index(R) they are made from, and the low
+    # digit table of each factor degree d <= n / 2 holds at most chunk / 4
+    # digits: c = 2 covers 10 + n / 8 for n >= 12, with room for the rows
+    # rho_k, which do not scale with the chunk
     chunk = 1 << 14
     monkeypatch.setattr(_backend, "_SIEVE_CHUNK", chunk)
     tracemalloc.start()

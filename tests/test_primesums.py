@@ -242,7 +242,9 @@ class TestFSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2_000_000  # the one-shot (10000, 64) grid is 5.1 MB
+        # the one-shot (10000, 64) grid is 5.1 MB; blocks of 128 cutoffs
+        # peak at 0.34 MB, blocks of 512 at 1.13 MB
+        assert peak <= 400_000
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):
