@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ffmoments._backend import digit_rows, reduction_rows, scale_mod_many
+from ffmoments._backend import _product_rows, digit_rows, reduction_rows, scale_mod_many
 from ffmoments.ffpoly import (
     FieldSpec,
     FqPoly,
@@ -189,13 +189,20 @@ def _one_plus(q: int, local, m, a) -> np.ndarray:
 
 
 def _power_blocks(q: int, mod_digits, table, g: int, m: int) -> np.ndarray:
-    """The m blocks table * g^t mod Q, t < m, by doubling: each call also
-    squares g^k, carried as one extra row."""
-    out, gk, need = table, g, m * len(table)
-    while len(out) < need:
-        more = scale_mod_many(q, mod_digits, np.append(out[: need - len(out)], gk), gk)
-        out, gk = np.concatenate([out, more[:-1]]), more[-1]
-    return out
+    """The m blocks table * g^t mod F, t < m, by doubling on digit columns.
+    Multiplication by g^k mod F is the d x d digit matrix M whose column i
+    holds the digits of T^i g^k mod F, the rows T^j mod F (j <= 2d - 2)
+    times the digits of g^k; each step appends M @ (the blocks so far) and
+    squares M.  The residues are encoded once, at the end."""
+    d = len(mod_digits) - 1
+    rows = _product_rows(q, tuple(np.asarray(mod_digits).tolist()))
+    g_digits = digit_rows([g], q, d)[:, 0]
+    mat = np.stack([rows[:, i : i + d] @ g_digits for i in range(d)], axis=1) % q
+    out, need = digit_rows(table, q, d), m * len(table)
+    while out.shape[1] < need:
+        out = np.concatenate([out, mat @ out[:, : need - out.shape[1]] % q], axis=1)
+        mat = mat @ mat % q
+    return _from_digits(q, out.T)
 
 
 def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:

@@ -59,20 +59,6 @@ def _prime_factors_int(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mobius(n: int) -> int:
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """The prime coefficient field F_q."""
@@ -372,6 +358,7 @@ def enumerate_monic(field: FieldSpec, n: int) -> list[FqPoly]:
 
 _IRR_INDEX_CACHE: dict[int, list[np.ndarray]] = {}
 _IRR_COUNT_CACHE: dict[int, list[int]] = {}
+_PRIME_COUNTS: dict[int, list[int]] = {}  # per q, pi(n) for n = 0, 1, ...
 
 
 def _irreducible_index_table(q: int, n: int) -> list[np.ndarray]:
@@ -410,17 +397,22 @@ def irreducible_count_enumerated(field: FieldSpec, n: int) -> int:
 
 
 def prime_count_exact(field: FieldSpec, n: int) -> int:
-    """Exact number of monic irreducibles of degree n:
-    (1/n) * sum over d|n of mu(d) q^(n/d)."""
+    """Exact number pi(n) of monic irreducibles of degree n, from
+    q^n = sum over d|n of d pi(d).  The counts are kept per process; a
+    deeper request computes every degree up to n in one pass, subtracting
+    d pi(d) from q^m at each multiple m > d of d once pi(d) is known."""
     if n < 1:
         raise ValueError("prime counting needs degree >= 1")
-    q = field.q
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += _mobius(d) * q ** (n // d)
-    assert total % n == 0
-    return total // n
+    q, counts = field.q, _PRIME_COUNTS.setdefault(field.q, [0])
+    if len(counts) <= n:
+        rest = [q**m for m in range(n + 1)]
+        for d in range(1, n + 1):
+            if d == len(counts):
+                assert rest[d] % d == 0
+                counts.append(rest[d] // d)
+            for m in range(2 * d, n + 1, d):
+                rest[m] -= d * counts[d]
+    return counts[n]
 
 
 # ---------------------------------------------------------------------------

@@ -390,19 +390,25 @@ def _shift_powers(q: int, degree: int, ts: tuple[float, ...], circle: bool):
     return _read_only(np.array(us)[None, :] ** np.arange(degree)[:, None])
 
 
+@functools.cache
+def _circle_powers(q: int, degree: int, points: int) -> np.ndarray:
+    """(degree x points) powers u^n on the uniform circle grid of the circle
+    integral, u = e^(2 pi i m / points) / sqrt(q) for m < points."""
+    us = np.exp(2j * np.pi * np.arange(points) / points) / math.sqrt(q)
+    return _read_only(us[None, :] ** np.arange(degree)[:, None])
+
+
 def _u_poly_at(coeffs: np.ndarray, q: int, ts, circle: bool = False) -> np.ndarray:
-    """sum_n coeffs[c, n] u^n per coefficient row c (rows) and shift t (cols):
-    |L| and the log|L| bounds (see _shift_powers for u)."""
-    powers = _shift_powers(q, coeffs.shape[1], tuple(ts), circle)
-    # einsum, not @: BLAS zgemm sums in another order and moves the last bits
-    # of most entries (up to ~1e-14 at 15 coefficients), which the
-    # byte-identical lfun and moments reports would show
-    return np.einsum("cn,ns->cs", coeffs, powers)
+    """sum_n coeffs[c, n] u^n per coefficient row c (rows) and shift t (cols),
+    one matrix product with the memoised powers: |L| and the log|L| bounds
+    (see _shift_powers for u)."""
+    return coeffs @ _shift_powers(q, coeffs.shape[1], tuple(ts), circle)
 
 
 def abs_l_at(coeffs: np.ndarray, q: int, ts, circle: bool = False) -> np.ndarray:
     """|L(u, chi)| for each coefficient row (rows) at each shift t (cols),
-    the one evaluator of lfun and the moments (see _shift_powers for u)."""
+    the evaluator of lfun and the moments (see _shift_powers for u); the
+    circle integral takes the same product with _circle_powers."""
     return np.abs(_u_poly_at(coeffs, q, ts, circle))
 
 

@@ -8,15 +8,15 @@ circle_angle_moments does the same at the circle angles, perron_partial_sum
 takes one product of the coefficient rows with the circle quadrature's
 weights, and integral_moment computes the per-character circle integrals once
 for all exponents and once per conjugate pair, sampling |L| on the uniform
-circle grid by one FFT per block of CIRCLE_ROWS (32) scaled coefficient
-rows, so that its transient memory stays under 1 MB at 1024 points
-whatever phi(Q) is.
+circle grid by one product of each block of CIRCLE_ROWS (32) coefficient
+rows with the powers of u on the grid, so that its transient memory stays
+under 1 MB at 1024 points whatever phi(Q) is.
 
 What depends only on q, deg Q and the specs or sampling parameters is
 computed once per process by memoised helpers that return read-only
 arrays: the Theorem 1.1 base and pair factors, the Perron quadrature
 weights, and, in lfunc (abs_l_at, shared with lfun's log|L|), the
-powers of u at the shift points and circle points.
+powers of u at the shift points, the circle angles and the circle grid.
 
 All sums over characters run in canonical character-index order with
 pairwise summation, so family sweeps are reproducible and parallel runs
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ffmoments.chargroup import DirichletChar, Modulus
-from ffmoments.lfunc import PrimitiveFamily, _read_only, abs_l_at, zeta_A
+from ffmoments.lfunc import PrimitiveFamily, _circle_powers, _read_only, abs_l_at, zeta_A
 from ffmoments.ffpoly import degree_cutoff, enumerate_monic
 
 # the interpreter's built-in sha256: importing hashlib loads OpenSSL, about
@@ -290,10 +290,11 @@ class IntegralMoment(NamedTuple):
     integrals: np.ndarray
 
 
-# characters per FFT of the circle integral, which bounds its memory: a
-# block's transform and its magnitudes take 24 bytes per row and quadrature
-# point, 0.75 MB at 1024 points; each row's transform and mean are
-# independent, so the block size changes no bit
+# characters per product of the circle integral, which bounds its memory: a
+# block's values and magnitudes take 24 bytes per row and quadrature point,
+# 0.75 MB at 1024 points; a row's values do not depend on the other rows of
+# its block, so the block size changes no bit as long as no block has a
+# single row (BLAS multiplies one row by its matrix-vector path instead)
 CIRCLE_ROWS = 32
 
 
@@ -306,15 +307,13 @@ def integral_moments_per_char(
     so each conjugate pair is computed once, at its lower canonical index."""
     if quad_points < 256:
         raise ValueError("at least 256 quadrature points are required")
-    q = family.modulus.field.q
     rows, copied = family.copied_conjugates()
-    # |L(e^(2 pi i m/M)/sqrt(q))|, m < M: the unnormalised inverse DFT of
-    # the rows c_n q^(-n/2), zero-padded to M > deg Q points by the floor
-    scaled = family.coeffs[~copied] * q ** (-0.5 * np.arange(family.modulus.degree))
-    means = np.empty(len(scaled))
-    for lo in range(0, len(scaled), CIRCLE_ROWS):
-        block = scaled[lo : lo + CIRCLE_ROWS]
-        mags = np.abs(np.fft.ifft(block, n=quad_points, axis=1, norm="forward"))
+    own = np.flatnonzero(~copied)
+    # |L(e^(2 pi i m/M)/sqrt(q))|, m < M, against the memoised circle powers
+    powers = _circle_powers(family.modulus.field.q, family.modulus.degree, quad_points)
+    means = np.empty(len(own))
+    for lo in range(0, len(own), CIRCLE_ROWS):
+        mags = np.abs(family.coeffs[own[lo : lo + CIRCLE_ROWS]] @ powers)
         means[lo : lo + CIRCLE_ROWS] = np.mean(mags, axis=1)
     out = np.empty(len(rows))
     out[~copied] = 2 * np.pi * means

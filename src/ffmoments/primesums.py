@@ -1,7 +1,7 @@
 """Exact prime sums over F_q[T] and their closed-form comparisons.
 
 Every sum here runs over the prime degrees n against one weight vector per
-q, w[n] = pi(n) / q^n, with pi(n) from the exact counting formula, so all
+q, w[n] = pi(n) / q^n, with pi(n) the exact count of ffpoly, so all
 values are exact up to floating-point rounding.  The sum up to x = q^h of
 w[n] times a degree factor (1 for the reciprocal sum, n log q for the
 log-weighted sum, cos(alpha n log q) for the cosine sum) is the cumulative
@@ -33,9 +33,9 @@ def _prime_weights(q: int, n_max: int) -> np.ndarray:
     """w[n] = pi(n) / q^n for n = 0..n_max; w[0] = 0, no prime has degree 0."""
     if n_max < 0:
         raise ValueError("cutoff degree must be at least 0")
-    f = FieldSpec(q)
-    counts = [prime_count_exact(f, n) / q**n for n in range(1, n_max + 1)]
-    return np.array([0.0, *counts])
+    f = FieldSpec(q)  # the deepest degree first counts all the others
+    counts = [prime_count_exact(f, n) / q**n for n in range(n_max, 0, -1)]
+    return np.array([0.0, *counts[::-1]])
 
 
 def logp_sum(q: int, h_max: int) -> np.ndarray:

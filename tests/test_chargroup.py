@@ -435,6 +435,23 @@ class TestUnitGroup:
             g_t = (g_t * g) % Q.poly
         assert got.tolist() == expected
 
+    @pytest.mark.parametrize("q, P", [(2, [1, 1, 0, 1]), (3, [1, 2, 0, 1]), (5, [2, 0, 1])])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_power_blocks_match_iterated_scale_mod_many(self, q, P, e):
+        # the digit-matrix doubling against one scale_mod_many product per
+        # block, mod P^e, for block counts that are not powers of two
+        F = np.ones(1, dtype=np.int64)
+        for _ in range(e):
+            F = np.convolve(F, P) % q
+        d, rng = len(F) - 1, random.Random(100 * q + e)
+        table = np.array([rng.randrange(1, q**d) for _ in range(3)], np.int64)
+        g = rng.randrange(2, q**d)
+        for m in (3, 6, 7):
+            blocks = [table]
+            while len(blocks) < m:
+                blocks.append(scale_mod_many(q, F, blocks[-1], g))
+            assert _power_blocks(q, F, table, g, m).tolist() == np.concatenate(blocks).tolist()
+
     def test_t_squared_structure(self):
         g = unit_group(modulus(F3, "T^2"))
         assert math.prod(g.orders) == 6

@@ -821,6 +821,21 @@ class TestCli:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
         assert len(read_rows(serial / "moments.csv")) == 5 * 2
 
+    def test_moments_jobs_byte_identical_on_moments_q3(self, tmp_path):
+        # |L| at the shifts and on the circle grid are BLAS products, which
+        # run in the workers with --jobs; 130 families of degree 2..5 at q=3
+        cfg = str(CONFIGS / "moments_q3.json")
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert run_cli("moments", "--config", cfg, "--out", str(serial)) == 0
+        assert (
+            run_cli("moments", "--config", cfg, "--out", str(parallel), "--jobs", "2")
+            == 0
+        )
+        for name in ("moments.csv", "moments.json", "moments_checks.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+        meta = json.loads((serial / "run_metadata.json").read_text())
+        assert meta["moments"]["computed"] == 130
+
     def test_lfun_and_moments_build_no_value_matrix(self, smoke, monkeypatch):
         # no run path builds the dense character value matrix: every
         # L-coefficient and prime sum comes from character_sums, and

@@ -97,7 +97,7 @@ def oracle_spec_moments(family, specs, u_of):
     """The batched moments with the powers of u built on every call."""
     us = np.array([u_of(t) for spec in specs for t in spec.t], dtype=np.complex128)
     powers = us[None, :] ** np.arange(family.modulus.degree)[:, None]
-    mags = np.abs(np.einsum("cn,ns->cs", family.coeffs, powers))
+    mags = np.abs(family.coeffs @ powers)
     _, a, starts = moments.spec_columns(specs)
     prods = np.multiply.reduceat(mags**a, starts, axis=1)
     return np.sum(np.ascontiguousarray(prods.T), axis=1)
@@ -371,7 +371,7 @@ class TestMemo:
                 ts = [0.0, 0.4, 2.1, 7.5]  # the last beyond the period at q=3
                 us = np.array([u_at_shift(q, t) for t in ts])
                 powers = us[None, :] ** np.arange(dQ)[:, None]
-                want = np.abs(np.einsum("cn,ns->cs", fam.coeffs, powers))
+                want = np.abs(fam.coeffs @ powers)
                 assert bitwise(lfunc.abs_l_at(fam.coeffs, q, ts), want)
                 for N in range(dQ + 2):
                     for r in (0.5, 0.3):
