@@ -4,18 +4,19 @@ By the CRT the unit group is the product of the local groups (F_q[T]/P^e)^*
 over the prime-power factors of Q.  Each local group is built on residue
 index arrays once per process per prime power and memoised: the part of
 order q^deg(P) - 1 is generated by a power of the first primitive root mod P,
-and a mask marks the primitive characters.  As q is prime, (1 + x)^q =
-1 + x^q, so the (1+P)-part has the closed-form basis 1 + T^i P^j (i < deg P,
-0 < j < e, q not dividing j), each of order q^m with m least such that
-j q^m >= e.  The product is direct: level n = j q^t of the filtration
-1 + P^n is reached only from j, z -> z^(q^t) permutes F_q[T]/P so the
-q^t-th powers of level j span level n, and the orders multiply to
-q^(deg P (e-1)).  unit_group glues the local tables of Q with the CRT
-idempotents: generator basis with orders, plus a full discrete-log table
-mapping every coprime residue (in its integer encoding) to its exponent
-vector.  The map (a_1..a_r) -> prod g_j^a_j is verified to be a bijection
-onto the units: phi(Q) distinct residues, every one non-zero mod each prime
-factor of Q, so any defect in the structure computation fails loudly.
+a residue-to-row table inverts the residue list, and a mask marks the
+primitive characters.  As q is prime, (1 + x)^q = 1 + x^q, so the (1+P)-part
+has the closed-form basis 1 + T^i P^j (i < deg P, 0 < j < e, q not dividing
+j), each of order q^m with m least such that j q^m >= e.  The product is
+direct: level n = j q^t of the filtration 1 + P^n is reached only from j,
+z -> z^(q^t) permutes F_q[T]/P so the q^t-th powers of level j span level n,
+and the orders multiply to q^(deg P (e-1)).  unit_group reduces every
+residue mod Q to each P^e and reads its local exponent rows off those
+tables: generator basis with orders, plus a full discrete-log table mapping
+every coprime residue (in its integer encoding) to its exponent vector.  The
+map (a_1..a_r) -> prod g_j^a_j is verified to be a bijection onto the units:
+phi(Q) distinct residues, every one non-zero mod each prime factor of Q, so
+any defect in the structure computation fails loudly.
 
 Characters are exponent vectors against that basis; values are unit-circle
 complex numbers computed at call time.
@@ -157,6 +158,7 @@ class _LocalTable(NamedTuple):
     modulus: np.ndarray  # coefficients of P^e, constant first
     orders: tuple[int, ...]
     residues: np.ndarray  # prod g_j^a_j over the exponent grid, C order
+    row_of: np.ndarray  # per residue of width deg(P^e): its row, -1 off the units
     primitive: np.ndarray  # per local character, same order: is it primitive
 
 
@@ -247,17 +249,17 @@ def _build_local_table(q: int, P: np.ndarray, e: int) -> _LocalTable:
         cyclic = _from_digits(q, digit_rows(cyclic, q, k).T @ lift % q)
         table = scale_mod_many(q, local, cyclic.repeat(len(table)), np.tile(table, c))
         orders.insert(0, c)
+    row_of = np.full(q**d, -1, dtype=np.int64)
+    row_of[table] = np.arange(len(table))
     if e == 1:
         primitive = np.arange(len(table)) != 0
     else:
-        where = np.full(q**d, -1, dtype=np.int64)
-        where[table] = np.arange(len(table))
-        gens = where[_one_plus(q, local, powers[e - 1], q ** np.arange(k))]
+        gens = row_of[_one_plus(q, local, powers[e - 1], q ** np.arange(k))]
         grid = _exponent_grid(np.arange(len(table)), orders)
         primitive = ~_trivial_on_rows(orders, grid, grid[gens])
-    for a in (local, table, primitive):
+    for a in (local, table, row_of, primitive):
         a.setflags(write=False)
-    return _LocalTable(local, tuple(orders), table, primitive)
+    return _LocalTable(local, tuple(orders), table, row_of, primitive)
 
 
 def _local_table(field: FieldSpec, P: FqPoly, e: int) -> _LocalTable:
@@ -330,49 +332,40 @@ class UnitGroup:
                 raise ArithmeticError("non-unit residue in table")
 
 
-def _times_idempotent(q: int, tables: list[_LocalTable], i: int, shifted):
-    """(deg P_i^e_i, deg Q) digit rows of T^j e_i mod Q, given the rows
-    shifted[k] of T^k mod Q.  The CRT idempotent e_i = other (other^-1 mod
-    P_i^e_i), other the product of the other local moduli, has degree < deg Q,
-    so it needs no reduction; the inverse is read off the local table by
-    negating the exponent row."""
-    other = np.ones(1, dtype=np.int64)
-    for j, t in enumerate(tables):
-        if j != i:
-            other = np.convolve(other, t.modulus) % q
-    t, d, dQ = tables[i], len(tables[i].modulus) - 1, shifted.shape[1]
-    rem = _from_digits(q, other @ reduction_rows(q, t.modulus, len(other) - 1) % q)
-    (exps,) = _exponent_grid(np.argmax(t.residues == rem, keepdims=True), t.orders)
-    inverse = t.residues[-exps % np.array(t.orders, np.int64) @ _strides(t.orders)]
-    idem = np.convolve(other, digit_rows([inverse], q, d)[:, 0]) % q
-    return np.stack([idem @ shifted[j : j + dQ] for j in range(d)]) % q
+def _unit_rows(q: int, dQ: int, tables: list[_LocalTable]):
+    """The units among all q^dQ residues mod Q, in index order, and the C-order
+    grid index of each.  Per table, the residues are reduced mod its P^e of
+    degree d by folding their digits at and above d in through the rows
+    T^k mod P^e, and looked up in its residue-to-row table; a residue is a
+    unit iff every lookup hits, and its local rows, read in mixed radix, are
+    its grid index."""
+    res = np.arange(q**dQ, dtype=np.int64)
+    flat = np.zeros_like(res)
+    for t in tables:
+        d = len(t.modulus) - 1
+        digits = digit_rows(res, q, dQ)
+        local = reduction_rows(q, t.modulus, dQ - 1)[d:].T @ digits[d:]
+        local += digits[:d]
+        local %= q
+        rows = t.row_of[_from_digits(q, local.T)]
+        hit = rows >= 0
+        res, flat = res[hit], flat[hit] * len(t.residues) + rows[hit]
+    return res, flat
 
 
 def unit_group(modulus: Modulus) -> UnitGroup:
-    """Glue the local tables of the factors P_i^e_i of Q by the CRT, then
-    verify the bijection.  The unit with local parts x_i is sum_i x_i e_i mod
-    Q, and x -> x e_i mod Q is linear on the digits, so the units over the
-    whole exponent grid come from one broadcast digit sum mod q; generator j
-    of factor i lifts to the unit 1 + (g_j - 1) e_i, at its unit exponent
-    vector.  When Q is one prime power its local table already holds the
-    units, so there is nothing to glue."""
-    field, Q = modulus.field, modulus.poly
-    q, dQ = field.q, Q.degree
+    """Read the dlog of every unit mod Q off the local tables of its factors
+    P_i^e_i, then verify the bijection.  The generators are the units at the
+    unit exponent vectors, looked up in a grid sized by the product of the
+    orders."""
+    field = modulus.field
     tables = [_local_table(field, P, e) for P, e in modulus.factors]
-    if len(tables) == 1:  # Q = P^e: the idempotent is 1
-        res = tables[0].residues
-    else:
-        shifted = reduction_rows(q, Q.coeffs, 2 * dQ - 2)  # T^k mod Q
-        digits = np.zeros((1, dQ), dtype=np.int64)
-        for i, t in enumerate(tables):
-            local = digit_rows(t.residues, q, len(t.modulus) - 1).T
-            local = local @ _times_idempotent(q, tables, i, shifted)
-            digits = (digits[:, None, :] + local[None, :, :]).reshape(-1, dQ)
-        res = _from_digits(q, digits % q)
     orders = tuple(m for t in tables for m in t.orders)
-    order = np.argsort(res, kind="stable")
-    gens = res[_strides(orders)]  # the units at the unit exponent vectors
-    group = UnitGroup(modulus, gens, orders, res[order], _exponent_grid(order, orders))
+    res, flat = _unit_rows(field.q, modulus.degree, tables)
+    grid = np.zeros(math.prod(orders), dtype=np.int64)
+    grid[flat] = res
+    dlog = _exponent_grid(flat, orders)
+    group = UnitGroup(modulus, grid[_strides(orders)], orders, res, dlog)
     group.verify_bijection()
     return group
 

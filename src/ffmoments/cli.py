@@ -161,7 +161,8 @@ def _translation_orbits(moduli) -> Orbits:
     witnesses are, per degree, the translates of one orbit with more than
     one member and with primitive characters (so that its rows compare
     nonempty tables): the first whose modulus has two distinct prime
-    factors (so the CRT glue runs), or else the first."""
+    factors (so its units are read off several local tables), or else the
+    first."""
     position: dict[tuple[int, ...], int] = {}
     for i, m in enumerate(moduli):
         position.setdefault(m.poly.coeffs, i)

@@ -1,10 +1,12 @@
 """Unit-group structure, Dirichlet characters, primitivity."""
 
+import hashlib
 import importlib
 import json
 import math
 import pkgutil
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -694,14 +696,19 @@ class TestCharEval:
 # every monic modulus of these degrees is compared with the oracles
 SWEEP = [(F2, d) for d in range(2, 7)] + [(F3, d) for d in range(2, 5)]
 SWEEP += [(F5, 2), (F5, 3), (F7, 2)]
-# rank 0; a pure p-group; several factors, one of them ramified
+# rank 0; a pure p-group; one prime power; several factors, some ramified;
+# each with its number of distinct prime factors
 SHAPES = [
-    (F2, "T^2 + T"),
-    (F2, "T^6"),
-    (F3, "T^6"),
-    (F2, "T^12 + T^5 + T^2"),  # T^2 (T^10 + T^3 + 1)
-    (F3, "T^5 + T^3"),  # T^3 (T^2 + 1)
-    (F5, "T^3 + 4*T"),  # T (T + 1) (T + 4)
+    (F2, "T^2 + T", 2),
+    (F2, "T^6", 1),
+    (F3, "T^6", 1),
+    (F3, "T^6 + 1", 1),  # (T^2 + 1)^3
+    (F3, "T^5 + 2*T + 1", 1),
+    (F2, "T^12 + T^5 + T^2", 2),  # T^2 (T^10 + T^3 + 1)
+    (F3, "T^5 + T^3", 2),  # T^3 (T^2 + 1)
+    (F5, "T^3 + 4*T", 3),  # T (T + 1) (T + 4)
+    (F2, "T^7 + T^6 + T^4 + T^3", 3),  # T^3 (T + 1)^2 (T^2 + T + 1)
+    (F3, "T^6 + 2*T^5 + 2*T^4 + 2*T^3 + T^2", 3),  # T^2 (T + 1)^2 (T^2 + 1)
 ]
 
 
@@ -724,32 +731,17 @@ class TestLocalTables:
             assert_matches_oracles(factor_modulus(monic_from_index(field, degree, idx)))
 
     @pytest.mark.parametrize(
-        "field,text", SHAPES, ids=[f"q{f.q}-{t}" for f, t in SHAPES]
+        "field,text,factors", SHAPES, ids=[f"q{f.q}-{t}" for f, t, _ in SHAPES]
     )
-    def test_shapes_match_old_construction(self, field, text):
+    def test_shapes_match_old_construction(self, field, text, factors):
         g = assert_matches_oracles(modulus(field, text))
+        assert len(g.modulus.factors) == factors
         if text == "T^2 + T":
             assert g.rank == 0
         elif text == "T^6":  # (1 + T F_q[T]) mod T^6 is a non-cyclic p-group
             p_orders = [m for m in g.orders if m % field.q == 0]
             assert len(p_orders) >= 2 and math.prod(p_orders) == field.q**5
             assert len(p_orders) == g.rank or field.q > 2
-        else:
-            assert len(g.modulus.factors) > 1
-
-    @pytest.mark.parametrize(
-        "field,text",
-        [(F2, "T^6"), (F3, "T^6 + 1"), (F3, "T^5 + 2*T + 1")],
-        ids=["q2-T^6", "q3-(T^2+1)^3", "q3-prime-d5"],
-    )
-    def test_single_prime_power_needs_no_crt_glue(self, field, text, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("CRT idempotent built for one prime power")
-
-        monkeypatch.setattr(chargroup, "_times_idempotent", forbidden)
-        m = modulus(field, text)
-        assert len(m.factors) == 1
-        assert_matches_oracles(m)
 
     @pytest.mark.parametrize(
         "field,top", [(F2, 8), (F3, 5), (F5, 3), (F7, 3)], ids=["q2", "q3", "q5", "q7"]
@@ -788,24 +780,27 @@ class TestLocalTables:
 
     def test_repeated_generator_block_fails_loudly(self, monkeypatch, tmp_path, capsys):
         # T^3 at q = 3 with the generator 1 + T^2 replaced by 1 + T, which is
-        # then repeated: the table is not direct, which unit_group catches,
-        # and a run on it is an internal error, not a failed check
+        # then repeated: the table is not direct, so its residue-to-row table
+        # misses some units, which unit_group catches, and a run on it is an
+        # internal error, not a failed check
         good = chargroup._build_local_table(3, np.array([0, 1]), 3)
         assert good.orders == (2, 3, 3)
         blocks = good.residues.reshape(2, 3, 3)
         bad = blocks[:, (np.arange(3)[:, None] + np.arange(3)) % 3, 0].ravel()
         assert len(np.unique(bad)) < len(bad) == 18
+        row_of = np.full(27, -1, dtype=np.int64)
+        row_of[bad] = np.arange(18)
         key = (3, (0, 1), 3)
-        tampered = good._replace(residues=bad)
+        tampered = good._replace(residues=bad, row_of=row_of)
         monkeypatch.setattr(chargroup, "_LOCAL_TABLES", {key: tampered})
-        with pytest.raises(ArithmeticError, match="distinct"):
+        with pytest.raises(ArithmeticError, match="unit table size mismatch"):
             unit_group(modulus(F3, "T^3"))
         cfg = tmp_path / "t3.json"
         cfg.write_text(json.dumps({"schema": 1, "q": 3, "moduli": ["T^3"]}))
         out = str(tmp_path / "out")
         assert cli_main(["enumerate", "--config", str(cfg), "--out", out]) == 3
         err = capsys.readouterr().err
-        assert "ArithmeticError: unit residues are not distinct" in err
+        assert "ArithmeticError: unit table size mismatch" in err
 
     def test_family_path_makes_no_poly_arithmetic(self, monkeypatch):
         moduli = [
@@ -840,7 +835,7 @@ class TestLocalTables:
         unit_group(modulus(F3, "T^3 + T^2"))
         assert chargroup._LOCAL_TABLES
         for table in chargroup._LOCAL_TABLES.values():
-            for array in (table.modulus, table.residues, table.primitive):
+            for array in (table.modulus, table.residues, table.row_of, table.primitive):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[-1]
 
@@ -851,3 +846,43 @@ class TestLocalTables:
         # T^2 (T + 1) and T^2 again share the local table of T^2
         for text in ("T^3 + T^2", "T^2"):
             assert_matches_oracles(modulus(F3, text))
+
+    def test_unit_group_memory_is_that_of_the_verification(self):
+        # a warm unit_group on a degree-16 prime at q = 2: the peak is
+        # verify_bijection's digit rows of the 2^16 - 1 units, 25.5 MiB, so
+        # the digits of all residues that the dlogs are read from must be
+        # freed before it runs (holding them reads 42 MiB)
+        m = modulus(F2, "T^16 + T^5 + T^3 + T^2 + 1")
+        unit_group(m)
+        tracemalloc.start()
+        try:
+            unit_group(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26.5 * 2**20
+
+
+# per shipped config, sha256 of the orders, generators, residues and dlog rows
+# of every modulus's unit group in run order, all as int64, from the
+# construction that glued the local tables with CRT idempotents
+UNIT_GROUP_DIGESTS = {
+    "enumerate_q3": "2953afe65d3b0a33",
+    "lfun_q2_d3": "d0a390a741f1ceeb",
+    "lfun_q3_d3": "e86dc8927a9c112a",
+    "moments_q3": "4d57b5fdecfc9849",
+    "primesums_all": "4d65351189f92b6e",
+    "smoke_q3_d2": "d2722b8231023805",
+}
+
+
+def test_shipped_config_unit_groups_unchanged():
+    assert sorted(UNIT_GROUP_DIGESTS) == sorted(p.stem for p in CONFIGS.glob("*.json"))
+    for name, want in UNIT_GROUP_DIGESTS.items():
+        digest = hashlib.sha256()
+        for m in load_config(CONFIGS / f"{name}.json").modulus_list():
+            g = unit_group(m)
+            digest.update(np.array(g.orders, dtype=np.int64).tobytes())
+            for a in (g.generators, g.residues, g.dlog_mat):
+                digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        assert digest.hexdigest()[:16] == want, name

@@ -510,8 +510,8 @@ class TestIntegralMoment:
                 assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_row_blocks_change_no_bit(self, monkeypatch):
-        # 63 conjugate-pair rows: in one FFT, and in blocks of 5 with a
-        # shorter last block
+        # 63 conjugate-pair rows: in blocks of the default 32, and in blocks
+        # of 5, both with a shorter last block
         fam = primitive_family(factor_modulus(parse_poly(FieldSpec(2), "T^7 + T + 1")))
         whole = integral_moments_per_char(fam, 512)
         monkeypatch.setattr(moments, "CIRCLE_ROWS", 5)
