@@ -744,6 +744,27 @@ class TestLocalTables:
             assert len(p_orders) == g.rank or field.q > 2
 
     @pytest.mark.parametrize(
+        "field,text",
+        [(F2, "T^6"), (F3, "T^6 + 1"), (F3, "T^5 + 2*T + 1")],
+        ids=["q2-T^6", "q3-(T^2+1)^3", "q3-prime-d5"],
+    )
+    def test_single_prime_power_needs_no_crt_glue(self, field, text):
+        # one prime power: the group is its local table read as is, with the
+        # units in index order and each dlog the grid index of its row
+        m = modulus(field, text)
+        assert len(m.factors) == 1
+        g = assert_matches_oracles(m)
+        table = chargroup._local_table(field, *m.factors[0])
+        assert g.orders == table.orders
+        np.testing.assert_array_equal(g.residues, np.flatnonzero(table.row_of >= 0))
+        np.testing.assert_array_equal(
+            g.dlog_mat, chargroup._exponent_grid(table.row_of[g.residues], g.orders)
+        )
+        np.testing.assert_array_equal(
+            g.generators, table.residues[chargroup._strides(g.orders)]
+        )
+
+    @pytest.mark.parametrize(
         "field,top", [(F2, 8), (F3, 5), (F5, 3), (F7, 3)], ids=["q2", "q3", "q5", "q7"]
     )
     def test_primitive_root_matches_square_and_multiply(self, field, top):
